@@ -392,7 +392,7 @@ def oracle_check_cmd(config_file, preset_name, **flags):
         gen = TiltedGenerator(basis, bath, channels)
         _, d1, d2 = lds.theta_derivatives(gen, 0.0)
         activity = -d1
-        q_spectral = None if abs(d1) < 1e-14 else -d2 / d1 - 1.0
+        q_spectral = lds._mandel_from(d1, d2)
         if cfg.t_max_ps is not None:
             t_max = time_ps_to_cm(cfg.t_max_ps)
         elif activity > 0:

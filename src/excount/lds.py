@@ -102,44 +102,48 @@ def default_s_grid(
     return np.linspace(s_min, s_max, n_points)
 
 
-def _perron_root(mat: np.ndarray, rel_tol: float = 1e-15, max_iter: int = 2000) -> float:
-    """Largest real eigenvalue of a real Metzler matrix.
+def _eig_pieces(generator: TiltedGenerator, s: float, method: str):
+    """One left/right eigensolve of the tilted generator at s.
 
-    Shifted power iteration: with c = max |diagonal| + 1 the matrix B =
-    mat + c*I is nonnegative with positive diagonal, so its Perron root is
-    its spectral radius and equals the sought eigenvalue plus c.  The
-    Collatz-Wielandt ratios (Bv)_i / v_i bracket the root and certify
-    convergence; a stalled iteration (reducible matrix) falls back to a
-    dense solve.
+    Returns the eigenvalues, left and right eigenvectors, the index of the
+    top eigenvalue and dW/ds.  The top eigenpair must be real, unambiguous
+    and non-defective, else SpectralError.
     """
-    n = mat.shape[0]
-    shift = float(np.max(np.abs(np.diag(mat)))) + 1.0
-    b = mat + shift * np.eye(n)
-    v = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        w = b @ v
-        ratios = w / v
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        if hi - lo <= rel_tol * hi:
-            return 0.5 * (lo + hi) - shift
-        v = w / w.sum()
-    top = np.max(np.linalg.eigvals(mat).real)
-    return float(top)
-
-
-def _top_eigenvalue(mat: np.ndarray) -> complex:
-    """Eigenvalue of largest real part, with an ambiguity diagnostic."""
-    eigs = np.linalg.eigvals(mat)
-    order = np.argsort(eigs.real)
-    top = eigs[order[-1]]
-    near = eigs[np.abs(eigs.real - top.real) < 1e-12]
+    if method == "population":
+        mat = generator.population_block(s)
+        dmat = generator.population_block_derivative(s)
+    elif method == "full":
+        mat = generator.assemble(s)
+        dmat = generator.assemble_derivative(s)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    w, vl, vr = scipy.linalg.eig(mat, left=True, right=True)
+    i = int(np.argmax(w.real))
+    top = w[i]
+    near = w[np.abs(w.real - top.real) < 1e-12]
     if near.size > 1 and np.any(np.abs(near.imag) > 1e-9):
         raise SpectralError(
             f"ambiguous top eigenvalue: {near.size} eigenvalues share the real "
-            f"part {top.real:.6g} with nonzero imaginary parts"
+            f"part {top.real:.6g} with nonzero imaginary parts at s={s}"
         )
-    return complex(top)
+    if abs(top.imag) > 1e-9:
+        raise SpectralError(f"top eigenvalue has imaginary part {top.imag:.3e} at s={s}")
+    l = vl[:, i].conj()
+    r = vr[:, i]
+    if abs(l @ r) < 1e-12 * np.linalg.norm(l) * np.linalg.norm(r):
+        raise SpectralError(f"defective top eigenpair at s={s}")
+    return w, vl, vr, i, dmat
+
+
+def _real(value: complex, name: str, s: float) -> float:
+    if abs(np.imag(value)) > 1e-9 * max(1.0, abs(value)):
+        raise SpectralError(f"{name}({s}) came out complex: {value}")
+    return float(np.real(value))
+
+
+def _mandel_from(d1: float, d2: float) -> float | None:
+    """Q = -theta''/theta' - 1, or None where the activity vanishes."""
+    return None if abs(d1) < 1e-14 else -d2 / d1 - 1.0
 
 
 def theta(generator: TiltedGenerator, s: float, method: str = "population") -> float:
@@ -149,47 +153,8 @@ def theta(generator: TiltedGenerator, s: float, method: str = "population") -> f
     exact here because the secular structure decouples populations from
     coherences; ``method="full"`` solves the dense N^2 superoperator.
     """
-    if method == "population":
-        return _perron_root(generator.population_block(s))
-    if method == "full":
-        top = _top_eigenvalue(generator.assemble(s))
-        if abs(top.imag) > 1e-9:
-            raise SpectralError(
-                f"top eigenvalue has imaginary part {top.imag:.3e} at s={s}"
-            )
-        return top.real
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _eig_pieces(generator: TiltedGenerator, s: float, method: str):
-    if method == "population":
-        mat = generator.population_block(s)
-        dmat = generator.population_block_derivative(s)
-    else:
-        mat = generator.assemble(s)
-        dmat = generator.assemble_derivative(s)
-    w, vl, vr = scipy.linalg.eig(mat, left=True, right=True)
-    i = int(np.argmax(w.real))
-    top = w[i]
-    if abs(top.imag) > 1e-9:
-        raise SpectralError(f"top eigenvalue has imaginary part {top.imag:.3e} at s={s}")
-    l = vl[:, i].conj()
-    r = vr[:, i]
-    overlap = l @ r
-    if abs(overlap) < 1e-12 * np.linalg.norm(l) * np.linalg.norm(r):
-        raise SpectralError(f"defective top eigenpair at s={s}")
-    return w, vl, vr, i, dmat
-
-
-def _theta_prime(generator: TiltedGenerator, s: float, method: str) -> tuple[float, float]:
-    """(theta, theta') via the left/right-eigenvector stationarity identity."""
-    w, vl, vr, i, dmat = _eig_pieces(generator, s, method)
-    l = vl[:, i].conj()
-    r = vr[:, i]
-    d1 = (l @ dmat @ r) / (l @ r)
-    if abs(np.imag(d1)) > 1e-9 * max(1.0, abs(d1)):
-        raise SpectralError(f"theta'({s}) came out complex: {d1}")
-    return float(w[i].real), float(np.real(d1))
+    w, _, _, i, _ = _eig_pieces(generator, s, method)
+    return float(w[i].real)
 
 
 def theta_derivatives(
@@ -198,7 +163,7 @@ def theta_derivatives(
     method: str = "population",
     second_order: str = "exact",
 ) -> tuple[float, float, float]:
-    """(theta, theta', theta'') at the given s.
+    """(theta, theta', theta'') at the given s, from one eigensolve.
 
     theta' comes from the eigenvector identity <l|dW/ds|r>/<l|r>.  For
     theta'' the default is the exact second-order eigenvalue-perturbation
@@ -206,28 +171,24 @@ def theta_derivatives(
     Richardson-refined central difference of theta' with step 1e-4 instead
     (cheaper conceptually but noise-limited where the activity is tiny).
     """
-    if second_order == "fd":
-        th, d1 = _theta_prime(generator, s, method)
-
-        def slope(h: float) -> float:
-            up = _theta_prime(generator, s + h, method)[1]
-            dn = _theta_prime(generator, s - h, method)[1]
-            return (up - dn) / (2.0 * h)
-
-        h = _FD_STEP
-        d2 = (4.0 * slope(h / 2.0) - slope(h)) / 3.0
-        return th, d1, d2
-    if second_order != "exact":
+    if second_order not in ("exact", "fd"):
         raise ValueError(f"unknown second_order {second_order!r}")
-
     w, vl, vr, i, dmat = _eig_pieces(generator, s, method)
     top = w[i]
     l0 = vl[:, i].conj()
     r0 = vr[:, i]
     s0 = l0 @ r0
-    d1 = (l0 @ dmat @ r0) / s0
-    if abs(np.imag(d1)) > 1e-9 * max(1.0, abs(d1)):
-        raise SpectralError(f"theta'({s}) came out complex: {d1}")
+    d1 = _real((l0 @ dmat @ r0) / s0, "theta'", s)
+    if second_order == "fd":
+
+        def slope(h: float) -> float:
+            up = theta_derivatives(generator, s + h, method)[1]
+            dn = theta_derivatives(generator, s - h, method)[1]
+            return (up - dn) / (2.0 * h)
+
+        h = _FD_STEP
+        return float(top.real), d1, (4.0 * slope(h / 2.0) - slope(h)) / 3.0
+
     # d2W/ds2 = -dW/ds for an exponential tilt, so the diagonal term is -d1;
     # the cross terms are the usual second-order perturbation sum.
     left_all = vl.conj().T @ dmat @ r0
@@ -246,28 +207,25 @@ def theta_derivatives(
             )
         sj = vl[:, j].conj() @ vr[:, j]
         d2 += 2.0 * num / (denom * s0 * sj)
-    if abs(np.imag(d2)) > 1e-9 * max(1.0, abs(d2)):
-        raise SpectralError(f"theta''({s}) came out complex: {d2}")
-    return float(top.real), float(np.real(d1)), float(np.real(d2))
+    return float(top.real), d1, _real(d2, "theta''", s)
 
 
 def mandel(generator: TiltedGenerator, s: float, method: str = "population") -> float:
     """Q(s) = -theta''(s)/theta'(s) - 1."""
     _, d1, d2 = theta_derivatives(generator, s, method)
-    if abs(d1) < 1e-14:
+    q = _mandel_from(d1, d2)
+    if q is None:
         raise UndefinedMandelError(f"activity vanishes at s={s}; Q undefined")
-    return -d2 / d1 - 1.0
+    return q
 
 
 def scan(generator: TiltedGenerator, s_values) -> list[ScanPoint]:
     """Evaluate theta, activity and Mandel Q on a grid of s values."""
     points = []
     for s in np.asarray(s_values, dtype=float):
-        th = theta(generator, s)
-        _, d1, d2 = theta_derivatives(generator, s)
-        activity = -d1
-        q = None if abs(d1) < 1e-14 else -d2 / d1 - 1.0
-        points.append(ScanPoint(s=float(s), theta=th, activity=activity, mandel=q))
+        th, d1, d2 = theta_derivatives(generator, s)
+        q = _mandel_from(d1, d2)
+        points.append(ScanPoint(s=float(s), theta=th, activity=-d1, mandel=q))
     return points
 
 

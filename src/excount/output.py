@@ -3,10 +3,13 @@
 All writers format floats through a fixed %.12g so identical inputs yield
 byte-identical files.  NaN/Inf are never written: scan rows with an
 undefined Mandel parameter are dropped and tallied in a footer comment.
+SVG text content is XML-escaped, so selectors such as ``pair:a1<->a2``
+stay well-formed.
 """
 
 from __future__ import annotations
 
+import html
 import json
 import math
 
@@ -103,6 +106,7 @@ def _polyline(xs, ys, x0, y0, w, h) -> str:
 
 
 def _panel(xs, ys, title: str, x0: int, y0: int, w: int, h: int) -> list[str]:
+    title = html.escape(title, quote=False)
     parts = [
         f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" fill="none" stroke="black"/>',
         f'<text x="{x0 + 4}" y="{y0 + 14}" font-size="12">{title}</text>',
@@ -128,7 +132,7 @@ def scan_svg(points, title: str) -> str:
     body = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="560" '
         'viewBox="0 0 640 560">',
-        f'<text x="20" y="20" font-size="13">{title}</text>',
+        f'<text x="20" y="20" font-size="13">{html.escape(title, quote=False)}</text>',
     ]
     body += _panel(s, th, "theta(s) [cm^-1]", 40, 40, 560, 200)
     if q_pts:

@@ -91,6 +91,21 @@ def test_theta_scan_svg(runner, tmp_path):
     assert any(el.tag.endswith("polyline") for el in root.iter())
 
 
+def test_theta_scan_svg_escapes_channel_selector(runner, tmp_path):
+    result = invoke(
+        runner,
+        [
+            "theta-scan", "--preset", "fmo3", "--temps", "77",
+            "--channel", "pair:a1<->a2", "--out", str(tmp_path),
+            "--format", "svg", "--s-points", "41",
+        ],
+    )
+    assert result.exit_code == 0
+    svg = next(tmp_path.glob("*.svg"))
+    root = ET.fromstring(svg.read_text())
+    assert any("pair:a1<->a2" in (el.text or "") for el in root.iter())
+
+
 def test_model_file_matches_preset(runner, tmp_path):
     model_path = tmp_path / "dimer.json"
     model_path.write_text(json.dumps(FMO2_JSON))

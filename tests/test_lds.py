@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from excount.bath import BathSpec
 from excount.generator import (
@@ -14,6 +15,7 @@ from excount.generator import (
 from excount.lds import (
     NonConvexThetaWarning,
     ScanPoint,
+    SpectralError,
     UndefinedMandelError,
     default_s_grid,
     find_crossover,
@@ -118,6 +120,76 @@ def test_exact_and_fd_second_derivatives_agree(name):
 def test_second_order_unknown_mode():
     with pytest.raises(ValueError, match="second_order"):
         theta_derivatives(make_generator("fmo2"), 0.0, second_order="spline")
+
+
+class FakeGenerator:
+    """Duck-typed generator with fixed blocks, W_s = mat and dW/ds = dmat."""
+
+    def __init__(self, mat, dmat=None):
+        self.mat = np.asarray(mat)
+        self.dmat = np.zeros_like(self.mat) if dmat is None else np.asarray(dmat)
+
+    def population_block(self, s):
+        return self.mat
+
+    def assemble(self, s):
+        return self.mat
+
+    def population_block_derivative(self, s):
+        return self.dmat
+
+    def assemble_derivative(self, s):
+        return self.dmat
+
+
+@pytest.mark.parametrize(
+    "gen, message",
+    [
+        (FakeGenerator([[0.0, -1.0], [1.0, 0.0]]), "ambiguous"),  # eigenvalues +-i
+        (FakeGenerator(np.diag([2.0j, -1.0])), "imaginary part"),
+        (FakeGenerator([[0.0, 1.0], [0.0, 0.0]]), "defective"),  # Jordan block
+    ],
+)
+def test_bad_top_eigenpair_raises_for_both_methods(gen, message):
+    for method in ("population", "full"):
+        with pytest.raises(SpectralError, match=message):
+            theta(gen, 0.0, method=method)
+        with pytest.raises(SpectralError, match=message):
+            theta_derivatives(gen, 0.0, method=method)
+
+
+def test_derivative_guards_raise():
+    crowded = FakeGenerator(np.diag([0.0, -1e-10]), [[0.0, 1.0], [1.0, 0.0]])
+    complex_slope = FakeGenerator(np.diag([0.0, -1.0]), np.diag([1.0j, 0.0]))
+    for method in ("population", "full"):
+        assert theta(crowded, 0.0, method=method) == 0.0
+        with pytest.raises(SpectralError, match="crowds"):
+            theta_derivatives(crowded, 0.0, method=method)
+        with pytest.raises(SpectralError, match="complex"):
+            theta_derivatives(complex_slope, 0.0, method=method)
+
+
+def test_scan_is_one_eigensolve_per_point(monkeypatch):
+    """fmo3 pair:a1<->a2 at 77 K: the top two eigenvalues nearly touch, the
+    case where a power iteration stalls; scan must match the full
+    superoperator with a single dense eigensolve per grid point."""
+    gen = make_generator("fmo3", 77.0, "pair:a1<->a2")
+    grid = default_s_grid()
+    calls = []
+    for module, name in ((scipy.linalg, "eig"), (np.linalg, "eigvals")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    points = scan(gen, grid)
+    assert len(calls) == grid.size
+    monkeypatch.undo()
+    scale = max(p.activity for p in points)
+    for p in points:
+        assert abs(p.theta - theta(gen, p.s, method="full")) <= 1e-10 * scale
 
 
 def test_mandel_two_state_values():
