@@ -7,10 +7,8 @@ from .generator import (
     JumpChannel,
     SelectorError,
     TiltedGenerator,
-    build_tilted,
     classical_two_state,
     enumerate_channels,
-    population_block,
     resolve_counted,
     tilted_generator,
 )

@@ -75,11 +75,9 @@ class RunConfig:
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
+def _bath_values(bathsec: dict | None) -> dict:
+    """RunConfig values from a JSON bath section (any subset of its keys)."""
     values: dict = {}
-    bathsec = doc.pop("bath", None)
     if bathsec:
         if "reorg_energy_cm1" in bathsec:
             values["reorg_cm1"] = float(bathsec["reorg_energy_cm1"])
@@ -87,6 +85,13 @@ def _load_config_file(path: str) -> dict:
             values["cutoff_cm1"] = float(bathsec["cutoff_cm1"])
         if "temperature_K" in bathsec:
             values["temps"] = (float(bathsec["temperature_K"]),)
+    return values
+
+
+def _load_config_file(path: str) -> dict:
+    with open(path) as fh:
+        doc = json.load(fh)
+    values = _bath_values(doc.pop("bath", None))
     if "model" in doc:
         doc["model_file"] = doc.pop("model")
     for key, val in doc.items():
@@ -107,16 +112,7 @@ def _model_bath_defaults(model_file: str | None) -> dict:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read model file {model_file}: {exc}") from None
-    values = {}
-    bathsec = doc.get("bath")
-    if bathsec:
-        if "reorg_energy_cm1" in bathsec:
-            values["reorg_cm1"] = float(bathsec["reorg_energy_cm1"])
-        if "cutoff_cm1" in bathsec:
-            values["cutoff_cm1"] = float(bathsec["cutoff_cm1"])
-        if "temperature_K" in bathsec:
-            values["temps"] = (float(bathsec["temperature_K"]),)
-    return values
+    return _bath_values(doc.get("bath"))
 
 
 def _assemble_config(config_file: str | None, **flags) -> RunConfig:

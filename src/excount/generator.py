@@ -1,16 +1,18 @@
 """Secular Lindblad generator, jump channels, and the s-tilted superoperator.
 
 Density operators are vectorized by column stacking: component (i, j) of a
-density matrix sits at vector index i + j*N, so a sandwich A.sigma.B maps to
-kron(B.T, A).  Under the secular structure the exciton populations close on
-themselves, so the largest real eigenvalue of the full N^2-dimensional tilted
-superoperator is also the largest real eigenvalue of the N x N population
-block; both constructions are exposed.
+density matrix sits at vector index i + j*N.  Under the secular structure the
+exciton populations close on a classical rate matrix and each coherence only
+decays and rotates at its own rate.  The full N^2-dimensional tilted
+superoperator is therefore the coherence rates on its diagonal plus the N x N
+population block embedded at the population entries (a + a*N, b + b*N), and
+its largest real eigenvalue is the largest real eigenvalue of the population
+block; both forms are exposed.
 
 Counting: a channel selector names an ordered exciton pair.  The e^{-s}
-counting factor multiplies the sandwich terms of the selected channels and
-nothing else.  Pure-dephasing (zero-frequency) channels enter the generator
-but are never countable since they produce no population jump.
+counting factor multiplies the population-jump rates of the selected
+channels and nothing else.  Pure-dephasing (zero-frequency) channels enter
+the generator but are never countable since they produce no population jump.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ __all__ = [
     "ClassicalTwoState",
     "enumerate_channels",
     "resolve_counted",
+    "rate_matrix",
     "tilted_generator",
-    "build_tilted",
-    "population_block",
     "classical_two_state",
 ]
 
@@ -220,12 +221,23 @@ def resolve_counted(channels, selectors) -> tuple[JumpChannel, ...]:
     )
 
 
+def rate_matrix(channels, n: int) -> np.ndarray:
+    """R[b, a] = transport rate from exciton a to b (dephasing entries skipped)."""
+    rates = np.zeros((n, n))
+    for ch in channels:
+        if not ch.is_dephasing:
+            rates[ch.to_exciton, ch.from_exciton] += ch.rate
+    return rates
+
+
 class TiltedGenerator:
     """The s-parameterized family W_s over vectorized density operators.
 
-    Static (untilted) and counted (tilted) parts are precomputed once, so
-    ``assemble`` and ``population_block`` are cheap, pure functions of s and
-    safe to call concurrently.
+    Only N x N pieces are stored: the untilted and counted parts of the
+    population block and the coherence rates.  ``population_block`` is a
+    cheap, pure function of s; ``assemble`` builds the N^2 x N^2 matrix on
+    each call (coherence rates on the diagonal plus the embedded population
+    block).  All methods are safe to call concurrently.
     """
 
     def __init__(self, basis: ExcitonBasis, bath: BathSpec, channels):
@@ -240,45 +252,29 @@ class TiltedGenerator:
         n = basis.n_excitons
         self._n = n
 
-        # Full-space pieces: everything except the counted sandwiches is
-        # independent of s.
-        dim = n * n
-        eye = np.eye(n)
-        ham = np.diag(basis.energies).astype(complex)
-        static = -1j * (np.kron(eye, ham) - np.kron(ham, eye))
-        counted = np.zeros((dim, dim), dtype=complex)
-        block_static = np.zeros((n, n))
-        block_counted = np.zeros((n, n))
+        rates = rate_matrix(channels, n)
+        counted = np.zeros((n, n), dtype=bool)
         for ch in channels:
-            if ch.is_dephasing:
-                continue
-            a, b = ch.from_exciton, ch.to_exciton
-            e_ba = np.zeros((n, n))
-            e_ba[b, a] = 1.0
-            p_a = np.zeros((n, n))
-            p_a[a, a] = 1.0
-            sandwich = ch.rate * np.kron(e_ba, e_ba)
-            static -= 0.5 * ch.rate * (np.kron(eye, p_a) + np.kron(p_a, eye))
-            block_static[a, a] -= ch.rate
             if ch.counted:
-                counted += sandwich
-                block_counted[b, a] += ch.rate
-            else:
-                static += sandwich
-                block_static[b, a] += ch.rate
-        # Pure dephasing: one diagonal operator per site built from the
-        # zero-frequency channel group, weighted by gamma(0).
-        gamma0 = gamma(bath, 0.0)
-        for m in range(basis.n_sites):
-            d_m = np.diag(basis.amplitudes[m, :] ** 2)
-            d_m2 = d_m @ d_m
-            static += gamma0 * (
-                np.kron(d_m, d_m) - 0.5 * (np.kron(eye, d_m2) + np.kron(d_m2, eye))
-            )
-        self._static = static
-        self._counted = counted
-        self._block_static = block_static
-        self._block_counted = block_counted
+                counted[ch.to_exciton, ch.from_exciton] = True
+        esc = rates.sum(axis=0)
+        self._block_static = np.where(counted, 0.0, rates) - np.diag(esc)
+        self._block_counted = np.where(counted, rates, 0.0)
+
+        # Coherence (i, j) rotates at E_i - E_j and decays at half the summed
+        # escape rates plus the pure dephasing of the zero-frequency group,
+        # (gamma(0)/2) sum_m (|c_m(i)|^2 - |c_m(j)|^2)^2.  Its diagonal
+        # (i == j) is overwritten by the population block on assembly.
+        weights = basis.amplitudes**2
+        dephasing = np.zeros((n, n))
+        for w_m in weights:
+            dephasing += (w_m[:, None] - w_m[None, :]) ** 2
+        energies = basis.energies
+        self._coherence = (
+            -1j * (energies[:, None] - energies[None, :])
+            - 0.5 * (esc[:, None] + esc[None, :])
+            - 0.5 * gamma(bath, 0.0) * dephasing
+        )
 
     @property
     def n_excitons(self) -> int:
@@ -292,13 +288,25 @@ class TiltedGenerator:
     def counted_channels(self) -> tuple[JumpChannel, ...]:
         return tuple(c for c in self.channels if c.counted)
 
+    def _embed(self, block: np.ndarray, coherence: np.ndarray | None = None) -> np.ndarray:
+        """N^2 x N^2 matrix with ``block`` at the population entries
+        (a + a*N, b + b*N) and, if given, the N x N ``coherence`` array on
+        the remaining diagonal (entry (i, j) at index i + j*N)."""
+        n = self._n
+        out = np.zeros((n * n, n * n), dtype=complex)
+        if coherence is not None:
+            np.fill_diagonal(out, coherence.ravel(order="F"))
+        pop = np.arange(n) * (n + 1)
+        out[np.ix_(pop, pop)] = block
+        return out
+
     def assemble(self, s: float) -> np.ndarray:
         """W_s on the N^2-dimensional vectorized space (complex)."""
-        return self._static + math.exp(-s) * self._counted
+        return self._embed(self.population_block(s), self._coherence)
 
     def assemble_derivative(self, s: float) -> np.ndarray:
-        """dW_s/ds: the counted sandwiches scaled by -e^{-s}."""
-        return -math.exp(-s) * self._counted
+        """dW_s/ds: the counted population jumps scaled by -e^{-s}."""
+        return self._embed(self.population_block_derivative(s))
 
     def population_block(self, s: float) -> np.ndarray:
         """Classical tilted rate matrix over exciton populations (real)."""
@@ -312,16 +320,6 @@ def tilted_generator(basis: ExcitonBasis, bath: BathSpec, counted) -> TiltedGene
     """Enumerate channels, apply counting selectors, return the generator."""
     channels = resolve_counted(enumerate_channels(basis, bath), counted)
     return TiltedGenerator(basis, bath, channels)
-
-
-def build_tilted(basis: ExcitonBasis, bath: BathSpec, counted, s: float) -> np.ndarray:
-    """The matrix of W_s with the selected channels counted."""
-    return tilted_generator(basis, bath, counted).assemble(s)
-
-
-def population_block(basis: ExcitonBasis, bath: BathSpec, counted, s: float) -> np.ndarray:
-    """The tilted classical generator acting on exciton populations."""
-    return tilted_generator(basis, bath, counted).population_block(s)
 
 
 def classical_two_state(kappa: float, Gamma: float, s: float) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .generator import rate_matrix
 from .lds import RateFunctionPoint
 
 try:
@@ -118,15 +119,6 @@ if njit is not None:
     _kernel = njit(cache=False, nogil=True)(_kernel)
 
 
-def _rate_matrix(channels, n: int) -> np.ndarray:
-    """R[b, a] = transport rate from exciton a to b."""
-    rates = np.zeros((n, n))
-    for ch in channels:
-        if not ch.is_dephasing:
-            rates[ch.to_exciton, ch.from_exciton] += ch.rate
-    return rates
-
-
 def _stationary(rates: np.ndarray) -> np.ndarray:
     n = rates.shape[0]
     if not rates.any():
@@ -153,7 +145,7 @@ def simulate(channels, config: TrajectoryConfig, n_workers: int = 1) -> CountSta
     if not any(c.counted for c in channels):
         raise ValueError("no counted channels")
     n = max(max(c.from_exciton, c.to_exciton) for c in channels) + 1
-    rates = _rate_matrix(channels, n)
+    rates = rate_matrix(channels, n)
     if not np.all(np.isfinite(rates)):
         raise ValueError("channel rates must be finite")
     esc = rates.sum(axis=0)

@@ -146,6 +146,40 @@ def test_config_file_with_flag_override(runner, tmp_path):
     assert len(read_rows(next((tmp_path / "override").glob("*.csv")))) == 61
 
 
+def test_bath_precedence_flag_config_model_default(runner, tmp_path):
+    model = dict(FMO2_JSON, bath={
+        "reorg_energy_cm1": 50.0, "cutoff_cm1": 200.0, "temperature_K": 250.0,
+    })
+    model_path = tmp_path / "dimer.json"
+    model_path.write_text(json.dumps(model))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "model": str(model_path),
+        "channels": ["down:a2->a1"],
+        "s_points": 5,
+        "bath": {"reorg_energy_cm1": 40.0, "cutoff_cm1": 180.0},
+    }))
+
+    def meta(out, *args):
+        result = invoke(runner, ["theta-scan", "--out", str(tmp_path / out), *args])
+        assert result.exit_code == 0
+        return next((tmp_path / out).glob("*.csv")).read_text().splitlines()[0]
+
+    # the model file's bath section beats the defaults (35, 150, 300)
+    line = meta("model", "--model", str(model_path), "--channel", "down:a2->a1",
+                "--s-points", "5")
+    assert "temperature_K=250 " in line
+    assert "reorg_cm1=50 cutoff_cm1=200" in line
+    # the config file beats the model file
+    line = meta("config", "--config", str(cfg_path))
+    assert "temperature_K=250 " in line
+    assert "reorg_cm1=40 cutoff_cm1=180" in line
+    # flags beat the config file
+    line = meta("flags", "--config", str(cfg_path), "--reorg-cm1", "30", "--temps", "77")
+    assert "temperature_K=77 " in line
+    assert "reorg_cm1=30 cutoff_cm1=180" in line
+
+
 def test_unknown_config_key_rejected(runner, tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text('{"preset": "fmo2", "channels": ["down:a2->a1"], "speed": 9}')

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from excount import lds
 from excount.bath import BathSpec, gamma
 from excount.generator import (
     ClassicalTwoState,
     DegenerateGapError,
     SelectorError,
     TiltedGenerator,
-    build_tilted,
     classical_two_state,
     enumerate_channels,
-    population_block,
     resolve_counted,
     tilted_generator,
 )
@@ -63,6 +62,46 @@ def lindblad_direct(basis, bath):
                 )
             out[:, i + j * n] = col.reshape(n * n, order="F")
     return out
+
+
+def kron_reference(gen):
+    """The generator rebuilt term by term from dense np.kron sandwiches:
+    returns (static, counted) with W_s = static + e^{-s} counted."""
+    basis, n = gen.basis, gen.n_excitons
+    eye = np.eye(n)
+    ham = np.diag(basis.energies).astype(complex)
+    static = -1j * (np.kron(eye, ham) - np.kron(ham, eye))
+    counted = np.zeros((n * n, n * n), dtype=complex)
+    for ch in gen.channels:
+        if ch.is_dephasing:
+            continue
+        a, b = ch.from_exciton, ch.to_exciton
+        e_ba = np.zeros((n, n))
+        e_ba[b, a] = 1.0
+        p_a = np.zeros((n, n))
+        p_a[a, a] = 1.0
+        static -= 0.5 * ch.rate * (np.kron(eye, p_a) + np.kron(p_a, eye))
+        if ch.counted:
+            counted += ch.rate * np.kron(e_ba, e_ba)
+        else:
+            static += ch.rate * np.kron(e_ba, e_ba)
+    gamma0 = gamma(gen.bath, 0.0)
+    for m in range(basis.n_sites):
+        d_m = np.diag(basis.amplitudes[m, :] ** 2)
+        d_m2 = d_m @ d_m
+        static += gamma0 * (
+            np.kron(d_m, d_m) - 0.5 * (np.kron(eye, d_m2) + np.kron(d_m2, eye))
+        )
+    return static, counted
+
+
+def random_basis(seed, n_min=2, n_max=6):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(n_min, n_max))
+    j = rng.normal(scale=40.0, size=(n, n))
+    j = np.triu(j, 1)
+    model = SiteModel(energies=rng.uniform(0.0, 800.0, size=n), couplings=j + j.T)
+    return diagonalize(model), BathSpec(35.0, 150.0, float(rng.uniform(77.0, 400.0)))
 
 
 def test_fmo2_channel_enumeration():
@@ -128,7 +167,7 @@ def test_detailed_balance_of_rates_all_presets():
 def test_untilted_matches_independent_construction():
     for name in ("fmo2", "fmo3", "fmo4"):
         basis, bath = make(name)
-        w0 = build_tilted(basis, bath, ["down:a2->a1"], 0.0)
+        w0 = tilted_generator(basis, bath, ["down:a2->a1"]).assemble(0.0)
         direct = lindblad_direct(basis, bath)
         scale = np.max(np.abs(direct))
         np.testing.assert_allclose(w0, direct, atol=1e-12 * scale)
@@ -137,7 +176,7 @@ def test_untilted_matches_independent_construction():
 def test_trace_preservation_at_s_zero():
     for name in ("fmo2", "fmo3", "fmo4"):
         basis, bath = make(name)
-        w0 = build_tilted(basis, bath, ["all-down"], 0.0)
+        w0 = tilted_generator(basis, bath, ["all-down"]).assemble(0.0)
         n = basis.n_excitons
         trace_vec = np.zeros(n * n)
         trace_vec[:: n + 1] = 1.0
@@ -162,7 +201,7 @@ def test_stationary_state_is_boltzmann():
         for temp in TEMPS:
             basis, bath = make(name, temp)
             n = basis.n_excitons
-            w0 = build_tilted(basis, bath, ["down:a2->a1"], 0.0)
+            w0 = tilted_generator(basis, bath, ["down:a2->a1"]).assemble(0.0)
             evals, evecs = np.linalg.eig(w0)
             sigma = evecs[:, np.argmin(np.abs(evals))].reshape(n, n, order="F")
             sigma = sigma / np.trace(sigma)
@@ -188,7 +227,7 @@ def test_stationary_flux_balance_fmo2():
 
 def test_population_block_is_stochastic_generator():
     basis, bath = make("fmo3")
-    block = population_block(basis, bath, ["down:a3->a2"], 0.0)
+    block = tilted_generator(basis, bath, ["down:a3->a2"]).population_block(0.0)
     np.testing.assert_allclose(block.sum(axis=0), 0.0, atol=1e-12)
     assert np.all(block[~np.eye(3, dtype=bool)] >= 0.0)
 
@@ -197,12 +236,13 @@ def test_population_block_matches_two_state_matrix():
     basis, bath = make("fmo2")
     channels = enumerate_channels(basis, bath)
     cts = ClassicalTwoState.from_channels(channels, bath)
+    gen = tilted_generator(basis, bath, ["down:a2->a1"])
     for s in (-1.0, 0.0, 0.7, 4.0):
-        block = population_block(basis, bath, ["down:a2->a1"], s)
+        block = gen.population_block(s)
         np.testing.assert_allclose(
             block, classical_two_state(cts.kappa, cts.Gamma, s), rtol=1e-12
         )
-    evals = np.sort(np.linalg.eigvals(population_block(basis, bath, ["down:a2->a1"], 0.0)).real)
+    evals = np.sort(np.linalg.eigvals(gen.population_block(0.0)).real)
     np.testing.assert_allclose(evals, [-(cts.kappa + cts.Gamma), 0.0], atol=1e-10)
 
 
@@ -219,13 +259,7 @@ def test_population_block_top_eigenvalue_matches_full():
 @pytest.mark.parametrize("seed", range(6))
 def test_population_block_consistency_random_models(seed):
     # secular decoupling holds for any nondegenerate model, not just presets
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 6))
-    j = rng.normal(scale=40.0, size=(n, n))
-    j = np.triu(j, 1)
-    model = SiteModel(energies=rng.uniform(0.0, 800.0, size=n), couplings=j + j.T)
-    basis = diagonalize(model)
-    bath = BathSpec(35.0, 150.0, float(rng.uniform(77.0, 400.0)))
+    basis, bath = random_basis(seed)
     try:
         gen = tilted_generator(basis, bath, ["down:a2->a1"])
     except DegenerateGapError:
@@ -234,6 +268,54 @@ def test_population_block_consistency_random_models(seed):
         top_block = np.max(np.linalg.eigvals(gen.population_block(s)).real)
         top_full = np.max(np.linalg.eigvals(gen.assemble(s)).real)
         assert top_block == pytest.approx(top_full, abs=1e-9)
+
+
+@pytest.mark.parametrize("selector", ["down", "up", "pair", "all-down"])
+@pytest.mark.parametrize("seed", range(6))
+def test_direct_build_matches_kron_reference(seed, selector):
+    basis, bath = random_basis(100 + seed, 2, 7)
+    n = basis.n_excitons
+    chosen = {
+        "down": f"down:a{n}->a1",
+        "up": f"up:a1->a{n}",
+        "pair": f"pair:a1<->a{n}",
+        "all-down": "all-down",
+    }[selector]
+    try:
+        gen = tilted_generator(basis, bath, [chosen])
+    except DegenerateGapError:
+        pytest.skip("random draw produced colliding gaps")
+    static, counted = kron_reference(gen)
+    for s in (-1.5, 0.0, 2.5, 8.0):
+        expected = static + math.exp(-s) * counted
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(gen.assemble(s), expected, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            gen.assemble_derivative(s), -math.exp(-s) * counted,
+            rtol=0, atol=1e-12 * scale,
+        )
+
+
+def test_population_scan_never_assembles_superoperator(monkeypatch):
+    # a 60-site chain: the N^2 x N^2 superoperator would hold 13M entries
+    rng = np.random.default_rng(60)
+    n = 60
+    j = np.diag(rng.normal(scale=60.0, size=n - 1), 1)
+    basis = diagonalize(
+        SiteModel(energies=rng.uniform(0.0, 800.0, size=n), couplings=j + j.T)
+    )
+    gen = tilted_generator(basis, BathSpec(35.0, 150.0, 300.0), ["all-down"])
+
+    def refuse(self, s):
+        raise AssertionError("the population path assembled the superoperator")
+
+    monkeypatch.setattr(TiltedGenerator, "assemble", refuse)
+    monkeypatch.setattr(TiltedGenerator, "assemble_derivative", refuse)
+    points = lds.scan(gen, np.linspace(-2.0, 8.0, 21))
+    rate_scale = max(p.activity for p in points)
+    assert rate_scale > 0
+    (at_zero,) = [p for p in points if p.s == 0.0]
+    assert abs(at_zero.theta) <= 1e-9 * rate_scale
 
 
 def test_large_s_limit_deletes_counted_sandwiches():
