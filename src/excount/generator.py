@@ -253,13 +253,9 @@ class TiltedGenerator:
         self._n = n
 
         rates = rate_matrix(channels, n)
-        counted = np.zeros((n, n), dtype=bool)
-        for ch in channels:
-            if ch.counted:
-                counted[ch.to_exciton, ch.from_exciton] = True
+        self._block_counted = rate_matrix(self.counted_channels, n)
         esc = rates.sum(axis=0)
-        self._block_static = np.where(counted, 0.0, rates) - np.diag(esc)
-        self._block_counted = np.where(counted, rates, 0.0)
+        self._block_static = rates - self._block_counted - np.diag(esc)
 
         # Coherence (i, j) rotates at E_i - E_j and decays at half the summed
         # escape rates plus the pure dephasing of the zero-frequency group,
@@ -302,11 +298,12 @@ class TiltedGenerator:
 
     def assemble(self, s: float) -> np.ndarray:
         """W_s on the N^2-dimensional vectorized space (complex)."""
-        return self._embed(self.population_block(s), self._coherence)
+        block = self._block_static + math.exp(-s) * self._block_counted
+        return self._embed(block, self._coherence)
 
     def assemble_derivative(self, s: float) -> np.ndarray:
         """dW_s/ds: the counted population jumps scaled by -e^{-s}."""
-        return self._embed(self.population_block_derivative(s))
+        return self._embed(-math.exp(-s) * self._block_counted)
 
     def population_block(self, s: float) -> np.ndarray:
         """Classical tilted rate matrix over exciton populations (real)."""
