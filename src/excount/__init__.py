@@ -1,6 +1,6 @@
 """Counting statistics of quantum-jump trajectories for Markovian exciton transport."""
 
-from .bath import BathSpec, gamma, load_bath, spectral_density
+from .bath import BathSpec, gamma, spectral_density
 from .generator import (
     ClassicalTwoState,
     DegenerateGapError,

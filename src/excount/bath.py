@@ -9,13 +9,12 @@ Boltzmann distribution over excitons.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from .units import beta_cm
 
-__all__ = ["BathSpec", "spectral_density", "occupation", "gamma", "load_bath"]
+__all__ = ["BathSpec", "spectral_density", "occupation", "gamma"]
 
 
 @dataclass(frozen=True)
@@ -79,27 +78,3 @@ def gamma(bath: BathSpec, omega: float) -> float:
         n += 1.0
     return 2.0 * math.pi * spectral_density(bath, absw) * n
 
-
-def load_bath(doc_or_path, temperature_K: float | None = None) -> BathSpec:
-    """Build a BathSpec from a JSON document or file.
-
-    Accepts the bath section ``{"reorg_energy_cm1": 35.0, "cutoff_cm1":
-    150.0, "temperature_K": 300.0}`` either as a dict or as a path to a
-    JSON file containing it (possibly nested under a "bath" key).
-    ``temperature_K`` overrides the stored temperature when given.
-    """
-    if isinstance(doc_or_path, dict):
-        doc = doc_or_path
-    else:
-        with open(doc_or_path) as fh:
-            doc = json.load(fh)
-    if "bath" in doc:
-        doc = doc["bath"]
-    temp = temperature_K if temperature_K is not None else doc.get("temperature_K")
-    if temp is None:
-        raise ValueError("bath section needs temperature_K (or pass temperature_K)")
-    return BathSpec(
-        reorg_energy=float(doc["reorg_energy_cm1"]),
-        cutoff=float(doc["cutoff_cm1"]),
-        temperature=float(temp),
-    )

@@ -20,7 +20,7 @@ import click
 
 from . import lds, output
 from .bath import BathSpec
-from .generator import enumerate_channels, resolve_counted, TiltedGenerator
+from .generator import TiltedGenerator, enumerate_channels, resolve_counted, tilted_generator
 from .model import diagonalize, intensity_factor, load_model, preset, preset_names
 from .trajectories import TrajectoryConfig, simulate
 from .units import time_ps_to_cm
@@ -238,9 +238,7 @@ def _scan_tasks(cfg: RunConfig, basis):
 
     def worker(task):
         temp, ch = task
-        bath = _bath(cfg, temp)
-        gen = TiltedGenerator(basis, bath, resolve_counted(enumerate_channels(basis, bath), [ch]))
-        return lds.scan(gen, grid)
+        return lds.scan(tilted_generator(basis, _bath(cfg, temp), [ch]), grid)
 
     return tasks, worker
 
@@ -317,9 +315,7 @@ def crossover_map_cmd(config_file, preset_name, **flags):
 
     def worker(task):
         temp, ch = task
-        bath = _bath(cfg, temp)
-        channels = resolve_counted(enumerate_channels(basis, bath), [ch])
-        gen = TiltedGenerator(basis, bath, channels)
+        gen = tilted_generator(basis, _bath(cfg, temp), [ch])
         report = lds.find_crossover(gen, grid)
         factors = [
             {

@@ -1,7 +1,8 @@
 """Spectral large-deviation toolkit for tilted jump generators.
 
 theta(s), the scaled cumulant generating function of the counted-jump
-statistics, is the largest real eigenvalue of the tilted generator.  The
+statistics, is the largest real eigenvalue of the tilted generator, taken
+from its N x N population block with one left/right eigensolve per s.  The
 mean jump rate is -theta'(0), the variance rate theta''(0), and the Mandel
 parameter Q(s) = -theta''(s)/theta'(s) - 1 flags sub- (Q<0) versus
 super-Poissonian (Q>0) trajectory ensembles.  The rate function phi(k) is
@@ -42,9 +43,6 @@ __all__ = [
 S_MIN_DEFAULT = -2.0
 S_MAX_DEFAULT = 12.0
 S_POINTS_DEFAULT = 281
-
-# Step for the second-derivative finite difference of theta'(s).
-_FD_STEP = 1e-4
 
 
 class SpectralError(RuntimeError):
@@ -102,22 +100,14 @@ def default_s_grid(
     return np.linspace(s_min, s_max, n_points)
 
 
-def _eig_pieces(generator: TiltedGenerator, s: float, method: str):
-    """One left/right eigensolve of the tilted generator at s.
+def _eig_pieces(generator: TiltedGenerator, s: float):
+    """One left/right eigensolve of the tilted population block at s.
 
     Returns the eigenvalues, left and right eigenvectors, the index of the
     top eigenvalue and dW/ds.  The top eigenpair must be real, unambiguous
     and non-defective, else SpectralError.
     """
-    if method == "population":
-        mat = generator.population_block(s)
-        dmat = generator.population_block_derivative(s)
-    elif method == "full":
-        mat = generator.assemble(s)
-        dmat = generator.assemble_derivative(s)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    w, vl, vr = scipy.linalg.eig(mat, left=True, right=True)
+    w, vl, vr = scipy.linalg.eig(generator.population_block(s), left=True, right=True)
     i = int(np.argmax(w.real))
     top = w[i]
     near = w[np.abs(w.real - top.real) < 1e-12]
@@ -132,7 +122,7 @@ def _eig_pieces(generator: TiltedGenerator, s: float, method: str):
     r = vr[:, i]
     if abs(l @ r) < 1e-12 * np.linalg.norm(l) * np.linalg.norm(r):
         raise SpectralError(f"defective top eigenpair at s={s}")
-    return w, vl, vr, i, dmat
+    return w, vl, vr, i, generator.population_block_derivative(s)
 
 
 def _real(value: complex, name: str, s: float) -> float:
@@ -146,49 +136,25 @@ def _mandel_from(d1: float, d2: float) -> float | None:
     return None if abs(d1) < 1e-14 else -d2 / d1 - 1.0
 
 
-def theta(generator: TiltedGenerator, s: float, method: str = "population") -> float:
-    """theta(s): largest real eigenvalue of the tilted generator.
-
-    ``method="population"`` (default) works on the N x N population block,
-    exact here because the secular structure decouples populations from
-    coherences; ``method="full"`` solves the dense N^2 superoperator.
-    """
-    w, _, _, i, _ = _eig_pieces(generator, s, method)
+def theta(generator: TiltedGenerator, s: float) -> float:
+    """theta(s): largest real eigenvalue of the tilted population block."""
+    w, _, _, i, _ = _eig_pieces(generator, s)
     return float(w[i].real)
 
 
-def theta_derivatives(
-    generator: TiltedGenerator,
-    s: float,
-    method: str = "population",
-    second_order: str = "exact",
-) -> tuple[float, float, float]:
+def theta_derivatives(generator: TiltedGenerator, s: float) -> tuple[float, float, float]:
     """(theta, theta', theta'') at the given s, from one eigensolve.
 
-    theta' comes from the eigenvector identity <l|dW/ds|r>/<l|r>.  For
-    theta'' the default is the exact second-order eigenvalue-perturbation
-    sum over the remaining eigenpairs; ``second_order="fd"`` selects a
-    Richardson-refined central difference of theta' with step 1e-4 instead
-    (cheaper conceptually but noise-limited where the activity is tiny).
+    theta' comes from the eigenvector identity <l|dW/ds|r>/<l|r>, theta''
+    from the exact second-order eigenvalue-perturbation sum over the
+    remaining eigenpairs.
     """
-    if second_order not in ("exact", "fd"):
-        raise ValueError(f"unknown second_order {second_order!r}")
-    w, vl, vr, i, dmat = _eig_pieces(generator, s, method)
+    w, vl, vr, i, dmat = _eig_pieces(generator, s)
     top = w[i]
     l0 = vl[:, i].conj()
     r0 = vr[:, i]
     s0 = l0 @ r0
     d1 = _real((l0 @ dmat @ r0) / s0, "theta'", s)
-    if second_order == "fd":
-
-        def slope(h: float) -> float:
-            up = theta_derivatives(generator, s + h, method)[1]
-            dn = theta_derivatives(generator, s - h, method)[1]
-            return (up - dn) / (2.0 * h)
-
-        h = _FD_STEP
-        return float(top.real), d1, (4.0 * slope(h / 2.0) - slope(h)) / 3.0
-
     # d2W/ds2 = -dW/ds for an exponential tilt, so the diagonal term is -d1;
     # the cross terms are the usual second-order perturbation sum.
     left_all = vl.conj().T @ dmat @ r0
@@ -210,9 +176,9 @@ def theta_derivatives(
     return float(top.real), d1, _real(d2, "theta''", s)
 
 
-def mandel(generator: TiltedGenerator, s: float, method: str = "population") -> float:
+def mandel(generator: TiltedGenerator, s: float) -> float:
     """Q(s) = -theta''(s)/theta'(s) - 1."""
-    _, d1, d2 = theta_derivatives(generator, s, method)
+    _, d1, d2 = theta_derivatives(generator, s)
     q = _mandel_from(d1, d2)
     if q is None:
         raise UndefinedMandelError(f"activity vanishes at s={s}; Q undefined")

@@ -132,8 +132,8 @@ def diagonalize(model: SiteModel) -> ExcitonBasis:
     ------
     DegenerateSpectrumError
         When two exciton energies coincide within 1e-9 cm^-1 and the model
-        is a shipped preset.  User models only get a warning: downstream
-        channel grouping will reject them if the degeneracy matters.
+        is a shipped preset.  User models only get a warning here;
+        ``generator.enumerate_channels`` then rejects them.
     """
     h = site_hamiltonian(model)
     energies, vecs = np.linalg.eigh(h)
@@ -235,7 +235,7 @@ def load_model(path) -> SiteModel:
 
     Expected document: ``{"energies": [..], "couplings": [[..]],
     "labels": [..]}`` with all values in cm^-1.  An optional "bath"
-    section is ignored here (see :func:`excount.bath.load_bath`).
+    section is ignored here; the command line reads it.
     """
     with open(path) as fh:
         doc = json.load(fh)

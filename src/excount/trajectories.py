@@ -1,8 +1,10 @@
 """Stochastic trajectory oracle: continuous-time jumps over exciton populations.
 
 Under the secular generator the populations close on a classical Markov
-chain, so the counted-jump statistics at s=0 are sampled exactly by a
-Gillespie walk over exciton indices; no wavefunction unraveling is needed.
+chain, the same rate matrix (``generator.rate_matrix``) whose tilted form
+gives theta(s).  The counted-jump statistics at s=0 are therefore sampled
+exactly by a Gillespie walk over exciton indices; no wavefunction
+unraveling is needed.
 Each trajectory consumes its own deterministically derived random stream
 (SeedSequence spawn by trajectory index), so results are bit-reproducible
 and independent of execution order.
@@ -133,8 +135,7 @@ def _stationary(rates: np.ndarray) -> np.ndarray:
 def simulate(channels, config: TrajectoryConfig, n_workers: int = 1) -> CountStatistics:
     """Sample counted-jump statistics of the classical exciton chain.
 
-    ``channels`` is a JumpChannel list with counted flags set (dephasing
-    entries are ignored: they produce no population jump).  Counting is
+    ``channels`` is a JumpChannel list with counted flags set.  Counting is
     passive, so the walk itself is independent of which channels are
     counted.  Trajectories own independent random substreams, so the result
     is identical for any ``n_workers``.

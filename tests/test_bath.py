@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from excount.bath import BathSpec, gamma, load_bath, occupation, spectral_density
+from excount.bath import BathSpec, gamma, occupation, spectral_density
 from excount.units import KB_CM1_PER_K
 
 
@@ -88,15 +88,3 @@ def test_occupation_domain(bath300):
         occupation(bath300, 0.0)
     assert occupation(bath300, 208.51044) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-6)
 
-
-def test_load_bath_forms(tmp_path):
-    doc = {"reorg_energy_cm1": 35.0, "cutoff_cm1": 150.0, "temperature_K": 300.0}
-    b = load_bath(doc)
-    assert (b.reorg_energy, b.cutoff, b.temperature) == (35.0, 150.0, 300.0)
-    assert load_bath({"bath": doc}).cutoff == 150.0
-    assert load_bath(doc, temperature_K=77.0).temperature == 77.0
-    path = tmp_path / "bath.json"
-    path.write_text('{"bath": {"reorg_energy_cm1": 20.0, "cutoff_cm1": 100.0, "temperature_K": 150.0}}')
-    assert load_bath(path).reorg_energy == 20.0
-    with pytest.raises(ValueError, match="temperature"):
-        load_bath({"reorg_energy_cm1": 35.0, "cutoff_cm1": 150.0})

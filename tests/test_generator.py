@@ -16,6 +16,15 @@ from excount.generator import (
     tilted_generator,
 )
 from excount.model import SiteModel, diagonalize, intensity_factor, preset
+from reference import (
+    homogeneous_chain,
+    kron_reference,
+    lindblad_direct,
+    population_entries,
+    random_basis,
+    superoperator,
+    top_eigenvalue,
+)
 
 TEMPS = (77.0, 150.0, 300.0)
 
@@ -31,110 +40,29 @@ def boltzmann(basis, bath):
     return w / w.sum()
 
 
-def lindblad_direct(basis, bath):
-    """Independent untilted construction: act on every basis matrix with
-    explicit operator products and column-stack the results."""
-    n = basis.n_excitons
-    mats = []
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            g = gamma(bath, basis.gap(a, b))
-            for m in range(basis.n_sites):
-                op = np.zeros((n, n))
-                op[b, a] = basis.amplitudes[m, b] * basis.amplitudes[m, a]
-                mats.append((g, op))
-    g0 = gamma(bath, 0.0)
-    for m in range(basis.n_sites):
-        mats.append((g0, np.diag(basis.amplitudes[m, :] ** 2)))
-    ham = np.diag(basis.energies)
-    out = np.zeros((n * n, n * n), complex)
-    for j in range(n):
-        for i in range(n):
-            e_ij = np.zeros((n, n), complex)
-            e_ij[i, j] = 1.0
-            col = -1j * (ham @ e_ij - e_ij @ ham)
-            for g, op in mats:
-                col += g * (
-                    op @ e_ij @ op.conj().T
-                    - 0.5 * (op.conj().T @ op @ e_ij + e_ij @ op.conj().T @ op)
-                )
-            out[:, i + j * n] = col.reshape(n * n, order="F")
-    return out
-
-
-def kron_reference(gen):
-    """The generator rebuilt term by term from dense np.kron sandwiches:
-    returns (static, counted) with W_s = static + e^{-s} counted."""
-    basis, n = gen.basis, gen.n_excitons
-    eye = np.eye(n)
-    ham = np.diag(basis.energies).astype(complex)
-    static = -1j * (np.kron(eye, ham) - np.kron(ham, eye))
-    counted = np.zeros((n * n, n * n), dtype=complex)
-    for ch in gen.channels:
-        if ch.is_dephasing:
-            continue
-        a, b = ch.from_exciton, ch.to_exciton
-        e_ba = np.zeros((n, n))
-        e_ba[b, a] = 1.0
-        p_a = np.zeros((n, n))
-        p_a[a, a] = 1.0
-        static -= 0.5 * ch.rate * (np.kron(eye, p_a) + np.kron(p_a, eye))
-        if ch.counted:
-            counted += ch.rate * np.kron(e_ba, e_ba)
-        else:
-            static += ch.rate * np.kron(e_ba, e_ba)
-    gamma0 = gamma(gen.bath, 0.0)
-    for m in range(basis.n_sites):
-        d_m = np.diag(basis.amplitudes[m, :] ** 2)
-        d_m2 = d_m @ d_m
-        static += gamma0 * (
-            np.kron(d_m, d_m) - 0.5 * (np.kron(eye, d_m2) + np.kron(d_m2, eye))
-        )
-    return static, counted
-
-
-def random_basis(seed, n_min=2, n_max=6):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(n_min, n_max))
-    j = rng.normal(scale=40.0, size=(n, n))
-    j = np.triu(j, 1)
-    model = SiteModel(energies=rng.uniform(0.0, 800.0, size=n), couplings=j + j.T)
-    return diagonalize(model), BathSpec(35.0, 150.0, float(rng.uniform(77.0, 400.0)))
-
-
 def test_fmo2_channel_enumeration():
     basis, bath = make("fmo2")
     channels = enumerate_channels(basis, bath)
-    transport = [c for c in channels if not c.is_dephasing]
-    dephasing = [c for c in channels if c.is_dephasing]
-    assert len(transport) == 2 and len(dephasing) == 2
-    down = next(c for c in transport if c.omega < 0)
-    up = next(c for c in transport if c.omega > 0)
+    assert len(channels) == 2
+    down = next(c for c in channels if c.omega < 0)
+    up = next(c for c in channels if c.omega > 0)
     gap = basis.gap(0, 1)
     assert down.omega == pytest.approx(-gap, rel=1e-12)
     assert down.rate == pytest.approx(
         gamma(bath, -gap) * intensity_factor(basis, 0, 1), rel=1e-12
     )
     assert up.rate == pytest.approx(down.rate * math.exp(-bath.beta * gap), rel=1e-10)
-    np.testing.assert_allclose(
-        down.site_weights, basis.amplitudes[:, 1] * basis.amplitudes[:, 0], atol=1e-14
-    )
 
 
 def test_uncoupled_model_has_zero_transport_rates():
     basis = diagonalize(SiteModel(energies=[0.0, 150.0, 340.0], couplings=np.zeros((3, 3))))
     bath = BathSpec(35.0, 150.0, 300.0)
-    assert all(
-        c.rate == 0.0 for c in enumerate_channels(basis, bath) if not c.is_dephasing
-    )
+    assert all(c.rate == 0.0 for c in enumerate_channels(basis, bath))
 
 
 def test_fmo3_channel_count_and_strongest_pair():
     basis, bath = make("fmo3")
-    transport = [c for c in enumerate_channels(basis, bath) if not c.is_dephasing]
-    assert len(transport) == 6
+    assert len(enumerate_channels(basis, bath)) == 6
     # brute-force the largest intensity factor over all pairs
     best = max(
         ((a, b) for a in range(3) for b in range(3) if a != b),
@@ -144,9 +72,68 @@ def test_fmo3_channel_count_and_strongest_pair():
 
 
 def test_degenerate_gap_error_names_pairs():
-    basis = diagonalize(SiteModel(energies=[0.0, 100.0, 200.0], couplings=np.zeros((3, 3))))
-    with pytest.raises(DegenerateGapError, match=r"a1<->a2.*a2<->a3"):
+    # degenerate exciton energies put a transport gap at zero
+    with pytest.warns(UserWarning, match="degenerate"):
+        basis = diagonalize(
+            SiteModel(energies=[0.0, 0.0, 200.0], couplings=np.zeros((3, 3)))
+        )
+    with pytest.raises(DegenerateGapError, match=r"a1<->a2"):
         enumerate_channels(basis, BathSpec(35.0, 150.0, 300.0))
+
+
+def test_colliding_gaps_scan_with_zero_theta():
+    # a1<->a2 and a2<->a3 share the frequency 100 cm^-1; every rate vanishes
+    basis = diagonalize(SiteModel(energies=[0.0, 100.0, 200.0], couplings=np.zeros((3, 3))))
+    gen = tilted_generator(basis, BathSpec(35.0, 150.0, 300.0), ["all-down"])
+    points = lds.scan(gen, np.linspace(-2.0, 12.0, 15))
+    assert all(p.theta == 0.0 and p.activity == 0.0 for p in points)
+    assert all(p.mandel is None for p in points)
+
+
+def grouped_tilted_lindblad(basis, bath, s):
+    """Tilted secular Lindblad superoperator with the jump operators grouped
+    by Bohr frequency (Breuer & Petruccione, sec. 3.3), counting every
+    downward group.  Site m contributes A_m(w) = sum over pairs (a, b) with
+    E_b - E_a = w of sqrt(gamma(E_b - E_a)) c_m(a) c_m(b) |b><a|; gamma is
+    taken at each pair's own gap, so grouping adds no rounding."""
+    n = basis.n_excitons
+    groups = {}
+    for a in range(n):
+        for b in range(n):
+            w = basis.gap(a, b)
+            key = next((k for k in groups if abs(k - w) < 1e-6), w)
+            groups.setdefault(key, []).append((a, b))
+    eye = np.eye(n)
+    ham = np.diag(basis.energies)
+    out = -1j * (np.kron(eye, ham) - np.kron(ham, eye))
+    for w, pairs in groups.items():
+        tilt = math.exp(-s) if w < 0 else 1.0
+        for m in range(basis.n_sites):
+            op = np.zeros((n, n))
+            for a, b in pairs:
+                op[b, a] = (
+                    math.sqrt(gamma(bath, basis.gap(a, b)))
+                    * basis.amplitudes[m, a]
+                    * basis.amplitudes[m, b]
+                )
+            op_dag_op = op.T @ op
+            out += tilt * np.kron(op, op) - 0.5 * (
+                np.kron(eye, op_dag_op) + np.kron(op_dag_op.T, eye)
+            )
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_homogeneous_chain_matches_grouped_lindblad(n):
+    basis = homogeneous_chain(n)
+    gaps = sorted(abs(basis.gap(a, b)) for a in range(n) for b in range(a + 1, n))
+    assert min(np.diff(gaps)) < 1e-9  # the chain does have colliding gaps
+    bath = BathSpec(35.0, 150.0, 300.0)
+    gen = tilted_generator(basis, bath, ["all-down"])
+    rate_scale = np.max(np.abs(np.diag(gen.population_block(0.0))))
+    for p in lds.scan(gen, lds.default_s_grid()):
+        expected = top_eigenvalue(grouped_tilted_lindblad(basis, bath, p.s))
+        assert abs(p.theta - expected) <= 1e-9 * rate_scale
 
 
 def test_detailed_balance_of_rates_all_presets():
@@ -154,11 +141,7 @@ def test_detailed_balance_of_rates_all_presets():
         for temp in TEMPS:
             basis, bath = make(name, temp)
             channels = enumerate_channels(basis, bath)
-            rate = {
-                (c.from_exciton, c.to_exciton): c.rate
-                for c in channels
-                if not c.is_dephasing
-            }
+            rate = {(c.from_exciton, c.to_exciton): c.rate for c in channels}
             for (a, b), r in rate.items():
                 expected = rate[(b, a)] * math.exp(-bath.beta * basis.gap(a, b))
                 assert r == pytest.approx(expected, rel=1e-10)
@@ -167,33 +150,40 @@ def test_detailed_balance_of_rates_all_presets():
 def test_untilted_matches_independent_construction():
     for name in ("fmo2", "fmo3", "fmo4"):
         basis, bath = make(name)
-        w0 = tilted_generator(basis, bath, ["down:a2->a1"]).assemble(0.0)
+        gen = tilted_generator(basis, bath, ["down:a2->a1"])
         direct = lindblad_direct(basis, bath)
         scale = np.max(np.abs(direct))
-        np.testing.assert_allclose(w0, direct, atol=1e-12 * scale)
+        np.testing.assert_allclose(superoperator(gen, 0.0), direct, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            gen.population_block(0.0), population_entries(direct), atol=1e-12 * scale
+        )
 
 
 def test_trace_preservation_at_s_zero():
     for name in ("fmo2", "fmo3", "fmo4"):
         basis, bath = make(name)
-        w0 = tilted_generator(basis, bath, ["all-down"]).assemble(0.0)
+        gen = tilted_generator(basis, bath, ["all-down"])
+        w0 = superoperator(gen, 0.0)
         n = basis.n_excitons
         trace_vec = np.zeros(n * n)
         trace_vec[:: n + 1] = 1.0
         assert np.max(np.abs(trace_vec @ w0)) < 1e-10
+        assert np.max(np.abs(gen.population_block(0.0).sum(axis=0))) < 1e-10
 
 
 def test_counting_factor_touches_only_counted_sandwiches():
     basis, bath = make("fmo3")
     gen = tilted_generator(basis, bath, ["down:a3->a2"])
-    w0, w1 = gen.assemble(0.0), gen.assemble(1.0)
-    diff = w1 - w0
-    n = basis.n_excitons
-    # only the (population a3 -> population a2) sandwich entry moves
-    expected = np.zeros((n * n, n * n), complex)
+    diff = gen.population_block(1.0) - gen.population_block(0.0)
+    # only the population a3 -> population a2 entry moves
+    expected = np.zeros((3, 3))
     rate = next(c.rate for c in gen.channels if c.counted)
-    expected[1 * n + 1, 2 * n + 2] = rate * (math.exp(-1.0) - 1.0)
+    expected[1, 2] = rate * (math.exp(-1.0) - 1.0)
     np.testing.assert_allclose(diff, expected, atol=1e-12 * rate)
+    full_diff = superoperator(gen, 1.0) - superoperator(gen, 0.0)
+    np.testing.assert_allclose(population_entries(full_diff), expected, atol=1e-12 * rate)
+    full_diff[np.ix_([0, 4, 8], [0, 4, 8])] = 0.0
+    assert np.max(np.abs(full_diff)) <= 1e-12 * rate
 
 
 def test_stationary_state_is_boltzmann():
@@ -201,7 +191,7 @@ def test_stationary_state_is_boltzmann():
         for temp in TEMPS:
             basis, bath = make(name, temp)
             n = basis.n_excitons
-            w0 = tilted_generator(basis, bath, ["down:a2->a1"]).assemble(0.0)
+            w0 = superoperator(tilted_generator(basis, bath, ["down:a2->a1"]), 0.0)
             evals, evecs = np.linalg.eig(w0)
             sigma = evecs[:, np.argmin(np.abs(evals))].reshape(n, n, order="F")
             sigma = sigma / np.trace(sigma)
@@ -215,11 +205,7 @@ def test_stationary_state_is_boltzmann():
 def test_stationary_flux_balance_fmo2():
     basis, bath = make("fmo2")
     pops = boltzmann(basis, bath)
-    rate = {
-        (c.from_exciton, c.to_exciton): c.rate
-        for c in enumerate_channels(basis, bath)
-        if not c.is_dephasing
-    }
+    rate = {(c.from_exciton, c.to_exciton): c.rate for c in enumerate_channels(basis, bath)}
     down_flux = rate[(1, 0)] * pops[1]
     up_flux = rate[(0, 1)] * pops[0]
     assert down_flux == pytest.approx(up_flux, rel=1e-10)
@@ -251,8 +237,8 @@ def test_population_block_top_eigenvalue_matches_full():
         basis, bath = make(name)
         gen = tilted_generator(basis, bath, ["down:a2->a1"])
         for s in np.linspace(-2.0, 10.0, 13):
-            top_block = np.max(np.linalg.eigvals(gen.population_block(s)).real)
-            top_full = np.max(np.linalg.eigvals(gen.assemble(s)).real)
+            top_block = top_eigenvalue(gen.population_block(s))
+            top_full = top_eigenvalue(superoperator(gen, s))
             assert top_block == pytest.approx(top_full, abs=1e-9)
 
 
@@ -260,13 +246,10 @@ def test_population_block_top_eigenvalue_matches_full():
 def test_population_block_consistency_random_models(seed):
     # secular decoupling holds for any nondegenerate model, not just presets
     basis, bath = random_basis(seed)
-    try:
-        gen = tilted_generator(basis, bath, ["down:a2->a1"])
-    except DegenerateGapError:
-        pytest.skip("random draw produced colliding gaps")
+    gen = tilted_generator(basis, bath, ["down:a2->a1"])
     for s in (-1.5, 0.0, 2.5, 8.0):
-        top_block = np.max(np.linalg.eigvals(gen.population_block(s)).real)
-        top_full = np.max(np.linalg.eigvals(gen.assemble(s)).real)
+        top_block = top_eigenvalue(gen.population_block(s))
+        top_full = top_eigenvalue(superoperator(gen, s))
         assert top_block == pytest.approx(top_full, abs=1e-9)
 
 
@@ -281,22 +264,27 @@ def test_direct_build_matches_kron_reference(seed, selector):
         "pair": f"pair:a1<->a{n}",
         "all-down": "all-down",
     }[selector]
-    try:
-        gen = tilted_generator(basis, bath, [chosen])
-    except DegenerateGapError:
-        pytest.skip("random draw produced colliding gaps")
+    gen = tilted_generator(basis, bath, [chosen])
     static, counted = kron_reference(gen)
     for s in (-1.5, 0.0, 2.5, 8.0):
-        expected = static + math.exp(-s) * counted
+        expected = population_entries(static + math.exp(-s) * counted)
         scale = np.max(np.abs(expected))
-        np.testing.assert_allclose(gen.assemble(s), expected, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(
-            gen.assemble_derivative(s), -math.exp(-s) * counted,
+            gen.population_block(s), expected, rtol=0, atol=1e-12 * scale
+        )
+        np.testing.assert_allclose(
+            gen.population_block_derivative(s),
+            population_entries(-math.exp(-s) * counted),
             rtol=0, atol=1e-12 * scale,
         )
+    direct = population_entries(lindblad_direct(basis, bath))
+    np.testing.assert_allclose(
+        gen.population_block(0.0), direct, rtol=0,
+        atol=1e-12 * np.max(np.abs(direct)),
+    )
 
 
-def test_population_scan_never_assembles_superoperator(monkeypatch):
+def test_population_scan_never_assembles_superoperator():
     # a 60-site chain: the N^2 x N^2 superoperator would hold 13M entries
     rng = np.random.default_rng(60)
     n = 60
@@ -305,12 +293,8 @@ def test_population_scan_never_assembles_superoperator(monkeypatch):
         SiteModel(energies=rng.uniform(0.0, 800.0, size=n), couplings=j + j.T)
     )
     gen = tilted_generator(basis, BathSpec(35.0, 150.0, 300.0), ["all-down"])
-
-    def refuse(self, s):
-        raise AssertionError("the population path assembled the superoperator")
-
-    monkeypatch.setattr(TiltedGenerator, "assemble", refuse)
-    monkeypatch.setattr(TiltedGenerator, "assemble_derivative", refuse)
+    stored = [v for v in vars(gen).values() if isinstance(v, np.ndarray)]
+    assert stored and max(v.size for v in stored) <= n * n
     points = lds.scan(gen, np.linspace(-2.0, 8.0, 21))
     rate_scale = max(p.activity for p in points)
     assert rate_scale > 0
@@ -324,14 +308,13 @@ def test_large_s_limit_deletes_counted_sandwiches():
     n = basis.n_excitons
     rates = np.zeros((n, n))
     for c in gen.channels:
-        if not c.is_dephasing:
-            rates[c.to_exciton, c.from_exciton] = c.rate
+        rates[c.to_exciton, c.from_exciton] = c.rate
     limit = rates - np.diag(rates.sum(axis=0))
     for c in gen.channels:
         if c.counted:
             limit[c.to_exciton, c.from_exciton] -= c.rate
     expected = np.max(np.linalg.eigvals(limit).real)
-    top40 = np.max(np.linalg.eigvals(gen.assemble(40.0)).real)
+    top40 = top_eigenvalue(superoperator(gen, 40.0))
     assert top40 == pytest.approx(expected, abs=1e-8)
 
 
@@ -358,7 +341,7 @@ def test_selector_forms():
         "pair:a2<->a2",         # single exciton
         "down:a9->a1",          # out of range
         "sideways:a1->a2",      # unknown form
-        (0, 0),                 # dephasing is not countable
+        (0, 0),                 # not a channel
     ],
 )
 def test_selector_rejections(selector):

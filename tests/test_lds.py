@@ -28,6 +28,7 @@ from excount.lds import (
     theta_derivatives,
 )
 from excount.model import SiteModel, diagonalize, preset
+from reference import homogeneous_chain, random_basis, superoperator, top_eigenvalue
 
 TEMPS = (77.0, 150.0, 300.0)
 ACCEPT_CHANNELS = {"fmo2": "down:a2->a1", "fmo3": "down:a3->a2", "fmo4": "down:a4->a2"}
@@ -44,8 +45,8 @@ def equal_rate_generator(kappa):
     basis = diagonalize(preset("fmo2"))
     bath = BathSpec(35.0, 150.0, 300.0)
     channels = (
-        JumpChannel(0, 1, basis.gap(0, 1), kappa, np.zeros(2), counted=False),
-        JumpChannel(1, 0, basis.gap(1, 0), kappa, np.zeros(2), counted=True),
+        JumpChannel(0, 1, basis.gap(0, 1), kappa, counted=False),
+        JumpChannel(1, 0, basis.gap(1, 0), kappa, counted=True),
     )
     return TiltedGenerator(basis, bath, channels)
 
@@ -54,12 +55,7 @@ def test_theta_vanishes_at_s_zero():
     for name in ("fmo2", "fmo3", "fmo4"):
         gen = make_generator(name)
         assert abs(theta(gen, 0.0)) < 1e-10
-        assert abs(theta(gen, 0.0, method="full")) < 1e-10
-
-
-def test_theta_unknown_method():
-    with pytest.raises(ValueError, match="method"):
-        theta(make_generator("fmo2"), 0.0, method="magic")
+        assert abs(top_eigenvalue(superoperator(gen, 0.0))) < 1e-10
 
 
 def test_equal_rate_chain_closed_form():
@@ -81,7 +77,8 @@ def test_fmo2_theta_matches_two_state_closed_form():
         cts = ClassicalTwoState.from_channels(enumerate_channels(basis, bath), bath)
         gen = tilted_generator(basis, bath, ["down:a2->a1"])
         for s in (-2.0, -0.5, 0.0, 1.0, 6.0, 12.0):
-            assert theta(gen, s, method="full") == pytest.approx(cts.theta(s), abs=1e-10)
+            full = top_eigenvalue(superoperator(gen, s))
+            assert full == pytest.approx(cts.theta(s), abs=1e-10)
             assert theta(gen, s) == pytest.approx(cts.theta(s), abs=1e-10)
 
 
@@ -108,18 +105,35 @@ def test_gradient_identity_vs_finite_difference(name):
         assert abs(d1 - fd) <= 1e-7 * abs(d1)
 
 
-@pytest.mark.parametrize("name", ["fmo2", "fmo3", "fmo4"])
+def fd_second_derivative(gen, s, h=1e-4):
+    """Richardson-refined central difference of theta'(s), a reference for
+    the exact perturbation sum."""
+
+    def slope(step):
+        up = theta_derivatives(gen, s + step)[1]
+        dn = theta_derivatives(gen, s - step)[1]
+        return (up - dn) / (2.0 * step)
+
+    return (4.0 * slope(h / 2.0) - slope(h)) / 3.0
+
+
+def second_derivative_case(name):
+    if name.startswith("random"):
+        basis, bath = random_basis(int(name[len("random"):]), 2, 8)
+        return tilted_generator(basis, bath, ["all-down"])
+    if name == "chain":
+        return tilted_generator(homogeneous_chain(5), BathSpec(35.0, 150.0, 300.0), ["all-down"])
+    return make_generator(name)
+
+
+@pytest.mark.parametrize(
+    "name", ["fmo2", "fmo3", "fmo4", *(f"random{seed}" for seed in range(6)), "chain"]
+)
 def test_exact_and_fd_second_derivatives_agree(name):
-    gen = make_generator(name)
+    gen = second_derivative_case(name)
     for s in (-1.0, 0.0, 2.0):
         _, _, d2 = theta_derivatives(gen, s)
-        _, _, d2_fd = theta_derivatives(gen, s, second_order="fd")
-        assert d2_fd == pytest.approx(d2, rel=1e-6)
-
-
-def test_second_order_unknown_mode():
-    with pytest.raises(ValueError, match="second_order"):
-        theta_derivatives(make_generator("fmo2"), 0.0, second_order="spline")
+        assert fd_second_derivative(gen, s) == pytest.approx(d2, rel=1e-6)
 
 
 class FakeGenerator:
@@ -132,13 +146,7 @@ class FakeGenerator:
     def population_block(self, s):
         return self.mat
 
-    def assemble(self, s):
-        return self.mat
-
     def population_block_derivative(self, s):
-        return self.dmat
-
-    def assemble_derivative(self, s):
         return self.dmat
 
 
@@ -151,22 +159,21 @@ class FakeGenerator:
     ],
 )
 def test_bad_top_eigenpair_raises_for_both_methods(gen, message):
-    for method in ("population", "full"):
-        with pytest.raises(SpectralError, match=message):
-            theta(gen, 0.0, method=method)
-        with pytest.raises(SpectralError, match=message):
-            theta_derivatives(gen, 0.0, method=method)
+    # both spectral entry points share the guards
+    with pytest.raises(SpectralError, match=message):
+        theta(gen, 0.0)
+    with pytest.raises(SpectralError, match=message):
+        theta_derivatives(gen, 0.0)
 
 
 def test_derivative_guards_raise():
     crowded = FakeGenerator(np.diag([0.0, -1e-10]), [[0.0, 1.0], [1.0, 0.0]])
     complex_slope = FakeGenerator(np.diag([0.0, -1.0]), np.diag([1.0j, 0.0]))
-    for method in ("population", "full"):
-        assert theta(crowded, 0.0, method=method) == 0.0
-        with pytest.raises(SpectralError, match="crowds"):
-            theta_derivatives(crowded, 0.0, method=method)
-        with pytest.raises(SpectralError, match="complex"):
-            theta_derivatives(complex_slope, 0.0, method=method)
+    assert theta(crowded, 0.0) == 0.0
+    with pytest.raises(SpectralError, match="crowds"):
+        theta_derivatives(crowded, 0.0)
+    with pytest.raises(SpectralError, match="complex"):
+        theta_derivatives(complex_slope, 0.0)
 
 
 def test_scan_is_one_eigensolve_per_point(monkeypatch):
@@ -189,7 +196,7 @@ def test_scan_is_one_eigensolve_per_point(monkeypatch):
     monkeypatch.undo()
     scale = max(p.activity for p in points)
     for p in points:
-        assert abs(p.theta - theta(gen, p.s, method="full")) <= 1e-10 * scale
+        assert abs(p.theta - top_eigenvalue(superoperator(gen, p.s))) <= 1e-10 * scale
 
 
 def test_mandel_two_state_values():

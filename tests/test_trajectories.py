@@ -80,8 +80,8 @@ def test_fmo2_agrees_with_spectral_pipeline():
 def test_equal_rate_toy_mandel_is_minus_half():
     kappa = 5.0
     channels = (
-        JumpChannel(0, 1, 100.0, kappa, np.zeros(2), counted=False),
-        JumpChannel(1, 0, -100.0, kappa, np.zeros(2), counted=True),
+        JumpChannel(0, 1, 100.0, kappa, counted=False),
+        JumpChannel(1, 0, -100.0, kappa, counted=True),
     )
     cfg = TrajectoryConfig(t_max=80.0, n_trajectories=6000, seed=9)
     stats = simulate(channels, cfg)
