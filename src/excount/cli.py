@@ -381,7 +381,7 @@ def oracle_check_cmd(config_file, preset_name, **flags):
                 raise ConfigError(
                     "trajectory counted set differs from the spectral one"
                 )
-        gen = TiltedGenerator(basis, bath, channels)
+        gen = TiltedGenerator(basis, channels)
         _, d1, d2 = lds.theta_derivatives(gen, 0.0)
         activity = -d1
         q_spectral = lds._mandel_from(d1, d2)
@@ -394,7 +394,6 @@ def oracle_check_cmd(config_file, preset_name, **flags):
         stats = simulate(
             channels,
             TrajectoryConfig(t_max=t_max, n_trajectories=cfg.traj, seed=cfg.seed + i),
-            n_workers=cfg.workers,
         )
         z_rate, rate_ok = _z(stats.mean_rate, activity, stats.se_mean)
         z_q, q_ok = _z(stats.mandel_estimate, q_spectral, stats.se_mandel)

@@ -194,12 +194,11 @@ class TiltedGenerator:
     safe to call concurrently.
     """
 
-    def __init__(self, basis: ExcitonBasis, bath: BathSpec, channels):
+    def __init__(self, basis: ExcitonBasis, channels):
         channels = tuple(channels)
         if not any(c.counted for c in channels):
             raise SelectorError("tilted generator needs a non-empty counted set")
         self.basis = basis
-        self.bath = bath
         self.channels = channels
         n = basis.n_excitons
         self._n = n
@@ -228,7 +227,7 @@ class TiltedGenerator:
 def tilted_generator(basis: ExcitonBasis, bath: BathSpec, counted) -> TiltedGenerator:
     """Enumerate channels, apply counting selectors, return the generator."""
     channels = resolve_counted(enumerate_channels(basis, bath), counted)
-    return TiltedGenerator(basis, bath, channels)
+    return TiltedGenerator(basis, channels)
 
 
 def classical_two_state(kappa: float, Gamma: float, s: float) -> np.ndarray:

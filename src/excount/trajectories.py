@@ -3,18 +3,19 @@
 Under the secular generator the populations close on a classical Markov
 chain, the same rate matrix (``generator.rate_matrix``) whose tilted form
 gives theta(s).  The counted-jump statistics at s=0 are therefore sampled
-exactly by a Gillespie walk over exciton indices; no wavefunction
-unraveling is needed.
-Each trajectory consumes its own deterministically derived random stream
-(SeedSequence spawn by trajectory index), so results are bit-reproducible
-and independent of execution order.
+exactly by a Gillespie walk (Gillespie, J. Phys. Chem. 81, 2340 (1977))
+over exciton indices; no wavefunction unraveling is needed.
+
+Trajectories run in fixed chunks of ``_CHUNK``.  Chunk c draws from its
+own stream, spawned from ``SeedSequence(seed)`` by chunk index, and moves
+all of its live trajectories one jump per numpy step, so the result is
+bit-reproducible for a given seed and trajectory count.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,9 @@ import numpy as np
 from .generator import rate_matrix
 from .lds import RateFunctionPoint
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover
-    njit = None
-
 __all__ = ["TrajectoryConfig", "CountStatistics", "simulate", "empirical_rate_function"]
 
-_BLOCK = 4096
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -81,46 +77,6 @@ class CountStatistics:
     warning: str | None = None
 
 
-def _kernel(u, pos, state, t, k, occ, esc, cum, counted, t_max, burn_in):
-    """Advance one trajectory through a block of uniform draws.
-
-    Returns (pos, state, t, k, done).  Consumes two draws per jump; stops
-    when fewer than two draws remain or the window ends.
-    """
-    n_u = u.shape[0]
-    while pos + 2 <= n_u:
-        e = esc[state]
-        if e > 0.0:
-            dt = -math.log1p(-u[pos]) / e
-        else:
-            dt = math.inf
-        pos += 1
-        t_new = t + dt
-        seg_lo = t if t > burn_in else burn_in
-        seg_hi = t_new if t_new < t_max else t_max
-        if seg_hi > seg_lo:
-            occ[state] += seg_hi - seg_lo
-        if t_new >= t_max:
-            return pos, state, t_max, k, True
-        t = t_new
-        x = u[pos]
-        pos += 1
-        dest = 0
-        row = cum[state]
-        for j in range(row.shape[0]):
-            dest = j
-            if x < row[j]:
-                break
-        if t >= burn_in and counted[state, dest]:
-            k += 1
-        state = dest
-    return pos, state, t, k, False
-
-
-if njit is not None:
-    _kernel = njit(cache=False, nogil=True)(_kernel)
-
-
 def _stationary(rates: np.ndarray) -> np.ndarray:
     n = rates.shape[0]
     if not rates.any():
@@ -132,13 +88,39 @@ def _stationary(rates: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def simulate(channels, config: TrajectoryConfig, n_workers: int = 1) -> CountStatistics:
+def _walk(rng, state, esc, cum, counted, t_max, burn_in):
+    """Move one chunk of trajectories in lockstep, one jump per numpy step.
+
+    ``state`` holds the start excitons.  Returns the counted jumps per
+    trajectory and the time spent in each exciton inside [burn_in, t_max],
+    summed over the chunk.
+    """
+    n = esc.size
+    divisor = np.where(esc > 0, esc, 1.0)  # no 0/0 in absorbing states (esc == 0)
+    counts = np.zeros(state.size, dtype=np.int64)
+    occ = np.zeros(n)
+    live = np.arange(state.size)
+    t = np.zeros(state.size)
+    while live.size:
+        u = rng.random((2, live.size))
+        dt = np.where(esc[state] > 0, -np.log1p(-u[0]) / divisor[state], np.inf)
+        t_new = t + dt
+        seg = np.minimum(t_new, t_max) - np.maximum(t, burn_in)
+        occ += np.bincount(state, weights=np.maximum(seg, 0.0), minlength=n)
+        go = t_new < t_max
+        state, t, live = state[go], t_new[go], live[go]
+        dest = (cum[state] <= u[1, go][:, None]).sum(axis=1)
+        counts[live] += counted[state, dest] & (t >= burn_in)
+        state = dest
+    return counts, occ
+
+
+def simulate(channels, config: TrajectoryConfig) -> CountStatistics:
     """Sample counted-jump statistics of the classical exciton chain.
 
     ``channels`` is a JumpChannel list with counted flags set.  Counting is
     passive, so the walk itself is independent of which channels are
-    counted.  Trajectories own independent random substreams, so the result
-    is identical for any ``n_workers``.
+    counted.
     """
     channels = list(channels)
     if not channels:
@@ -146,12 +128,20 @@ def simulate(channels, config: TrajectoryConfig, n_workers: int = 1) -> CountSta
     if not any(c.counted for c in channels):
         raise ValueError("no counted channels")
     n = max(max(c.from_exciton, c.to_exciton) for c in channels) + 1
+    start = config.initial_state
+    if isinstance(start, str):
+        if start != "stationary":
+            raise ValueError(
+                f"initial_state must be 'stationary' or an exciton index, got {start!r}"
+            )
+        start = None
+    elif not 0 <= start < n:
+        raise ValueError(f"initial exciton {start} out of range [0, {n})")
     rates = rate_matrix(channels, n)
     if not np.all(np.isfinite(rates)):
         raise ValueError("channel rates must be finite")
     esc = rates.sum(axis=0)
-    stationary_start = config.initial_state == "stationary"
-    if not esc.any() and not stationary_start:
+    if not esc.any() and start is not None:
         raise ValueError("all rates vanish; only a stationary start is meaningful")
 
     counted = np.zeros((n, n), dtype=np.bool_)
@@ -161,7 +151,7 @@ def simulate(channels, config: TrajectoryConfig, n_workers: int = 1) -> CountSta
 
     if config.burn_in is not None:
         burn_in = config.burn_in
-    elif stationary_start:
+    elif start is None:
         burn_in = 0.0
     else:
         burn_in = 10.0 / esc[esc > 0].min()
@@ -191,41 +181,21 @@ def simulate(channels, config: TrajectoryConfig, n_workers: int = 1) -> CountSta
         )
         warnings.warn(warning, stacklevel=2)
 
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_trajectories)
-    counts = np.zeros(config.n_trajectories, dtype=np.int64)
+    n_traj = config.n_trajectories
+    counts = np.zeros(n_traj, dtype=np.int64)
     occupation = np.zeros(n)
-
-    def run_one(i: int) -> tuple[int, np.ndarray]:
-        rng = np.random.default_rng(seeds[i])
-        if stationary_start:
-            state = int(np.searchsorted(cum_pi, rng.random(), side="right"))
-            state = min(state, n - 1)
+    streams = np.random.SeedSequence(config.seed).spawn(math.ceil(n_traj / _CHUNK))
+    for c, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        chunk = slice(c * _CHUNK, min((c + 1) * _CHUNK, n_traj))
+        size = chunk.stop - chunk.start
+        if start is None:
+            state = np.searchsorted(cum_pi, rng.random(size), side="right")
+            state = np.minimum(state, n - 1)
         else:
-            state = int(config.initial_state)
-            if not 0 <= state < n:
-                raise ValueError(f"initial exciton {state} out of range")
-        occ = np.zeros(n)
-        t, k = 0.0, 0
-        while True:
-            u = rng.random(_BLOCK)
-            pos = 0
-            pos, state, t, k, done = _kernel(
-                u, pos, state, t, k, occ, esc, cum, counted,
-                config.t_max, burn_in,
-            )
-            if done:
-                return k, occ
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for i, (k, occ) in enumerate(pool.map(run_one, range(config.n_trajectories))):
-                counts[i] = k
-                occupation += occ
-    else:
-        for i in range(config.n_trajectories):
-            k, occ = run_one(i)
-            counts[i] = k
-            occupation += occ
+            state = np.full(size, start)
+        counts[chunk], occ = _walk(rng, state, esc, cum, counted, config.t_max, burn_in)
+        occupation += occ
 
     return _statistics(counts, occupation, window, warning)
 

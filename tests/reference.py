@@ -65,9 +65,11 @@ def lindblad_direct(basis, bath):
     return out
 
 
-def kron_reference(gen):
+def kron_reference(gen, bath):
     """The generator rebuilt term by term from dense np.kron sandwiches:
-    returns (static, counted) with W_s = static + e^{-s} counted."""
+    returns (static, counted) with W_s = static + e^{-s} counted.  ``bath``
+    must be the one the generator's channels came from; it sets the
+    zero-frequency pure-dephasing rate gamma(0)."""
     basis, n = gen.basis, gen.n_excitons
     eye = np.eye(n)
     ham = np.diag(basis.energies).astype(complex)
@@ -84,7 +86,7 @@ def kron_reference(gen):
             counted += ch.rate * np.kron(e_ba, e_ba)
         else:
             static += ch.rate * np.kron(e_ba, e_ba)
-    gamma0 = gamma(gen.bath, 0.0)
+    gamma0 = gamma(bath, 0.0)
     for m in range(basis.n_sites):
         d_m = np.diag(basis.amplitudes[m, :] ** 2)
         d_m2 = d_m @ d_m
@@ -94,9 +96,9 @@ def kron_reference(gen):
     return static, counted
 
 
-def superoperator(gen, s):
+def superoperator(gen, bath, s):
     """The full tilted superoperator W_s from the kron reference."""
-    static, counted = kron_reference(gen)
+    static, counted = kron_reference(gen, bath)
     return static + math.exp(-s) * counted
 
 

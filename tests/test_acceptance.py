@@ -67,8 +67,9 @@ def test_criterion_1_two_state_analytic_equivalence():
     for temp in TEMPS:
         cts = two_state_reference(temp)
         gen = generator_for("fmo2", temp)
+        bath = BathSpec(35.0, 150.0, temp)
         for s in S_GRID:
-            err = abs(top_eigenvalue(superoperator(gen, s)) - cts.theta(s))
+            err = abs(top_eigenvalue(superoperator(gen, bath, s)) - cts.theta(s))
             worst = max(worst, err)
     ok = worst < 1e-9
     assert report("1 two-state theta", ok, f"max |dtheta| = {worst:.3e} cm^-1 (< 1e-9)")
@@ -101,7 +102,7 @@ def test_criterion_3_steady_state_physics():
             boltz /= boltz.sum()
             gen = generator_for(name, temp)
             n = basis.n_excitons
-            evals, evecs = np.linalg.eig(superoperator(gen, 0.0))
+            evals, evecs = np.linalg.eig(superoperator(gen, bath, 0.0))
             sigma = evecs[:, np.argmin(np.abs(evals))].reshape(n, n, order="F")
             sigma /= np.trace(sigma)
             worst_pop = max(worst_pop, np.max(np.abs(np.diag(sigma).real - boltz)))

@@ -153,7 +153,7 @@ def test_untilted_matches_independent_construction():
         gen = tilted_generator(basis, bath, ["down:a2->a1"])
         direct = lindblad_direct(basis, bath)
         scale = np.max(np.abs(direct))
-        np.testing.assert_allclose(superoperator(gen, 0.0), direct, atol=1e-12 * scale)
+        np.testing.assert_allclose(superoperator(gen, bath, 0.0), direct, atol=1e-12 * scale)
         np.testing.assert_allclose(
             gen.population_block(0.0), population_entries(direct), atol=1e-12 * scale
         )
@@ -163,7 +163,7 @@ def test_trace_preservation_at_s_zero():
     for name in ("fmo2", "fmo3", "fmo4"):
         basis, bath = make(name)
         gen = tilted_generator(basis, bath, ["all-down"])
-        w0 = superoperator(gen, 0.0)
+        w0 = superoperator(gen, bath, 0.0)
         n = basis.n_excitons
         trace_vec = np.zeros(n * n)
         trace_vec[:: n + 1] = 1.0
@@ -180,7 +180,7 @@ def test_counting_factor_touches_only_counted_sandwiches():
     rate = next(c.rate for c in gen.channels if c.counted)
     expected[1, 2] = rate * (math.exp(-1.0) - 1.0)
     np.testing.assert_allclose(diff, expected, atol=1e-12 * rate)
-    full_diff = superoperator(gen, 1.0) - superoperator(gen, 0.0)
+    full_diff = superoperator(gen, bath, 1.0) - superoperator(gen, bath, 0.0)
     np.testing.assert_allclose(population_entries(full_diff), expected, atol=1e-12 * rate)
     full_diff[np.ix_([0, 4, 8], [0, 4, 8])] = 0.0
     assert np.max(np.abs(full_diff)) <= 1e-12 * rate
@@ -191,7 +191,7 @@ def test_stationary_state_is_boltzmann():
         for temp in TEMPS:
             basis, bath = make(name, temp)
             n = basis.n_excitons
-            w0 = superoperator(tilted_generator(basis, bath, ["down:a2->a1"]), 0.0)
+            w0 = superoperator(tilted_generator(basis, bath, ["down:a2->a1"]), bath, 0.0)
             evals, evecs = np.linalg.eig(w0)
             sigma = evecs[:, np.argmin(np.abs(evals))].reshape(n, n, order="F")
             sigma = sigma / np.trace(sigma)
@@ -238,7 +238,7 @@ def test_population_block_top_eigenvalue_matches_full():
         gen = tilted_generator(basis, bath, ["down:a2->a1"])
         for s in np.linspace(-2.0, 10.0, 13):
             top_block = top_eigenvalue(gen.population_block(s))
-            top_full = top_eigenvalue(superoperator(gen, s))
+            top_full = top_eigenvalue(superoperator(gen, bath, s))
             assert top_block == pytest.approx(top_full, abs=1e-9)
 
 
@@ -249,7 +249,7 @@ def test_population_block_consistency_random_models(seed):
     gen = tilted_generator(basis, bath, ["down:a2->a1"])
     for s in (-1.5, 0.0, 2.5, 8.0):
         top_block = top_eigenvalue(gen.population_block(s))
-        top_full = top_eigenvalue(superoperator(gen, s))
+        top_full = top_eigenvalue(superoperator(gen, bath, s))
         assert top_block == pytest.approx(top_full, abs=1e-9)
 
 
@@ -265,7 +265,7 @@ def test_direct_build_matches_kron_reference(seed, selector):
         "all-down": "all-down",
     }[selector]
     gen = tilted_generator(basis, bath, [chosen])
-    static, counted = kron_reference(gen)
+    static, counted = kron_reference(gen, bath)
     for s in (-1.5, 0.0, 2.5, 8.0):
         expected = population_entries(static + math.exp(-s) * counted)
         scale = np.max(np.abs(expected))
@@ -314,7 +314,7 @@ def test_large_s_limit_deletes_counted_sandwiches():
         if c.counted:
             limit[c.to_exciton, c.from_exciton] -= c.rate
     expected = np.max(np.linalg.eigvals(limit).real)
-    top40 = top_eigenvalue(superoperator(gen, 40.0))
+    top40 = top_eigenvalue(superoperator(gen, bath, 40.0))
     assert top40 == pytest.approx(expected, abs=1e-8)
 
 
@@ -357,7 +357,7 @@ def test_empty_counted_set_rejected():
     with pytest.raises(SelectorError, match="empty"):
         resolve_counted(channels, [])
     with pytest.raises(SelectorError):
-        TiltedGenerator(basis, bath, channels)  # nothing flagged counted
+        TiltedGenerator(basis, channels)  # nothing flagged counted
 
 
 def test_counting_direction_is_irrelevant_for_theta():

@@ -43,19 +43,19 @@ def make_generator(name, temp=300.0, selector=None):
 def equal_rate_generator(kappa):
     """Two-state chain with kappa == Gamma, counting the downward jump."""
     basis = diagonalize(preset("fmo2"))
-    bath = BathSpec(35.0, 150.0, 300.0)
     channels = (
         JumpChannel(0, 1, basis.gap(0, 1), kappa, counted=False),
         JumpChannel(1, 0, basis.gap(1, 0), kappa, counted=True),
     )
-    return TiltedGenerator(basis, bath, channels)
+    return TiltedGenerator(basis, channels)
 
 
 def test_theta_vanishes_at_s_zero():
     for name in ("fmo2", "fmo3", "fmo4"):
         gen = make_generator(name)
+        bath = BathSpec(35.0, 150.0, 300.0)
         assert abs(theta(gen, 0.0)) < 1e-10
-        assert abs(top_eigenvalue(superoperator(gen, 0.0))) < 1e-10
+        assert abs(top_eigenvalue(superoperator(gen, bath, 0.0))) < 1e-10
 
 
 def test_equal_rate_chain_closed_form():
@@ -77,7 +77,7 @@ def test_fmo2_theta_matches_two_state_closed_form():
         cts = ClassicalTwoState.from_channels(enumerate_channels(basis, bath), bath)
         gen = tilted_generator(basis, bath, ["down:a2->a1"])
         for s in (-2.0, -0.5, 0.0, 1.0, 6.0, 12.0):
-            full = top_eigenvalue(superoperator(gen, s))
+            full = top_eigenvalue(superoperator(gen, bath, s))
             assert full == pytest.approx(cts.theta(s), abs=1e-10)
             assert theta(gen, s) == pytest.approx(cts.theta(s), abs=1e-10)
 
@@ -180,7 +180,8 @@ def test_scan_is_one_eigensolve_per_point(monkeypatch):
     """fmo3 pair:a1<->a2 at 77 K: the top two eigenvalues nearly touch, the
     case where a power iteration stalls; scan must match the full
     superoperator with a single dense eigensolve per grid point."""
-    gen = make_generator("fmo3", 77.0, "pair:a1<->a2")
+    bath = BathSpec(35.0, 150.0, 77.0)
+    gen = tilted_generator(diagonalize(preset("fmo3")), bath, ["pair:a1<->a2"])
     grid = default_s_grid()
     calls = []
     for module, name in ((scipy.linalg, "eig"), (np.linalg, "eigvals")):
@@ -196,7 +197,7 @@ def test_scan_is_one_eigensolve_per_point(monkeypatch):
     monkeypatch.undo()
     scale = max(p.activity for p in points)
     for p in points:
-        assert abs(p.theta - top_eigenvalue(superoperator(gen, p.s))) <= 1e-10 * scale
+        assert abs(p.theta - top_eigenvalue(superoperator(gen, bath, p.s))) <= 1e-10 * scale
 
 
 def test_mandel_two_state_values():

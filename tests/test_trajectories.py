@@ -13,6 +13,7 @@ from excount.generator import (
 from excount.lds import theta_derivatives
 from excount.model import SiteModel, diagonalize, preset
 from excount.trajectories import (
+    _CHUNK,
     CountStatistics,
     TrajectoryConfig,
     empirical_rate_function,
@@ -89,16 +90,60 @@ def test_equal_rate_toy_mandel_is_minus_half():
 
 
 def test_bit_reproducibility():
+    # one trajectory, a partial chunk, exactly one chunk, one past a chunk
     _, _, channels, activity, _ = fmo_setup("fmo2", "down:a2->a1")
-    cfg = TrajectoryConfig(t_max=100.0 / activity, n_trajectories=500, seed=77)
-    a = simulate(channels, cfg)
-    b = simulate(channels, cfg)
-    c = simulate(channels, cfg, n_workers=4)
-    for other in (b, c):
-        assert a.histogram == other.histogram
-        assert a.mean_rate == other.mean_rate
-        assert a.se_mandel == other.se_mandel
-        assert np.array_equal(a.occupation, other.occupation)
+    for n_traj in (1, 500, _CHUNK, _CHUNK + 1):
+        cfg = TrajectoryConfig(t_max=100.0 / activity, n_trajectories=n_traj, seed=77)
+        a = simulate(channels, cfg)
+        b = simulate(channels, cfg)
+        assert a.histogram == b.histogram
+        assert a.mean_rate == b.mean_rate
+        assert a.se_mandel == b.se_mandel
+        assert np.array_equal(a.occupation, b.occupation)
+        assert sum(a.histogram.values()) == n_traj
+        assert a.occupation.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "initial_state, message",
+    [
+        (2, r"initial exciton 2 out of range \[0, 2\)"),
+        (-1, r"initial exciton -1 out of range \[0, 2\)"),
+        ("upper", r"'stationary' or an exciton index, got 'upper'"),
+    ],
+    ids=["above", "below", "string"],
+)
+def test_initial_state_validated(initial_state, message):
+    _, _, channels, _, _ = fmo_setup("fmo2", "down:a2->a1")
+    cfg = TrajectoryConfig(t_max=1.0, n_trajectories=8, initial_state=initial_state)
+    with pytest.raises(ValueError, match=message):
+        simulate(channels, cfg)
+
+
+def test_absorbing_state_reached_mid_trajectory():
+    # from exciton 1 the counted downward jump leads into exciton 0, which
+    # has no escape: K is 0 or 1, and exciton 1 is held for min(T, t_max)
+    gamma_down, t_max, n_traj = 5.0, 0.2, 4000
+    channels = (
+        JumpChannel(0, 1, 100.0, 0.0, counted=False),
+        JumpChannel(1, 0, -100.0, gamma_down, counted=True),
+    )
+    cfg = TrajectoryConfig(
+        t_max=t_max, n_trajectories=n_traj, burn_in=0.0, seed=5, initial_state=1
+    )
+    with pytest.warns(UserWarning, match="expected counted jumps"):
+        stats = simulate(channels, cfg)
+    assert set(stats.histogram) <= {0, 1}
+    x = gamma_down * t_max
+    p_jump = 1.0 - math.exp(-x)
+    se_jump = math.sqrt(p_jump * (1.0 - p_jump) / n_traj)
+    assert abs(stats.histogram.get(1, 0) / n_traj - p_jump) < 3.0 * se_jump
+    # held time min(T, t_max) / t_max: mean and second moment are exact
+    mean_held = p_jump / x
+    second = 2.0 * (1.0 - math.exp(-x) * (1.0 + x)) / x**2
+    se_held = math.sqrt((second - mean_held**2) / n_traj)
+    assert abs(stats.occupation[1] - mean_held) < 3.0 * se_held
+    assert stats.occupation.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_seed_changes_the_sample():
@@ -177,32 +222,6 @@ def test_empirical_rate_function_shape():
     assert len(left) >= 3 and len(right) >= 3
     assert all(x >= y for x, y in zip(left, left[1:]))
     assert all(y >= x for x, y in zip(right, right[1:]))
-
-
-def test_pure_python_kernel_matches_jitted():
-    # both kernels consume identical pre-drawn uniform blocks, so results
-    # must agree bit for bit
-    import importlib
-    import sys
-
-    pytest.importorskip("numba")
-    import excount.trajectories as traj
-
-    _, _, channels, activity, _ = fmo_setup("fmo2", "down:a2->a1")
-    cfg = TrajectoryConfig(t_max=50.0 / activity, n_trajectories=50, seed=21)
-    jit_stats = traj.simulate(channels, cfg)
-    real_numba = sys.modules["numba"]
-    sys.modules["numba"] = None
-    try:
-        importlib.reload(traj)
-        py_stats = traj.simulate(channels, cfg)
-    finally:
-        sys.modules["numba"] = real_numba
-        importlib.reload(traj)
-    assert py_stats.histogram == jit_stats.histogram
-    assert py_stats.mean_rate == jit_stats.mean_rate
-    assert py_stats.se_mandel == jit_stats.se_mandel
-    assert np.array_equal(py_stats.occupation, jit_stats.occupation)
 
 
 def test_empirical_rate_function_empty():
