@@ -190,8 +190,8 @@ class TiltedGenerator:
     """The s-parameterized tilted population block W_s.
 
     Stores the untilted and counted N x N parts of the block, so
-    ``population_block`` is a cheap, pure function of s.  All methods are
-    safe to call concurrently.
+    ``population_block`` is a cheap, pure function of s, or of a whole grid
+    of s at once.  All methods are safe to call concurrently.
     """
 
     def __init__(self, basis: ExcitonBasis, channels):
@@ -216,12 +216,22 @@ class TiltedGenerator:
     def counted_channels(self) -> tuple[JumpChannel, ...]:
         return tuple(c for c in self.channels if c.counted)
 
-    def population_block(self, s: float) -> np.ndarray:
-        """Classical tilted rate matrix over exciton populations (real)."""
-        return self._block_static + math.exp(-s) * self._block_counted
+    def population_block(self, s) -> np.ndarray:
+        """Classical tilted rate matrix over exciton populations (real).
 
-    def population_block_derivative(self, s: float) -> np.ndarray:
-        return -math.exp(-s) * self._block_counted
+        A scalar s gives one N x N block, an array of s a stack of blocks
+        with the shape of s in front.
+        """
+        return self._block_static + _tilt(s) * self._block_counted
+
+    def population_block_derivative(self, s) -> np.ndarray:
+        """dW/ds, shaped like ``population_block(s)``."""
+        return -_tilt(s) * self._block_counted
+
+
+def _tilt(s) -> np.ndarray:
+    """The counting factor e^{-s}, shaped to broadcast against N x N blocks."""
+    return np.exp(-np.asarray(s, dtype=float))[..., None, None]
 
 
 def tilted_generator(basis: ExcitonBasis, bath: BathSpec, counted) -> TiltedGenerator:

@@ -10,6 +10,7 @@ i + j*N, so the populations sit at a*(N + 1).
 import math
 
 import numpy as np
+import scipy.linalg
 
 from excount.bath import BathSpec, gamma
 from excount.model import SiteModel, diagonalize
@@ -111,3 +112,27 @@ def population_entries(mat):
 
 def top_eigenvalue(mat):
     return float(np.max(np.linalg.eigvals(mat).real))
+
+
+def reference_derivatives(gen, s):
+    """(theta, theta', theta'') at one s, the way lds computed them before
+    batching: scipy's left/right eigensolve of the population block, the
+    top eigenpair by the largest real part, and an explicit loop over the
+    second-order perturbation sum (each pair normalized by its own <l|r>)."""
+    w, vl, vr = scipy.linalg.eig(gen.population_block(s), left=True, right=True)
+    dmat = gen.population_block_derivative(s)
+    i = int(np.argmax(w.real))
+    l0 = vl[:, i].conj()
+    r0 = vr[:, i]
+    s0 = l0 @ r0
+    d1 = (l0 @ dmat @ r0) / s0
+    left_all = vl.conj().T @ dmat @ r0
+    right_all = l0 @ dmat @ vr
+    d2 = -d1
+    for j in range(w.size):
+        num = right_all[j] * left_all[j]
+        if j == i or num == 0.0:
+            continue
+        sj = vl[:, j].conj() @ vr[:, j]
+        d2 += 2.0 * num / ((w[i] - w[j]) * s0 * sj)
+    return float(w[i].real), float(d1.real), float(d2.real)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import excount
 from excount.cli import main
 from excount.units import CM1_TO_PS1
 
@@ -312,6 +317,7 @@ def test_oracle_check_pass(runner, tmp_path):
     assert sum(entry["trajectories"]["histogram"].values()) == 2000
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_oracle_check_zero_coupling_trivial_pass(runner, tmp_path):
     model_path = tmp_path / "flat.json"
     model_path.write_text(
@@ -427,6 +433,7 @@ def test_five_site_user_model_end_to_end(runner, tmp_path):
     assert abs(min(rows, key=lambda r: abs(r[0]))[1]) < 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_coupling_scan_omits_undefined_mandel(runner, tmp_path):
     model_path = tmp_path / "flat.json"
     model_path.write_text(
@@ -441,3 +448,17 @@ def test_zero_coupling_scan_omits_undefined_mandel(runner, tmp_path):
     text = next(tmp_path.glob("theta_scan__flat*.csv")).read_text()
     assert "omitted_rows_undefined_mandel=41" in text
     assert "nan" not in text.lower()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(excount.__file__).resolve().parents[1])
+    code = (
+        "import sys, excount.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -81,6 +81,7 @@ def test_degenerate_gap_error_names_pairs():
         enumerate_channels(basis, BathSpec(35.0, 150.0, 300.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_colliding_gaps_scan_with_zero_theta():
     # a1<->a2 and a2<->a3 share the frequency 100 cm^-1; every rate vanishes
     basis = diagonalize(SiteModel(energies=[0.0, 100.0, 200.0], couplings=np.zeros((3, 3))))

@@ -12,11 +12,13 @@ from excount.generator import (
     enumerate_channels,
     tilted_generator,
 )
+from excount import lds
 from excount.lds import (
     NonConvexThetaWarning,
     ScanPoint,
     SpectralError,
     UndefinedMandelError,
+    _mandel_from,
     default_s_grid,
     find_crossover,
     legendre_reconstruct,
@@ -28,7 +30,13 @@ from excount.lds import (
     theta_derivatives,
 )
 from excount.model import SiteModel, diagonalize, preset
-from reference import homogeneous_chain, random_basis, superoperator, top_eigenvalue
+from reference import (
+    homogeneous_chain,
+    random_basis,
+    reference_derivatives,
+    superoperator,
+    top_eigenvalue,
+)
 
 TEMPS = (77.0, 150.0, 300.0)
 ACCEPT_CHANNELS = {"fmo2": "down:a2->a1", "fmo3": "down:a3->a2", "fmo4": "down:a4->a2"}
@@ -137,17 +145,19 @@ def test_exact_and_fd_second_derivatives_agree(name):
 
 
 class FakeGenerator:
-    """Duck-typed generator with fixed blocks, W_s = mat and dW/ds = dmat."""
+    """Duck-typed generator with fixed blocks, W_s = mat and dW/ds = dmat,
+    broadcast over an array of s like the real blocks."""
 
     def __init__(self, mat, dmat=None):
         self.mat = np.asarray(mat)
         self.dmat = np.zeros_like(self.mat) if dmat is None else np.asarray(dmat)
+        self.n_excitons = self.mat.shape[-1]
 
     def population_block(self, s):
-        return self.mat
+        return np.broadcast_to(self.mat, np.shape(s) + self.mat.shape)
 
     def population_block_derivative(self, s):
-        return self.dmat
+        return np.broadcast_to(self.dmat, np.shape(s) + self.dmat.shape)
 
 
 @pytest.mark.parametrize(
@@ -166,6 +176,15 @@ def test_bad_top_eigenpair_raises_for_both_methods(gen, message):
         theta_derivatives(gen, 0.0)
 
 
+def test_singular_eigenvector_matrix_is_defective(monkeypatch):
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(SpectralError, match=r"defective top eigenpair at s=0\.5"):
+        theta_derivatives(make_generator("fmo2"), 0.5)
+
+
 def test_derivative_guards_raise():
     crowded = FakeGenerator(np.diag([0.0, -1e-10]), [[0.0, 1.0], [1.0, 0.0]])
     complex_slope = FakeGenerator(np.diag([0.0, -1.0]), np.diag([1.0j, 0.0]))
@@ -179,25 +198,96 @@ def test_derivative_guards_raise():
 def test_scan_is_one_eigensolve_per_point(monkeypatch):
     """fmo3 pair:a1<->a2 at 77 K: the top two eigenvalues nearly touch, the
     case where a power iteration stalls; scan must match the full
-    superoperator with a single dense eigensolve per grid point."""
+    superoperator with one batched numpy eigensolve per grid slice, one
+    matrix per grid point and no scipy eigensolve."""
     bath = BathSpec(35.0, 150.0, 77.0)
     gen = tilted_generator(diagonalize(preset("fmo3")), bath, ["pair:a1<->a2"])
     grid = default_s_grid()
-    calls = []
-    for module, name in ((scipy.linalg, "eig"), (np.linalg, "eigvals")):
-        original = getattr(module, name)
+    original = np.linalg.eig
+    # the default slice holds the whole grid; 900 entries make three slices
+    for slice_entries in (lds._SLICE_ENTRIES, 9 * 100):
+        stacks, scipy_calls = [], []
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            stacks.append(a.shape[:-2])
+            return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(lds, "_SLICE_ENTRIES", slice_entries)
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        monkeypatch.setattr(scipy.linalg, "eig", lambda *a, **k: scipy_calls.append(a))
+        points = scan(gen, grid)
+        monkeypatch.undo()
+        assert len(stacks) == math.ceil(grid.size / (slice_entries // 9))
+        assert sum(math.prod(shape) for shape in stacks) == grid.size
+        assert scipy_calls == []
+        scale = max(p.activity for p in points)
+        for p in points:
+            assert abs(p.theta - top_eigenvalue(superoperator(gen, bath, p.s))) <= 1e-10 * scale
+
+
+def hub_generator(leaves, k_out=3.0, k_in=1.7):
+    """A hub exciton with identical leaves, counting every leaf -> hub jump:
+    the antisymmetric leaf combinations give a non-top eigenvalue -k_in of
+    multiplicity leaves - 1 at every s."""
+    basis, _ = random_basis(0, leaves + 1, leaves + 2)
+    channels = []
+    for leaf in range(1, leaves + 1):
+        channels.append(JumpChannel(0, leaf, basis.gap(0, leaf), k_out))
+        channels.append(JumpChannel(leaf, 0, basis.gap(leaf, 0), k_in, counted=True))
+    return TiltedGenerator(basis, channels)
+
+
+def reference_case(name):
+    kind, _, arg = name.partition("-")
+    if kind == "hub":
+        return hub_generator(int(arg))
+    if kind == "chain":
+        n, selector = arg.split("-", 1)
+        return tilted_generator(homogeneous_chain(int(n)), BathSpec(35.0, 150.0, 300.0), [selector])
+    seed, selector = arg.split("-", 1)
+    basis, bath = random_basis(int(seed), 2, 9)
+    n = basis.n_excitons
+    selector = {"down": f"down:a{n}->a1", "pair": "pair:a1<->a2"}.get(selector, selector)
+    return tilted_generator(basis, bath, [selector])
+
+
+REFERENCE_CASES = [
+    *(f"random-{seed}-{sel}" for seed in range(8) for sel in ("down", "pair", "all-down")),
+    *(f"chain-{n}-{sel}" for n in (3, 4, 6) for sel in ("all-down", "pair:a1<->a2")),
+    "hub-3",
+    "hub-5",
+]
+
+
+def assert_matches_reference(gen, grid):
     points = scan(gen, grid)
-    assert len(calls) == grid.size
-    monkeypatch.undo()
-    scale = max(p.activity for p in points)
+    scale = np.max(np.abs(np.diag(gen.population_block(0.0))))
     for p in points:
-        assert abs(p.theta - top_eigenvalue(superoperator(gen, bath, p.s))) <= 1e-10 * scale
+        th, d1, d2 = reference_derivatives(gen, p.s)
+        assert abs(p.theta - th) <= 1e-12 * scale
+        assert abs(p.activity + d1) <= 1e-12 * scale
+        q = _mandel_from(d1, d2)
+        assert (p.mandel is None) == (q is None)
+        if q is not None:
+            assert abs(p.mandel - q) <= 1e-9 * max(1.0, abs(q))
+    return points
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_scan_matches_reference_kernel(name):
+    gen = reference_case(name)
+    assert_matches_reference(gen, default_s_grid())
+
+
+def test_scan_over_several_slices_matches_pointwise():
+    basis, bath = random_basis(3, 30, 31)
+    gen = tilted_generator(basis, bath, ["all-down"])
+    step = lds._SLICE_ENTRIES // gen.n_excitons**2
+    grid = np.linspace(-2.0, 12.0, 2 * step + 5)
+    points = assert_matches_reference(gen, grid)
+    for p, s in zip(points, grid):
+        th, d1, d2 = theta_derivatives(gen, s)
+        assert (p.theta, p.activity, p.mandel) == (th, -d1, _mandel_from(d1, d2))
 
 
 def test_mandel_two_state_values():
