@@ -6,15 +6,22 @@ gives theta(s).  The counted-jump statistics at s=0 are therefore sampled
 exactly by a Gillespie walk (Gillespie, J. Phys. Chem. 81, 2340 (1977))
 over exciton indices; no wavefunction unraveling is needed.
 
+The jump chain and the holding times are drawn apart.  A path table holds
+the cumulative probability of every L-jump path from each exciton, so one
+uniform and one ``searchsorted`` pick the next L destinations at once.  The
+walk advances a block of about ``_BLOCK`` jumps by such lookups, then draws
+the block's holding times and takes its jump times, occupation and counted
+jumps in whole-array operations over (jumps, trajectories).
+
 Trajectories run in fixed chunks of ``_CHUNK``.  Chunk c draws from its
-own stream, spawned from ``SeedSequence(seed)`` by chunk index, and moves
-all of its live trajectories one jump per numpy step, so the result is
-bit-reproducible for a given seed and trajectory count.
+own stream, spawned from ``SeedSequence(seed)`` by chunk index, so the
+result is bit-reproducible for a given seed and trajectory count.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +33,10 @@ from .lds import RateFunctionPoint
 __all__ = ["TrajectoryConfig", "CountStatistics", "simulate", "empirical_rate_function"]
 
 _CHUNK = 1024
+# jumps advanced per block of array arithmetic, rounded up to whole paths
+_BLOCK = 16
+# the path table holds at most this many entries: n**(L+1) for n excitons
+_PATH_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -45,8 +56,8 @@ class TrajectoryConfig:
     initial_state: int | str = "stationary"
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.n_trajectories < 1:
             raise ValueError("need at least one trajectory")
         if self.burn_in is not None and not 0 <= self.burn_in < self.t_max:
@@ -88,30 +99,113 @@ def _stationary(rates: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _walk(rng, state, esc, cum, counted, t_max, burn_in):
-    """Move one chunk of trajectories in lockstep, one jump per numpy step.
+def _destinations(rates, esc):
+    """Row-wise cumulative destination probabilities, ``cum[a, b]``.
 
-    ``state`` holds the start excitons.  Returns the counted jumps per
-    trajectory and the time spent in each exciton inside [burn_in, t_max],
-    summed over the chunk.
+    Rows with no escape hold for dt = inf, so their jumps never count, but
+    must stay well-formed.  The last entry is pinned to 1.0 so every
+    uniform draw lands inside the table, and no entry exceeds it, so each
+    row stays sorted when the cumulative sum rounds above 1.
     """
+    cum = np.ones_like(rates)
+    hop = esc > 0
+    cum[hop] = np.minimum(np.cumsum(rates[:, hop].T, axis=1) / esc[hop, None], 1.0)
+    cum[:, -1] = 1.0
+    return cum
+
+
+def _path_table(cum):
+    """The sorted lookup keys of every L-jump path, and L.
+
+    ``cum[a]`` holds the cumulative destination probabilities from exciton
+    a.  L is the largest path length with n**(L+1) <= ``_PATH_ENTRIES``,
+    but at least 1.  Path p from exciton a visits the base-n digits of p,
+    most significant first; its key is a plus the cumulative probability of
+    the paths up to p, capped at a + 1 and with each row's last key pinned
+    to a + 1, so the keys stay sorted.
+    """
+    n = cum.shape[0]
+    length = 1
+    while n > 1 and n ** (length + 2) <= _PATH_ENTRIES:
+        length += 1
+    step = np.diff(cum, prepend=0.0, axis=1)
+    prob = step
+    for _ in range(length - 1):
+        # extend every path by one jump from its last exciton, p % n
+        prob = (prob[:, :, None] * step[np.arange(prob.shape[1]) % n]).reshape(n, -1)
+    keys = np.minimum(np.cumsum(prob, axis=1), 1.0)
+    keys[:, -1] = 1.0
+    keys += np.arange(n)[:, None]
+    return keys.ravel(), length
+
+
+def _lookup(keys, n_paths, a, u):
+    """The path index drawn by uniforms ``u`` from excitons ``a``.
+
+    When a + u rounds up to a + 1 the count would run into row a + 1, so it
+    is capped at the row's last path.
+    """
+    p = np.searchsorted(keys, a + u, side="right") - a * n_paths
+    return np.minimum(p, n_paths - 1)
+
+
+def _walk(rng, state, esc, table, counted, t_max, burn_in):
+    """Move one chunk of trajectories a block of jumps at a time.
+
+    ``state`` holds the start excitons and ``table`` is ``_path_table``'s
+    result.  Each block of about ``_BLOCK`` jumps draws its jump chain by
+    one path lookup per L jumps, each with one uniform; the holding times,
+    jump times, occupation and counts of the whole block are then array
+    operations, and trajectories past t_max drop out after the block.
+
+    The lookup searches a + u in the keys of row a.  Adding a rounds u to
+    ulp(n) ~ n 2^-52, which distorts a path probability by at most that
+    much, the same order as the rounding already in ``cum``.
+
+    An absorbing exciton (esc == 0) holds for dt = inf, so every later jump
+    of the block lies past t_max.  Returns the counted jumps per trajectory
+    and the time spent in each exciton inside [burn_in, t_max], summed over
+    the chunk.
+    """
+    keys, length = table
     n = esc.size
+    n_paths = n**length
+    lookups = -(-_BLOCK // length)
+    jumps = lookups * length
+    # the excitons path p visits: its base-n digits, first jump first
+    digits = np.arange(n_paths)[:, None] // n ** np.arange(length - 1, -1, -1) % n
     divisor = np.where(esc > 0, esc, 1.0)  # no 0/0 in absorbing states (esc == 0)
+    absorbing = esc == 0
+    flat_counted = counted.ravel()
     counts = np.zeros(state.size, dtype=np.int64)
     occ = np.zeros(n)
     live = np.arange(state.size)
     t = np.zeros(state.size)
     while live.size:
-        u = rng.random((2, live.size))
-        dt = np.where(esc[state] > 0, -np.log1p(-u[0]) / divisor[state], np.inf)
-        t_new = t + dt
-        seg = np.minimum(t_new, t_max) - np.maximum(t, burn_in)
-        occ += np.bincount(state, weights=np.maximum(seg, 0.0), minlength=n)
-        go = t_new < t_max
-        state, t, live = state[go], t_new[go], live[go]
-        dest = (cum[state] <= u[1, go][:, None]).sum(axis=1)
-        counts[live] += counted[state, dest] & (t >= burn_in)
-        state = dest
+        u = rng.random((lookups + jumps, live.size))
+        paths = np.empty((lookups, live.size), dtype=np.intp)
+        a = state
+        for i in range(lookups):
+            paths[i] = _lookup(keys, n_paths, a, u[i])
+            a = paths[i] % n
+        dest = digits[paths].transpose(0, 2, 1).reshape(jumps, -1)
+        held = np.concatenate((state[None], dest[:-1]))
+        # jump times: t, then t plus the cumulated holding times
+        times = np.empty((jumps + 1, live.size))
+        times[0] = t
+        dt = times[1:]
+        np.log1p(-u[lookups:], out=dt)
+        dt /= -divisor[held]
+        np.copyto(dt, np.inf, where=absorbing[held])
+        np.cumsum(times, axis=0, out=times)
+        # time held inside the window: the segments clipped to it
+        seg = np.diff(np.clip(times, burn_in, t_max), axis=0)
+        occ += np.bincount(held.ravel(), weights=seg.ravel(), minlength=n)
+        t1 = times[1:]
+        hit = flat_counted[held * n + dest] & (t1 < t_max) & (t1 >= burn_in)
+        counts[live] += hit.sum(axis=0)
+        go = t1[-1] < t_max
+        state, t, live = dest[-1, go], t1[-1, go], live[go]
     return counts, occ
 
 
@@ -129,17 +223,23 @@ def simulate(channels, config: TrajectoryConfig) -> CountStatistics:
         raise ValueError("no counted channels")
     n = max(max(c.from_exciton, c.to_exciton) for c in channels) + 1
     start = config.initial_state
-    if isinstance(start, str):
-        if start != "stationary":
+    if isinstance(start, str) and start == "stationary":
+        start = None
+    else:
+        try:
+            index = operator.index(start)
+        except TypeError:
+            index = None
+        if index is None or isinstance(start, bool):
             raise ValueError(
                 f"initial_state must be 'stationary' or an exciton index, got {start!r}"
             )
-        start = None
-    elif not 0 <= start < n:
-        raise ValueError(f"initial exciton {start} out of range [0, {n})")
+        if not 0 <= index < n:
+            raise ValueError(f"initial exciton {index} out of range [0, {n})")
+        start = index
     rates = rate_matrix(channels, n)
-    if not np.all(np.isfinite(rates)):
-        raise ValueError("channel rates must be finite")
+    if not np.all(np.isfinite(rates) & (rates >= 0.0)):
+        raise ValueError("channel rates must be finite and non-negative")
     esc = rates.sum(axis=0)
     if not esc.any() and start is not None:
         raise ValueError("all rates vanish; only a stationary start is meaningful")
@@ -161,14 +261,7 @@ def simulate(channels, config: TrajectoryConfig) -> CountStatistics:
             )
     window = config.t_max - burn_in
 
-    # Row-wise cumulative destination probabilities; rows with no escape
-    # are never consulted but must stay well-formed.  The last entry is
-    # pinned to 1.0 so every uniform draw lands inside the table.
-    cum = np.ones((n, n))
-    for a in range(n):
-        if esc[a] > 0:
-            cum[a] = np.cumsum(rates[:, a]) / esc[a]
-            cum[a, -1] = 1.0
+    table = _path_table(_destinations(rates, esc))
 
     pi = _stationary(rates)
     cum_pi = np.cumsum(pi)
@@ -198,7 +291,7 @@ def simulate(channels, config: TrajectoryConfig) -> CountStatistics:
             state = np.minimum(state, n - 1)
         else:
             state = np.full(size, start)
-        counts[chunk], occ = _walk(rng, state, esc, cum, counted, config.t_max, burn_in)
+        counts[chunk], occ = _walk(rng, state, esc, table, counted, config.t_max, burn_in)
         occupation += occ
 
     return _statistics(counts, occupation, window, warning)

@@ -5,12 +5,16 @@ secular Lindblad superoperator lives here, built two independent ways, so
 tests can pin the block (and its top eigenvalue) against it.  Density
 operators are vectorized by column stacking: entry (i, j) sits at index
 i + j*N, so the populations sit at a*(N + 1).
+
+``counting_distribution`` is the exact finite-time distribution of the
+counted jumps, a deterministic reference for the trajectory sampler.
 """
 
 import math
 
 import numpy as np
 import scipy.linalg
+from scipy.special import gammaln
 
 from excount.bath import BathSpec, gamma
 from excount.model import SiteModel, diagonalize
@@ -136,3 +140,46 @@ def reference_derivatives(gen, s):
         sj = vl[:, j].conj() @ vr[:, j]
         d2 += 2.0 * num / ((w[i] - w[j]) * s0 * sj)
     return float(w[i].real), float(d1.real), float(d2.real)
+
+
+def counting_distribution(rates, counted, p0, t, k_max):
+    """P_t(K) of the counted jumps of the population chain, by uniformization.
+
+    ``rates[b, a]`` is the rate from exciton a to b (as
+    ``generator.rate_matrix``) and ``counted[b, a]`` flags the jumps a -> b
+    that count.  The chain starts from populations ``p0`` and runs for time
+    t.  Returns P_t(K) for K = 0 .. k_max - 1, and P_t(K >= k_max) as entry
+    k_max.
+
+    With Lambda the largest escape rate, P = 1 + W / Lambda is a stochastic
+    matrix on (exciton, K) and the state at t is sum_m Pois(m; Lambda t) p0
+    P^m (Jensen 1953; Grassmann, Comput. Oper. Res. 4, 47 (1977)).  The
+    Poisson weights are taken in log space, and the series is cut where
+    the omitted weight is below 1e-12, which is checked before the
+    propagation starts.
+    """
+    rates = np.asarray(rates, dtype=float)
+    counted = np.asarray(counted, dtype=bool)
+    dist = np.zeros((k_max + 1, rates.shape[0]))
+    dist[0] = p0
+    esc = rates.sum(axis=0)
+    lam = esc.max()
+    x = lam * t
+    if x == 0.0:
+        return dist.sum(axis=1)
+    m = np.arange(math.ceil(x + 12.0 * math.sqrt(x) + 40.0))
+    log_w = -x + m * math.log(x) - gammaln(m + 1.0)
+    weights = np.exp(log_w)
+    if not 1.0 - weights.sum() < 1e-12:
+        raise ValueError(f"Poisson truncation leaves {1.0 - weights.sum():.3g}")
+    stay = 1.0 - esc / lam
+    plain = np.where(counted, 0.0, rates).T / lam
+    shift = np.where(counted, rates, 0.0).T / lam
+    out = weights[0] * dist
+    for w in weights[1:]:
+        moved = dist @ shift
+        dist = dist * stay + dist @ plain
+        dist[1:] += moved[:-1]
+        dist[-1] += moved[-1]
+        out += w * dist
+    return out.sum(axis=1)
