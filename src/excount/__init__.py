@@ -2,15 +2,14 @@
 
 from .bath import BathSpec, gamma, spectral_density
 from .generator import (
-    ClassicalTwoState,
     DegenerateGapError,
     JumpChannel,
     SelectorError,
     TiltedGenerator,
-    classical_two_state,
     enumerate_channels,
     resolve_counted,
     tilted_generator,
+    transport_rates,
 )
 from .lds import (
     CrossoverReport,

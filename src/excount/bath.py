@@ -4,13 +4,16 @@ Sign convention for gamma(omega): omega is the energy change of the system,
 so omega > 0 is an upward (absorbing) transition weighted by n(omega) and
 omega < 0 is a downward (emitting) transition weighted by n(|omega|) + 1.
 This is the assignment under which the generator's stationary state is the
-Boltzmann distribution over excitons.
+Boltzmann distribution over excitons.  The functions of omega act
+elementwise on arrays; a scalar omega gives a float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .units import beta_cm
 
@@ -45,36 +48,43 @@ class BathSpec:
         return BathSpec(self.reorg_energy, self.cutoff, temperature_K)
 
 
-def spectral_density(bath: BathSpec, omega: float) -> float:
+def _like(omega, value):
+    """``value`` as a float when ``omega`` is a scalar, else as an array."""
+    return float(value) if np.ndim(omega) == 0 else value
+
+
+def spectral_density(bath: BathSpec, omega):
     """Drude-Lorentz J(omega) = (2 E_r / pi) * omega * omega_c / (omega^2 + omega_c^2)."""
-    if omega < 0:
+    w = np.asarray(omega, dtype=float)
+    if np.any(w < 0):
         raise ValueError(f"spectral_density requires omega >= 0, got {omega}")
-    return (2.0 * bath.reorg_energy / math.pi) * omega * bath.cutoff / (
-        omega * omega + bath.cutoff * bath.cutoff
-    )
+    return _like(omega, (2.0 * bath.reorg_energy / math.pi) * w * bath.cutoff / (
+        w * w + bath.cutoff * bath.cutoff
+    ))
 
 
-def occupation(bath: BathSpec, omega: float) -> float:
+def occupation(bath: BathSpec, omega):
     """Bose occupation n(omega) = 1/(exp(beta*omega) - 1) for omega > 0."""
-    if omega <= 0:
+    w = np.asarray(omega, dtype=float)
+    if np.any(w <= 0):
         raise ValueError(f"occupation requires omega > 0, got {omega}")
     # exp(-x)/(1 - exp(-x)) stays finite for arbitrarily large beta*omega
-    x = bath.beta * omega
-    return math.exp(-x) / -math.expm1(-x)
+    x = bath.beta * w
+    return _like(omega, np.exp(-x) / -np.expm1(-x))
 
 
-def gamma(bath: BathSpec, omega: float) -> float:
+def gamma(bath: BathSpec, omega):
     """Bath factor of a jump rate, 2*pi*J(|omega|)*|n(omega)|, in cm^-1.
 
     Total on the real line: the omega -> 0 limit 4*E_r/(beta*omega_c) is
     used at omega == 0 (pure dephasing), and detailed balance
-    gamma(-omega) = exp(beta*omega) * gamma(omega) holds exactly.
+    gamma(-omega) = exp(beta*omega) * gamma(omega) holds exactly: both
+    signs share one J(|omega|) and one n(|omega|).
     """
-    if omega == 0.0:
-        return 4.0 * bath.reorg_energy / (bath.beta * bath.cutoff)
-    absw = abs(omega)
-    n = occupation(bath, absw)
-    if omega < 0:
-        n += 1.0
-    return 2.0 * math.pi * spectral_density(bath, absw) * n
-
+    w = np.asarray(omega, dtype=float)
+    out = np.full(w.shape, 4.0 * bath.reorg_energy / (bath.beta * bath.cutoff))
+    jump = w != 0.0
+    absw = np.abs(w[jump])
+    n = occupation(bath, absw) + (w[jump] < 0.0)
+    out[jump] = 2.0 * math.pi * spectral_density(bath, absw) * n
+    return _like(omega, out)

@@ -17,11 +17,12 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import lds, output
 from .bath import BathSpec
-from .generator import TiltedGenerator, enumerate_channels, resolve_counted, tilted_generator
-from .model import diagonalize, intensity_factor, load_model, preset, preset_names
+from .generator import resolve_counted, tilted_generator
+from .model import diagonalize, load_model, preset, preset_names
 from .trajectories import TrajectoryConfig, simulate
 from .units import time_ps_to_cm
 
@@ -318,11 +319,8 @@ def crossover_map_cmd(config_file, preset_name, **flags):
         gen = tilted_generator(basis, _bath(cfg, temp), [ch])
         report = lds.find_crossover(gen, grid)
         factors = [
-            {
-                "pair": f"a{c.from_exciton + 1}->a{c.to_exciton + 1}",
-                "intensity_factor": intensity_factor(basis, c.from_exciton, c.to_exciton),
-            }
-            for c in gen.counted_channels
+            {"pair": f"a{a + 1}->a{b + 1}", "intensity_factor": float(basis.intensity_factors[a, b])}
+            for a, b in np.argwhere(gen.counted.T)
         ]
         return report, factors
 
@@ -370,18 +368,12 @@ def oracle_check_cmd(config_file, preset_name, **flags):
     entries = []
     overall = True
     for i, temp in enumerate(cfg.temps):
-        bath = _bath(cfg, temp)
-        all_channels = enumerate_channels(basis, bath)
-        channels = resolve_counted(all_channels, cfg.channels)
+        gen = tilted_generator(basis, _bath(cfg, temp), cfg.channels)
+        channels = gen.channels
         if cfg.traj_channels is not None:
-            traj_side = resolve_counted(all_channels, cfg.traj_channels)
-            if {c.pair for c in traj_side if c.counted} != {
-                c.pair for c in channels if c.counted
-            }:
-                raise ConfigError(
-                    "trajectory counted set differs from the spectral one"
-                )
-        gen = TiltedGenerator(basis, channels)
+            traj_side = resolve_counted(channels, cfg.traj_channels)
+            if [c.counted for c in traj_side] != [c.counted for c in channels]:
+                raise ConfigError("trajectory counted set differs from the spectral one")
         _, d1, d2 = lds.theta_derivatives(gen, 0.0)
         activity = -d1
         q_spectral = lds._mandel_from(d1, d2)

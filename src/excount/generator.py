@@ -1,5 +1,5 @@
-"""Secular Lindblad generator over exciton populations, jump channels, and
-the s-tilted rate matrix.
+"""Secular Lindblad generator over exciton populations: transport rates,
+counted jumps, and the s-tilted rate matrix.
 
 Under the secular structure the exciton populations close on a classical
 rate matrix: each transport channel moves population from one exciton to
@@ -10,33 +10,34 @@ holds also when distinct exciton pairs share a transition frequency (a
 homogeneous chain, say): grouping their jump operators by frequency only
 couples coherences to coherences.
 
-Counting: a channel selector names an ordered exciton pair.  The e^{-s}
+The rates are computed in one place, ``transport_rates``, as one N x N
+matrix; ``JumpChannel`` lists are views of it.
+
+Counting: a channel selector names ordered exciton pairs.  The e^{-s}
 counting factor multiplies the population-jump rates of the selected
 channels and nothing else.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bath import BathSpec, gamma
-from .model import ExcitonBasis, intensity_factor
+from .model import ExcitonBasis
 
 __all__ = [
     "DegenerateGapError",
     "SelectorError",
     "JumpChannel",
     "TiltedGenerator",
-    "ClassicalTwoState",
+    "transport_rates",
     "enumerate_channels",
     "resolve_counted",
     "rate_matrix",
     "tilted_generator",
-    "classical_two_state",
 ]
 
 # Exciton energies closer than this (cm^-1) are degenerate: a transport gap
@@ -79,33 +80,42 @@ class JumpChannel:
         )
 
 
-def enumerate_channels(basis: ExcitonBasis, bath: BathSpec) -> list[JumpChannel]:
-    """The N(N-1) ordered transport channels of the secular generator, none
-    counted yet.
+def transport_rates(basis: ExcitonBasis, bath: BathSpec) -> np.ndarray:
+    """R[b, a] = transport rate from exciton a to b, gamma(eps_b - eps_a)
+    times the intensity factor of the pair; zero on the diagonal.
 
     Raises DegenerateGapError when two exciton energies lie within GAP_TOL
-    (1e-9 cm^-1), i.e. when a transport gap collides with zero.  Distinct
-    pairs that share a transition frequency are accepted.
+    (1e-9 cm^-1), i.e. when a transport gap collides with zero; it names
+    the first such pair (a, b) in row-major order.  Distinct pairs that
+    share a transition frequency are accepted.
     """
-    n = basis.n_excitons
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    channels = []
-    for a, b in pairs:
-        omega = basis.gap(a, b)
-        if abs(omega) < GAP_TOL:
-            raise DegenerateGapError(
-                f"transition a{a + 1}<->a{b + 1} has zero frequency "
-                f"({abs(omega):.3e} cm^-1): the exciton energies are degenerate"
-            )
-        channels.append(
-            JumpChannel(
-                from_exciton=a,
-                to_exciton=b,
-                omega=omega,
-                rate=gamma(bath, omega) * intensity_factor(basis, a, b),
-            )
+    gaps = basis.gaps
+    off = ~np.eye(basis.n_excitons, dtype=bool)
+    collide = np.argwhere(off & (np.abs(gaps) < GAP_TOL))
+    if collide.size:
+        a, b = collide[0]
+        raise DegenerateGapError(
+            f"transition a{a + 1}<->a{b + 1} has zero frequency "
+            f"({abs(gaps[a, b]):.3e} cm^-1): the exciton energies are degenerate"
         )
-    return channels
+    return np.where(off, gamma(bath, gaps) * basis.intensity_factors, 0.0).T
+
+
+def _channels(basis: ExcitonBasis, rates, counted) -> list[JumpChannel]:
+    """JumpChannel views of R and the counted mask, in row-major (from, to) order."""
+    n = basis.n_excitons
+    gaps, by_source, flags = basis.gaps.tolist(), rates.T.tolist(), counted.T.tolist()
+    return [
+        JumpChannel(a, b, gaps[a][b], by_source[a][b], flags[a][b])
+        for a in range(n) for b in range(n) if a != b
+    ]
+
+
+def enumerate_channels(basis: ExcitonBasis, bath: BathSpec) -> list[JumpChannel]:
+    """The N(N-1) ordered transport channels of ``transport_rates``, none
+    counted yet.  Raises DegenerateGapError as ``transport_rates`` does."""
+    rates = transport_rates(basis, bath)
+    return _channels(basis, rates, np.zeros_like(rates, dtype=bool))
 
 
 _DOWN_RE = re.compile(r"^down:a(\d+)->a(\d+)$")
@@ -122,26 +132,21 @@ def _parse_label(text: str, value: str, n: int) -> int:
     return idx
 
 
-def resolve_counted(channels, selectors) -> tuple[JumpChannel, ...]:
-    """Return a channel tuple with counted flags set from the selectors.
-
-    Selector syntax (1-based, ascending-energy exciton labels):
-    ``down:a2->a1`` one downward channel, ``up:a1->a2`` one upward channel,
-    ``pair:a1<->a2`` both directions, ``all-down`` every downward channel.
-    Ordered (from, to) index tuples are accepted programmatically.
-    """
-    n = max(max(c.from_exciton, c.to_exciton) for c in channels) + 1
-    counted_pairs: set[tuple[int, int]] = set()
+def _counted_mask(existing: np.ndarray, selectors) -> np.ndarray:
+    """counted[b, a] flags the jump a -> b as named by the selectors (syntax
+    in ``tilted_generator``); ``existing[b, a]`` flags the channels that exist."""
+    n = existing.shape[0]
+    counted = np.zeros((n, n), dtype=bool)
     for sel in selectors:
         if isinstance(sel, tuple):
             frm, to = sel
             if not (0 <= frm < n and 0 <= to < n):
                 raise SelectorError(f"selector {sel}: exciton index out of range")
-            counted_pairs.add((frm, to))
+            counted[to, frm] = True
             continue
         text = sel.strip()
         if text == "all-down":
-            counted_pairs.update(c.pair for c in channels if c.omega < 0)
+            counted |= np.triu(existing, 1)  # to < from: labels ascend in energy
             continue
         if m := _DOWN_RE.match(text):
             frm = _parse_label(text, m.group(1), n)
@@ -150,36 +155,47 @@ def resolve_counted(channels, selectors) -> tuple[JumpChannel, ...]:
                 raise SelectorError(
                     f"selector {text!r} is not downward (labels ascend in energy)"
                 )
-            counted_pairs.add((frm, to))
+            counted[to, frm] = True
         elif m := _UP_RE.match(text):
             frm = _parse_label(text, m.group(1), n)
             to = _parse_label(text, m.group(2), n)
             if frm >= to:
                 raise SelectorError(f"selector {text!r} is not upward")
-            counted_pairs.add((frm, to))
+            counted[to, frm] = True
         elif m := _PAIR_RE.match(text):
             i = _parse_label(text, m.group(1), n)
             j = _parse_label(text, m.group(2), n)
             if i == j:
                 raise SelectorError(f"selector {text!r} names a single exciton")
-            counted_pairs.add((i, j))
-            counted_pairs.add((j, i))
+            counted[i, j] = counted[j, i] = True
         else:
             raise SelectorError(
                 f"bad channel selector {text!r}; expected down:aJ->aI, "
                 "up:aI->aJ, pair:aI<->aJ or all-down"
             )
-    if not counted_pairs:
+    if not counted.any():
         raise SelectorError("empty counted set: theta(s) would be structure-free")
-    existing = {c.pair for c in channels}
-    missing = counted_pairs - existing
-    if missing:
-        raise SelectorError(f"selectors name non-existing channels: {sorted(missing)}")
-    return tuple(replace(c, counted=c.pair in counted_pairs) for c in channels)
+    missing = np.argwhere((counted & ~existing).T)
+    if missing.size:
+        pairs = [(int(a), int(b)) for a, b in missing]
+        raise SelectorError(f"selectors name non-existing channels: {pairs}")
+    return counted
+
+
+def resolve_counted(channels, selectors) -> tuple[JumpChannel, ...]:
+    """Return a channel tuple with counted flags set from the selectors
+    (syntax as in ``tilted_generator``)."""
+    channels = tuple(channels)
+    n = max(max(c.from_exciton, c.to_exciton) for c in channels) + 1
+    existing = np.zeros((n, n), dtype=bool)
+    for c in channels:
+        existing[c.to_exciton, c.from_exciton] = True
+    counted = _counted_mask(existing, selectors)
+    return tuple(replace(c, counted=bool(counted[c.to_exciton, c.from_exciton])) for c in channels)
 
 
 def rate_matrix(channels, n: int) -> np.ndarray:
-    """R[b, a] = transport rate from exciton a to b."""
+    """R[b, a] = transport rate from exciton a to b, rebuilt from channels."""
     rates = np.zeros((n, n))
     for ch in channels:
         rates[ch.to_exciton, ch.from_exciton] += ch.rate
@@ -189,32 +205,36 @@ def rate_matrix(channels, n: int) -> np.ndarray:
 class TiltedGenerator:
     """The s-parameterized tilted population block W_s.
 
-    Stores the untilted and counted N x N parts of the block, so
-    ``population_block`` is a cheap, pure function of s, or of a whole grid
-    of s at once.  All methods are safe to call concurrently.
+    Built from the rate matrix ``rates`` (R[b, a], a -> b) and the boolean
+    mask ``counted`` of the counted jumps, shaped like it.  Stores the
+    untilted and counted N x N parts of the block, so ``population_block``
+    is a cheap, pure function of s, or of a whole grid of s at once.  All
+    methods are safe to call concurrently.
     """
 
-    def __init__(self, basis: ExcitonBasis, channels):
-        channels = tuple(channels)
-        if not any(c.counted for c in channels):
+    def __init__(self, basis: ExcitonBasis, rates, counted):
+        n = basis.n_excitons
+        rates = np.array(rates, dtype=float, order="C")  # sets how column sums round
+        counted = np.array(counted, dtype=bool)
+        if rates.shape != (n, n) or counted.shape != (n, n):
+            raise ValueError(f"rates and counted must be {n}x{n} for {n} excitons")
+        if not counted.any():
             raise SelectorError("tilted generator needs a non-empty counted set")
         self.basis = basis
-        self.channels = channels
-        n = basis.n_excitons
-        self._n = n
-
-        rates = rate_matrix(channels, n)
-        self._block_counted = rate_matrix(self.counted_channels, n)
+        self.rates = rates
+        self.counted = counted
+        self._block_counted = np.where(counted, rates, 0.0)
         esc = rates.sum(axis=0)
         self._block_static = rates - self._block_counted - np.diag(esc)
 
     @property
     def n_excitons(self) -> int:
-        return self._n
+        return self.basis.n_excitons
 
     @property
-    def counted_channels(self) -> tuple[JumpChannel, ...]:
-        return tuple(c for c in self.channels if c.counted)
+    def channels(self) -> list[JumpChannel]:
+        """The transport channels as JumpChannel views, counted flags set."""
+        return _channels(self.basis, self.rates, self.counted)
 
     def population_block(self, s) -> np.ndarray:
         """Classical tilted rate matrix over exciton populations (real).
@@ -235,62 +255,14 @@ def _tilt(s) -> np.ndarray:
 
 
 def tilted_generator(basis: ExcitonBasis, bath: BathSpec, counted) -> TiltedGenerator:
-    """Enumerate channels, apply counting selectors, return the generator."""
-    channels = resolve_counted(enumerate_channels(basis, bath), counted)
-    return TiltedGenerator(basis, channels)
+    """The generator of ``transport_rates`` with the jumps named by the
+    ``counted`` selectors counted.
 
-
-def classical_two_state(kappa: float, Gamma: float, s: float) -> np.ndarray:
-    """The two-state rate matrix [[-kappa, Gamma e^{-s}], [kappa, -Gamma]]."""
-    if kappa <= 0 or Gamma <= 0:
-        raise ValueError(f"rates must be positive, got kappa={kappa}, Gamma={Gamma}")
-    return np.array([[-kappa, Gamma * math.exp(-s)], [kappa, -Gamma]])
-
-
-@dataclass(frozen=True)
-class ClassicalTwoState:
-    """Closed forms for the two-state chain with counting on the Gamma leg.
-
-    ``kappa`` is the upward and ``Gamma`` the downward equilibrium rate;
-    detailed balance ties them through the counted jump's signed frequency,
-    Gamma = kappa * exp(-beta * omega) with omega < 0 for a downward jump.
+    Selector syntax (1-based, ascending-energy exciton labels):
+    ``down:a2->a1`` one downward channel, ``up:a1->a2`` one upward channel,
+    ``pair:a1<->a2`` both directions, ``all-down`` every downward channel.
+    Ordered (from, to) index tuples are accepted programmatically.
     """
-
-    kappa: float
-    Gamma: float
-
-    def __post_init__(self):
-        if self.kappa <= 0 or self.Gamma <= 0:
-            raise ValueError("rates must be positive")
-
-    @classmethod
-    def from_channels(cls, channels, bath: BathSpec) -> "ClassicalTwoState":
-        """Build from an enumerated two-exciton channel list, with a
-        detailed-balance consistency check."""
-        channels = list(channels)
-        if len(channels) != 2:
-            raise ValueError("expected exactly one exciton pair")
-        down = next(c for c in channels if c.omega < 0)
-        up = next(c for c in channels if c.omega > 0)
-        expected = up.rate * math.exp(-bath.beta * down.omega)
-        if not math.isclose(down.rate, expected, rel_tol=1e-10):
-            raise ValueError("channel rates violate detailed balance")
-        return cls(kappa=up.rate, Gamma=down.rate)
-
-    def matrix(self, s: float) -> np.ndarray:
-        return classical_two_state(self.kappa, self.Gamma, s)
-
-    def _discriminant(self, s: float) -> float:
-        # (kappa+Gamma)^2 - 4 kappa Gamma (1 - e^{-s}), in cancellation-free form
-        return (self.kappa - self.Gamma) ** 2 + 4.0 * self.kappa * self.Gamma * math.exp(-s)
-
-    def theta(self, s: float) -> float:
-        """Largest eigenvalue of the tilted matrix."""
-        return -0.5 * (self.kappa + self.Gamma) + 0.5 * math.sqrt(self._discriminant(s))
-
-    def activity(self, s: float) -> float:
-        return self.kappa * self.Gamma * math.exp(-s) / math.sqrt(self._discriminant(s))
-
-    def mandel(self, s: float) -> float:
-        """Q(s) = -2 kappa Gamma e^{-s} / [(kappa+Gamma)^2 - 4 kappa Gamma (1-e^{-s})]."""
-        return -2.0 * self.kappa * self.Gamma * math.exp(-s) / self._discriminant(s)
+    rates = transport_rates(basis, bath)
+    existing = ~np.eye(basis.n_excitons, dtype=bool)
+    return TiltedGenerator(basis, rates, _counted_mask(existing, counted))

@@ -8,6 +8,7 @@ positive J lowers the symmetric combination.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -115,6 +116,26 @@ class ExcitonBasis:
         """Energy change of a jump from exciton a to exciton b."""
         return float(self.energies[b] - self.energies[a])
 
+    @functools.cached_property
+    def intensity_factors(self) -> np.ndarray:
+        """Intensity factors, [a, b] = sum_m |c_m(a)|^2 |c_m(b)|^2, in [0, 1].
+
+        Sums ((c_a c_a) c_b) c_b over the contiguous site axis, as for one
+        pair (a matrix product would round differently), in row blocks of
+        at most 2^18 products to bound the temporary.
+        """
+        amps = np.ascontiguousarray(self.amplitudes.T)  # amps[a, m] = c_m(a)
+        squares = amps * amps
+        n, n_sites = amps.shape
+        out = np.empty((n, n))
+        step = max(1, (1 << 18) // (n * n_sites))
+        for lo in range(0, n, step):
+            prod = squares[lo:lo + step, None, :] * amps
+            prod *= amps
+            out[lo:lo + step] = prod.sum(axis=-1)
+        out.setflags(write=False)
+        return out
+
 
 def site_hamiltonian(model: SiteModel) -> np.ndarray:
     """Single-excitation Hamiltonian block, H = diag(eps) - J."""
@@ -133,7 +154,7 @@ def diagonalize(model: SiteModel) -> ExcitonBasis:
     DegenerateSpectrumError
         When two exciton energies coincide within 1e-9 cm^-1 and the model
         is a shipped preset.  User models only get a warning here;
-        ``generator.enumerate_channels`` then rejects them.
+        ``generator.transport_rates`` then rejects them.
     """
     h = site_hamiltonian(model)
     energies, vecs = np.linalg.eigh(h)
@@ -157,18 +178,14 @@ def diagonalize(model: SiteModel) -> ExcitonBasis:
 def intensity_factor(basis: ExcitonBasis, alpha: int, alpha_prime: int) -> float:
     """Electronic contribution to the alpha <-> alpha' transfer rate.
 
-    Sums the squared exciton interference over sites,
-    sum_m |c_m(alpha)|^2 |c_m(alpha')|^2; always in [0, 1] and symmetric
-    in its two indices.
+    One entry of ``basis.intensity_factors``.
     """
     n = basis.n_excitons
     if not (0 <= alpha < n and 0 <= alpha_prime < n):
         raise IndexError(
             f"exciton index out of range: ({alpha}, {alpha_prime}) for {n} excitons"
         )
-    ca = basis.amplitudes[:, alpha]
-    cb = basis.amplitudes[:, alpha_prime]
-    return float(np.sum(ca * ca * cb * cb))
+    return float(basis.intensity_factors[alpha, alpha_prime])
 
 
 def dominant_exciton(basis: ExcitonBasis, site: int) -> int:

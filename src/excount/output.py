@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import html
 import json
-import math
+
+import numpy as np
 
 from .units import CM1_TO_PS1
 
@@ -25,10 +26,17 @@ __all__ = [
 ]
 
 
-def _num(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"refusing to write non-finite value {x}")
-    return f"{x:.12g}"
+def _csv_rows(rows, width: int) -> list[str]:
+    """A float table as %.12g CSV text (digits as ``f"{x:.12g}"``), formatted
+    by one ``%`` over the flattened table; no text for an empty table."""
+    flat = np.asarray(rows, dtype=float).reshape(-1)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise ValueError(f"refusing to write non-finite value {flat[~finite][0]}")
+    if not flat.size:
+        return []
+    row = ",".join(["%.12g"] * width)
+    return ["\n".join([row] * (flat.size // width)) % tuple(flat.tolist())]
 
 
 def channel_slug(selector: str) -> str:
@@ -56,22 +64,13 @@ def scan_csv(points, comment: str | None = None) -> str:
     if comment:
         lines.append(f"# {comment}")
     lines.append("s,theta_cm1,activity_cm1,activity_ps1,mandel")
-    omitted = 0
-    for p in points:
-        if p.mandel is None:
-            omitted += 1
-            continue
-        lines.append(
-            ",".join(
-                (
-                    _num(p.s),
-                    _num(p.theta),
-                    _num(p.activity),
-                    _num(p.activity * CM1_TO_PS1),
-                    _num(p.mandel),
-                )
-            )
-        )
+    rows = [
+        (p.s, p.theta, p.activity, p.activity * CM1_TO_PS1, p.mandel)
+        for p in points
+        if p.mandel is not None
+    ]
+    lines += _csv_rows(rows, 5)
+    omitted = len(points) - len(rows)
     if omitted:
         lines.append(f"# omitted_rows_undefined_mandel={omitted}")
     return "\n".join(lines) + "\n"
@@ -82,8 +81,7 @@ def rate_function_csv(points, comment: str | None = None) -> str:
     if comment:
         lines.append(f"# {comment}")
     lines.append("k_cm1,k_ps1,phi_cm1")
-    for p in points:
-        lines.append(",".join((_num(p.k), _num(p.k * CM1_TO_PS1), _num(p.phi))))
+    lines += _csv_rows([(p.k, p.k * CM1_TO_PS1, p.phi) for p in points], 3)
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,11 @@
 """Stochastic trajectory oracle: continuous-time jumps over exciton populations.
 
 Under the secular generator the populations close on a classical Markov
-chain, the same rate matrix (``generator.rate_matrix``) whose tilted form
-gives theta(s).  The counted-jump statistics at s=0 are therefore sampled
-exactly by a Gillespie walk (Gillespie, J. Phys. Chem. 81, 2340 (1977))
-over exciton indices; no wavefunction unraveling is needed.
+chain, the same rate matrix (``generator.transport_rates``, rebuilt from
+the channel views ``simulate`` takes by ``generator.rate_matrix``) whose
+tilted form gives theta(s).  The counted-jump statistics at s=0 are
+therefore sampled exactly by a Gillespie walk (Gillespie, J. Phys. Chem.
+81, 2340 (1977)) over exciton indices; no wavefunction unraveling is needed.
 
 The jump chain and the holding times are drawn apart.  A path table holds
 the cumulative probability of every L-jump path from each exciton, so one
@@ -58,10 +59,22 @@ class TrajectoryConfig:
     def __post_init__(self):
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.n_trajectories < 1:
-            raise ValueError("need at least one trajectory")
+        for name, low in (("n_trajectories", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if _index(value) is None or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.burn_in is not None and not 0 <= self.burn_in < self.t_max:
             raise ValueError("need t_max > burn_in >= 0")
+
+
+def _index(value) -> int | None:
+    """``value`` as an int if it is an integer (a bool is not), else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -226,11 +239,8 @@ def simulate(channels, config: TrajectoryConfig) -> CountStatistics:
     if isinstance(start, str) and start == "stationary":
         start = None
     else:
-        try:
-            index = operator.index(start)
-        except TypeError:
-            index = None
-        if index is None or isinstance(start, bool):
+        index = _index(start)
+        if index is None:
             raise ValueError(
                 f"initial_state must be 'stationary' or an exciton index, got {start!r}"
             )

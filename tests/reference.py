@@ -8,9 +8,14 @@ i + j*N, so the populations sit at a*(N + 1).
 
 ``counting_distribution`` is the exact finite-time distribution of the
 counted jumps, a deterministic reference for the trajectory sampler.
+
+``scalar_rates`` is the rate matrix computed one ordered exciton pair at a
+time with ``math.exp``, the reference for the array build, and
+``ClassicalTwoState`` holds the closed forms of the two-state chain.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -183,3 +188,89 @@ def counting_distribution(rates, counted, p0, t, k_max):
         dist[-1] += moved[-1]
         out += w * dist
     return out.sum(axis=1)
+
+
+def scalar_gamma(bath, omega):
+    """gamma(omega) for one float omega, with ``math.exp``: the bath factor
+    2 pi J(|omega|) |n(omega)|, and its limit 4 E_r / (beta omega_c) at 0."""
+    if omega == 0.0:
+        return 4.0 * bath.reorg_energy / (bath.beta * bath.cutoff)
+    absw = abs(omega)
+    x = bath.beta * absw
+    n = math.exp(-x) / -math.expm1(-x)
+    if omega < 0:
+        n += 1.0
+    density = (2.0 * bath.reorg_energy / math.pi) * absw * bath.cutoff / (
+        absw * absw + bath.cutoff * bath.cutoff
+    )
+    return 2.0 * math.pi * density * n
+
+
+def scalar_rates(basis, bath):
+    """R[b, a], the transport rate a -> b, filled by one loop over the
+    ordered exciton pairs: gamma at the pair's gap times its intensity
+    factor sum_m c_m(a)^2 c_m(b)^2."""
+    n = basis.n_excitons
+    rates = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                ca = basis.amplitudes[:, a]
+                cb = basis.amplitudes[:, b]
+                factor = float(np.sum(ca * ca * cb * cb))
+                rates[b, a] = scalar_gamma(bath, basis.gap(a, b)) * factor
+    return rates
+
+
+def classical_two_state(kappa, Gamma, s):
+    """The two-state rate matrix [[-kappa, Gamma e^{-s}], [kappa, -Gamma]]."""
+    if kappa <= 0 or Gamma <= 0:
+        raise ValueError(f"rates must be positive, got kappa={kappa}, Gamma={Gamma}")
+    return np.array([[-kappa, Gamma * math.exp(-s)], [kappa, -Gamma]])
+
+
+@dataclass(frozen=True)
+class ClassicalTwoState:
+    """Closed forms for the two-state chain with counting on the Gamma leg.
+
+    ``kappa`` is the upward and ``Gamma`` the downward equilibrium rate;
+    detailed balance ties them through the counted jump's signed frequency,
+    Gamma = kappa * exp(-beta * omega) with omega < 0 for a downward jump.
+    """
+
+    kappa: float
+    Gamma: float
+
+    def __post_init__(self):
+        if self.kappa <= 0 or self.Gamma <= 0:
+            raise ValueError("rates must be positive")
+
+    @classmethod
+    def from_rates(cls, rates, basis, bath):
+        """Build from a two-exciton rate matrix R[b, a], with a
+        detailed-balance consistency check."""
+        if np.shape(rates) != (2, 2):
+            raise ValueError("expected exactly one exciton pair")
+        up, down = float(rates[1, 0]), float(rates[0, 1])
+        expected = up * math.exp(bath.beta * basis.gap(0, 1))
+        if not math.isclose(down, expected, rel_tol=1e-10):
+            raise ValueError("channel rates violate detailed balance")
+        return cls(kappa=up, Gamma=down)
+
+    def matrix(self, s):
+        return classical_two_state(self.kappa, self.Gamma, s)
+
+    def _discriminant(self, s):
+        # (kappa+Gamma)^2 - 4 kappa Gamma (1 - e^{-s}), in cancellation-free form
+        return (self.kappa - self.Gamma) ** 2 + 4.0 * self.kappa * self.Gamma * math.exp(-s)
+
+    def theta(self, s):
+        """Largest eigenvalue of the tilted matrix."""
+        return -0.5 * (self.kappa + self.Gamma) + 0.5 * math.sqrt(self._discriminant(s))
+
+    def activity(self, s):
+        return self.kappa * self.Gamma * math.exp(-s) / math.sqrt(self._discriminant(s))
+
+    def mandel(self, s):
+        """Q(s) = -2 kappa Gamma e^{-s} / [(kappa+Gamma)^2 - 4 kappa Gamma (1-e^{-s})]."""
+        return -2.0 * self.kappa * self.Gamma * math.exp(-s) / self._discriminant(s)

@@ -17,10 +17,10 @@ from click.testing import CliRunner
 from excount.bath import BathSpec
 from excount.cli import main as cli_main
 from excount.generator import (
-    ClassicalTwoState,
     enumerate_channels,
     resolve_counted,
     tilted_generator,
+    transport_rates,
 )
 from excount.lds import (
     default_s_grid,
@@ -34,7 +34,7 @@ from excount.lds import (
 )
 from excount.model import diagonalize, dominant_exciton, preset
 from excount.trajectories import TrajectoryConfig, simulate
-from reference import superoperator, top_eigenvalue
+from reference import ClassicalTwoState, superoperator, top_eigenvalue
 
 TEMPS = (77.0, 150.0, 300.0)
 S_GRID = default_s_grid()  # 281 points on [-2, 12]
@@ -54,7 +54,7 @@ def generator_for(name, temp, selector=None):
 def two_state_reference(temp):
     basis = diagonalize(preset("fmo2"))
     bath = BathSpec(35.0, 150.0, temp)
-    return ClassicalTwoState.from_channels(enumerate_channels(basis, bath), bath)
+    return ClassicalTwoState.from_rates(transport_rates(basis, bath), basis, bath)
 
 
 def report(tag, ok, detail=""):

@@ -6,6 +6,7 @@ import scipy.integrate
 
 from excount.bath import BathSpec, gamma, occupation, spectral_density
 from excount.units import KB_CM1_PER_K
+from reference import scalar_gamma
 
 
 @pytest.fixture
@@ -88,3 +89,19 @@ def test_occupation_domain(bath300):
         occupation(bath300, 0.0)
     assert occupation(bath300, 208.51044) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-6)
 
+
+
+def test_gamma_over_arrays(bath300):
+    omegas = np.array([[-3e3, -75.0, -1e-8], [0.0, 1e-8, 75.0], [150.0, 900.0, 3e3]])
+    values = gamma(bath300, omegas)  # omega = 0 inside an array warns of nothing
+    assert values.shape == omegas.shape
+    expected = np.array([scalar_gamma(bath300, float(w)) for w in omegas.ravel()])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(values.ravel() - expected) <= 4 * eps * expected)
+    assert values[1, 0] == gamma(bath300, 0.0)
+    # both signs share J(|omega|) and n(|omega|): detailed balance elementwise
+    np.testing.assert_allclose(
+        gamma(bath300, -omegas) / values, np.exp(bath300.beta * omegas), rtol=1e-12
+    )
+    assert type(gamma(bath300, 75.0)) is float
+    assert type(gamma(bath300, np.float64(0.0))) is float

@@ -3,25 +3,29 @@ import math
 import numpy as np
 import pytest
 
+from excount import bath as bath_module
 from excount import lds
 from excount.bath import BathSpec, gamma
+from excount import generator
 from excount.generator import (
-    ClassicalTwoState,
     DegenerateGapError,
     SelectorError,
     TiltedGenerator,
-    classical_two_state,
     enumerate_channels,
     resolve_counted,
     tilted_generator,
+    transport_rates,
 )
 from excount.model import SiteModel, diagonalize, intensity_factor, preset
 from reference import (
+    ClassicalTwoState,
+    classical_two_state,
     homogeneous_chain,
     kron_reference,
     lindblad_direct,
     population_entries,
     random_basis,
+    scalar_rates,
     superoperator,
     top_eigenvalue,
 )
@@ -72,13 +76,102 @@ def test_fmo3_channel_count_and_strongest_pair():
 
 
 def test_degenerate_gap_error_names_pairs():
-    # degenerate exciton energies put a transport gap at zero
-    with pytest.warns(UserWarning, match="degenerate"):
-        basis = diagonalize(
-            SiteModel(energies=[0.0, 0.0, 200.0], couplings=np.zeros((3, 3)))
-        )
-    with pytest.raises(DegenerateGapError, match=r"a1<->a2"):
-        enumerate_channels(basis, BathSpec(35.0, 150.0, 300.0))
+    # degenerate exciton energies put a transport gap at zero; the error
+    # names the first colliding pair (a, b) in row-major order
+    bath = BathSpec(35.0, 150.0, 300.0)
+    for energies, pair in (
+        ([0.0, 0.0, 200.0], "a1<->a2"),
+        ([0.0, 100.0, 100.0, 100.0], "a2<->a3"),
+        ([0.0, 0.0, 300.0, 300.0], "a1<->a2"),
+    ):
+        n = len(energies)
+        with pytest.warns(UserWarning, match="degenerate"):
+            basis = diagonalize(SiteModel(energies=energies, couplings=np.zeros((n, n))))
+        message = rf"transition {pair} has zero frequency"
+        with pytest.raises(DegenerateGapError, match=message):
+            enumerate_channels(basis, bath)
+        with pytest.raises(DegenerateGapError, match=message):
+            tilted_generator(basis, bath, ["all-down"])
+
+
+def assert_rates_match_scalar_reference(basis, bath):
+    rates = transport_rates(basis, bath)
+    expected = scalar_rates(basis, bath)
+    # np.exp may round one ulp away from math.exp, so allow a few ulp
+    assert np.all(np.abs(rates - expected) <= 4 * np.finfo(float).eps * np.abs(expected))
+    gen = tilted_generator(basis, bath, ["all-down"])
+    assert np.array_equal(gen.rates, rates)
+    for c in enumerate_channels(basis, bath):
+        assert c.rate == rates[c.to_exciton, c.from_exciton]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_array_rates_match_scalar_reference(seed):
+    basis, _ = random_basis(200 + seed, 2, 31)
+    rng = np.random.default_rng(seed)
+    for temp in (4.0, float(10.0 ** rng.uniform(math.log10(4.0), 4.0)), 1e4):
+        assert_rates_match_scalar_reference(basis, BathSpec(35.0, 150.0, temp))
+
+
+@pytest.mark.parametrize("model", ["chain", "uncoupled"])
+def test_array_rates_match_scalar_reference_special_models(model):
+    if model == "chain":
+        basis = homogeneous_chain(7)
+    else:
+        energies = [0.0, 150.0, 340.0, 500.0]
+        basis = diagonalize(SiteModel(energies=energies, couplings=np.zeros((4, 4))))
+    for temp in (4.0, 300.0, 1e4):
+        assert_rates_match_scalar_reference(basis, BathSpec(35.0, 150.0, temp))
+    if model == "uncoupled":
+        assert not transport_rates(basis, BathSpec(35.0, 150.0, 300.0)).any()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_counted_mask_matches_selector_pairs(seed):
+    basis, bath = random_basis(300 + seed, 2, 9)
+    n = basis.n_excitons
+    hi, lo = sorted(np.random.default_rng(seed).choice(n, 2, replace=False), reverse=True)
+    hi, lo = int(hi), int(lo)
+    downward = {(a, b) for a in range(n) for b in range(n) if basis.gap(a, b) < 0}
+    cases = [
+        ([f"down:a{hi + 1}->a{lo + 1}"], {(hi, lo)}),
+        ([f"up:a{lo + 1}->a{hi + 1}"], {(lo, hi)}),
+        ([f"pair:a{lo + 1}<->a{hi + 1}"], {(lo, hi), (hi, lo)}),
+        (["all-down"], downward),
+        ([(lo, hi)], {(lo, hi)}),
+        ([(hi, lo), f"up:a{lo + 1}->a{hi + 1}"], {(hi, lo), (lo, hi)}),
+    ]
+    channels = enumerate_channels(basis, bath)
+    for selectors, pairs in cases:
+        gen = tilted_generator(basis, bath, selectors)
+        assert {(int(a), int(b)) for a, b in np.argwhere(gen.counted.T)} == pairs
+        assert {c.pair for c in gen.channels if c.counted} == pairs
+        assert {c.pair for c in resolve_counted(channels, selectors) if c.counted} == pairs
+
+
+def test_generator_does_not_depend_on_rate_layout():
+    # escape rates are column sums, whose rounding follows the memory order
+    basis, bath = random_basis(11, 20, 21)
+    rates = transport_rates(basis, bath)
+    counted = np.triu(np.ones_like(rates, dtype=bool), 1)
+    plain = TiltedGenerator(basis, np.ascontiguousarray(rates), counted)
+    fortran = TiltedGenerator(basis, np.asfortranarray(rates), counted)
+    for s in (-1.0, 0.0, 2.0):
+        assert np.array_equal(plain.population_block(s), fortran.population_block(s))
+
+
+def test_generator_build_calls_gamma_at_most_once(monkeypatch):
+    calls = []
+
+    def counting_gamma(bath, omega):
+        calls.append(np.shape(omega))
+        return gamma(bath, omega)
+
+    monkeypatch.setattr(generator, "gamma", counting_gamma)
+    monkeypatch.setattr(bath_module, "gamma", counting_gamma)
+    basis, bath = random_basis(7, 20, 21)
+    tilted_generator(basis, bath, ["all-down"])
+    assert len(calls) <= 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -221,8 +314,7 @@ def test_population_block_is_stochastic_generator():
 
 def test_population_block_matches_two_state_matrix():
     basis, bath = make("fmo2")
-    channels = enumerate_channels(basis, bath)
-    cts = ClassicalTwoState.from_channels(channels, bath)
+    cts = ClassicalTwoState.from_rates(transport_rates(basis, bath), basis, bath)
     gen = tilted_generator(basis, bath, ["down:a2->a1"])
     for s in (-1.0, 0.0, 0.7, 4.0):
         block = gen.population_block(s)
@@ -358,7 +450,7 @@ def test_empty_counted_set_rejected():
     with pytest.raises(SelectorError, match="empty"):
         resolve_counted(channels, [])
     with pytest.raises(SelectorError):
-        TiltedGenerator(basis, channels)  # nothing flagged counted
+        TiltedGenerator(basis, transport_rates(basis, bath), np.zeros((2, 2), bool))
 
 
 def test_counting_direction_is_irrelevant_for_theta():
@@ -415,7 +507,7 @@ def test_classical_mandel_matches_numerical_derivatives():
 
 def test_classical_from_channels_detailed_balance_guard():
     basis, bath = make("fmo2")
-    cts = ClassicalTwoState.from_channels(enumerate_channels(basis, bath), bath)
+    cts = ClassicalTwoState.from_rates(transport_rates(basis, bath), basis, bath)
     assert cts.Gamma > cts.kappa
     gap = basis.gap(0, 1)
     assert cts.kappa == pytest.approx(cts.Gamma * math.exp(-bath.beta * gap), rel=1e-10)

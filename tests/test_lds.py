@@ -5,13 +5,7 @@ import pytest
 import scipy.linalg
 
 from excount.bath import BathSpec
-from excount.generator import (
-    ClassicalTwoState,
-    JumpChannel,
-    TiltedGenerator,
-    enumerate_channels,
-    tilted_generator,
-)
+from excount.generator import TiltedGenerator, tilted_generator, transport_rates
 from excount import lds
 from excount.lds import (
     NonConvexThetaWarning,
@@ -31,6 +25,7 @@ from excount.lds import (
 )
 from excount.model import SiteModel, diagonalize, preset
 from reference import (
+    ClassicalTwoState,
     homogeneous_chain,
     random_basis,
     reference_derivatives,
@@ -51,11 +46,8 @@ def make_generator(name, temp=300.0, selector=None):
 def equal_rate_generator(kappa):
     """Two-state chain with kappa == Gamma, counting the downward jump."""
     basis = diagonalize(preset("fmo2"))
-    channels = (
-        JumpChannel(0, 1, basis.gap(0, 1), kappa, counted=False),
-        JumpChannel(1, 0, basis.gap(1, 0), kappa, counted=True),
-    )
-    return TiltedGenerator(basis, channels)
+    rates = np.array([[0.0, kappa], [kappa, 0.0]])
+    return TiltedGenerator(basis, rates, [[False, True], [False, False]])
 
 
 def test_theta_vanishes_at_s_zero():
@@ -82,7 +74,7 @@ def test_fmo2_theta_matches_two_state_closed_form():
     for temp in TEMPS:
         basis = diagonalize(preset("fmo2"))
         bath = BathSpec(35.0, 150.0, temp)
-        cts = ClassicalTwoState.from_channels(enumerate_channels(basis, bath), bath)
+        cts = ClassicalTwoState.from_rates(transport_rates(basis, bath), basis, bath)
         gen = tilted_generator(basis, bath, ["down:a2->a1"])
         for s in (-2.0, -0.5, 0.0, 1.0, 6.0, 12.0):
             full = top_eigenvalue(superoperator(gen, bath, s))
@@ -97,7 +89,7 @@ def test_activity_at_zero_is_stationary_flux():
     _, d1, _ = theta_derivatives(gen, 0.0)
     pops = np.exp(-bath.beta * basis.energies)
     pops /= pops.sum()
-    gamma_down = next(c.rate for c in gen.channels if c.counted)
+    gamma_down = gen.rates[0, 1]
     assert -d1 == pytest.approx(gamma_down * pops[1], rel=1e-10)
 
 
@@ -230,11 +222,12 @@ def hub_generator(leaves, k_out=3.0, k_in=1.7):
     the antisymmetric leaf combinations give a non-top eigenvalue -k_in of
     multiplicity leaves - 1 at every s."""
     basis, _ = random_basis(0, leaves + 1, leaves + 2)
-    channels = []
-    for leaf in range(1, leaves + 1):
-        channels.append(JumpChannel(0, leaf, basis.gap(0, leaf), k_out))
-        channels.append(JumpChannel(leaf, 0, basis.gap(leaf, 0), k_in, counted=True))
-    return TiltedGenerator(basis, channels)
+    rates = np.zeros((leaves + 1, leaves + 1))
+    rates[1:, 0] = k_out
+    rates[0, 1:] = k_in
+    counted = np.zeros_like(rates, dtype=bool)
+    counted[0, 1:] = True
+    return TiltedGenerator(basis, rates, counted)
 
 
 def reference_case(name):
@@ -293,7 +286,7 @@ def test_scan_over_several_slices_matches_pointwise():
 def test_mandel_two_state_values():
     basis = diagonalize(preset("fmo2"))
     bath = BathSpec(35.0, 150.0, 300.0)
-    cts = ClassicalTwoState.from_channels(enumerate_channels(basis, bath), bath)
+    cts = ClassicalTwoState.from_rates(transport_rates(basis, bath), basis, bath)
     gen = tilted_generator(basis, bath, ["down:a2->a1"])
     q0 = -2.0 * cts.kappa * cts.Gamma / (cts.kappa + cts.Gamma) ** 2
     assert mandel(gen, 0.0) == pytest.approx(q0, rel=1e-9)

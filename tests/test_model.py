@@ -103,6 +103,21 @@ def test_intensity_factor_symmetry_and_row_sum(seed):
     np.testing.assert_allclose(mat.sum(axis=1), np.ones(n), atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [3, 9, 80])
+def test_intensity_factor_matrix_rounds_like_single_pair(n):
+    # the matrix sums each pair in the order of the single-pair product, so
+    # rates, and the files written from them, round as for one pair at a
+    # time; n = 80 sums more than 8 sites and splits the rows into blocks
+    basis = diagonalize(random_model(n, n))
+    amps = basis.amplitudes
+    expected = np.array(
+        [[np.sum(amps[:, a] * amps[:, a] * amps[:, b] * amps[:, b]) for b in range(n)]
+         for a in range(n)]
+    )
+    assert np.array_equal(basis.intensity_factors, expected)
+    assert basis.intensity_factors is basis.intensity_factors  # computed once
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_rediagonalization_idempotent(seed):
     model = random_model(seed)

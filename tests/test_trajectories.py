@@ -58,6 +58,18 @@ def test_config_validation():
         TrajectoryConfig(t_max=1.0, n_trajectories=0)
     with pytest.raises(ValueError):
         TrajectoryConfig(t_max=1.0, burn_in=2.0)
+    # non-integers are refused here, not deep inside numpy's sampler
+    for bad in (10.0, 2.5, True, "10"):
+        with pytest.raises(ValueError, match=f"n_trajectories .* got {bad!r}"):
+            TrajectoryConfig(t_max=1.0, n_trajectories=bad)
+    for bad in (1.5, 2.0, False, -1):
+        with pytest.raises(ValueError, match=f"seed .* got {bad!r}"):
+            TrajectoryConfig(t_max=1.0, seed=bad)
+    _, _, channels, activity, _ = fmo_setup("fmo2", "down:a2->a1")
+    cfg = TrajectoryConfig(
+        t_max=50.0 / activity, n_trajectories=np.int64(3), seed=np.uint32(5)
+    )
+    assert simulate(channels, cfg).n_trajectories == 3
 
 
 def test_zero_rates_stationary_start():
