@@ -13,8 +13,7 @@ from .generator import (
 )
 from .lds import (
     CrossoverReport,
-    RateFunctionPoint,
-    ScanPoint,
+    ScanResult,
     SpectralError,
     UndefinedMandelError,
     default_s_grid,
@@ -41,7 +40,6 @@ from .model import (
 from .trajectories import (
     CountStatistics,
     TrajectoryConfig,
-    empirical_rate_function,
     simulate,
 )
 

@@ -77,14 +77,17 @@ def gamma(bath: BathSpec, omega):
     """Bath factor of a jump rate, 2*pi*J(|omega|)*|n(omega)|, in cm^-1.
 
     Total on the real line: the omega -> 0 limit 4*E_r/(beta*omega_c) is
-    used at omega == 0 (pure dephasing), and detailed balance
+    used wherever |omega| or beta*|omega| underflows (is below the smallest
+    normal double, where n(omega) would overflow or divide by zero), which
+    includes omega == 0 (pure dephasing).  Detailed balance
     gamma(-omega) = exp(beta*omega) * gamma(omega) holds exactly: both
     signs share one J(|omega|) and one n(|omega|).
     """
     w = np.asarray(omega, dtype=float)
     out = np.full(w.shape, 4.0 * bath.reorg_energy / (bath.beta * bath.cutoff))
-    jump = w != 0.0
-    absw = np.abs(w[jump])
+    absw = np.abs(w)
+    jump = np.minimum(absw, bath.beta * absw) >= np.finfo(float).tiny
+    absw = absw[jump]
     n = occupation(bath, absw) + (w[jump] < 0.0)
     out[jump] = 2.0 * math.pi * spectral_density(bath, absw) * n
     return _like(omega, out)

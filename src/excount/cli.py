@@ -268,16 +268,16 @@ def theta_scan_cmd(config_file, preset_name, **flags):
     results = _fanout(tasks, worker, cfg.workers)
     outdir = Path(cfg.out)
     tag = _model_tag(cfg)
-    for (temp, ch), points in zip(tasks, results):
+    for (temp, ch), result in zip(tasks, results):
         stem = f"theta_scan__{tag}__T{output.format_temperature(temp)}K__{output.channel_slug(ch)}"
         meta = (
             f"model={tag} temperature_K={output.format_temperature(temp)} "
             f"channel={ch} reorg_cm1={cfg.reorg_cm1:g} cutoff_cm1={cfg.cutoff_cm1:g}"
         )
         if "csv" in cfg.formats:
-            _write(outdir / f"{stem}.csv", output.scan_csv(points, meta))
+            _write(outdir / f"{stem}.csv", output.scan_csv(result, meta))
         if "svg" in cfg.formats:
-            _write(outdir / f"{stem}.svg", output.scan_svg(points, meta))
+            _write(outdir / f"{stem}.svg", output.scan_svg(result, meta))
 
 
 @main.command("rate-function")
@@ -292,13 +292,13 @@ def rate_function_cmd(config_file, preset_name, **flags):
     results = _fanout(tasks, worker, cfg.workers)
     outdir = Path(cfg.out)
     tag = _model_tag(cfg)
-    for (temp, ch), points in zip(tasks, results):
-        rf = lds.rate_function(points)
+    for (temp, ch), result in zip(tasks, results):
+        k, phi = lds.rate_function(result)
         stem = f"rate_function__{tag}__T{output.format_temperature(temp)}K__{output.channel_slug(ch)}"
         meta = (
             f"model={tag} temperature_K={output.format_temperature(temp)} channel={ch}"
         )
-        _write(outdir / f"{stem}.csv", output.rate_function_csv(rf, meta))
+        _write(outdir / f"{stem}.csv", output.rate_function_csv(k, phi, meta))
 
 
 @main.command("crossover-map")

@@ -11,6 +11,12 @@ is -theta'(0), the variance rate theta''(0), and the Mandel parameter
 Q(s) = -theta''(s)/theta'(s) - 1 flags sub- (Q<0) versus super-Poissonian
 (Q>0) trajectory ensembles.  The rate function phi(k) is the Legendre
 transform of theta.
+
+Results are numpy columns, never per-point objects: ``scan`` returns one
+``ScanResult`` (s, theta, activity, and Q with NaN where the activity
+vanishes), and ``rate_function`` returns the k and phi columns.  An s at
+which e^{-s} overflows is a ValueError, and a non-finite theta, theta' or
+theta'' is a SpectralError, so a NaN in a result can only mean "Q undefined".
 """
 
 from __future__ import annotations
@@ -27,8 +33,7 @@ __all__ = [
     "SpectralError",
     "UndefinedMandelError",
     "NonConvexThetaWarning",
-    "ScanPoint",
-    "RateFunctionPoint",
+    "ScanResult",
     "CrossoverReport",
     "ParameterScan",
     "theta",
@@ -54,6 +59,12 @@ _SLICE_ENTRIES = 2**18
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# The tilt e^{-s} overflows a double below this s.
+_S_LOWEST = -math.log(np.finfo(float).max)
+
+# Q is undefined where the activity |theta'| is below this (cm^-1).
+_ACTIVITY_FLOOR = 1e-14
+
 
 class SpectralError(RuntimeError):
     """Top eigenvalue of the tilted generator is ambiguous or defective."""
@@ -68,21 +79,17 @@ class NonConvexThetaWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class ScanPoint:
-    """One s-grid sample: theta, activity -theta'(s), and Mandel Q(s)."""
+class ScanResult:
+    """An s grid with theta, the activity -theta'(s) and Mandel Q(s) as
+    float64 columns; Q is NaN where the activity vanishes."""
 
-    s: float
-    theta: float
-    activity: float
-    mandel: float | None
+    s: np.ndarray
+    theta: np.ndarray
+    activity: np.ndarray
+    mandel: np.ndarray
 
-
-@dataclass(frozen=True)
-class RateFunctionPoint:
-    """Legendre-transform sample phi(k) at jump rate k (both cm^-1)."""
-
-    k: float
-    phi: float
+    def __len__(self) -> int:
+        return self.s.size
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,19 @@ def default_s_grid(
     return np.linspace(s_min, s_max, n_points)
 
 
+def _s_array(s_values) -> np.ndarray:
+    """The s values as a float array; ValueError, before any block is built,
+    at the first s where e^{-s} overflows (or that is NaN)."""
+    s = np.asarray(s_values, dtype=float)
+    bad = ~(s >= _S_LOWEST)
+    if bad.any():
+        raise ValueError(
+            f"cannot tilt at s={s.flat[np.argmax(bad)]}: e^-s overflows below "
+            f"s={_S_LOWEST!r}"
+        )
+    return s
+
+
 def _raise_first(bad: np.ndarray, message) -> None:
     """SpectralError for the first True entry of ``bad``; ``message`` maps
     its index to the text."""
@@ -117,15 +137,27 @@ def _raise_first(bad: np.ndarray, message) -> None:
         raise SpectralError(message(int(np.argmax(bad))))
 
 
+# Overflow under a huge tilt is not warned about: the finite checks in
+# _eigensystem and _spectra turn it into a SpectralError.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow
 def _eigensystem(generator: TiltedGenerator, s: np.ndarray):
     """One eigensolve of the stacked tilted blocks at the 1-D array s.
 
     Returns the eigenvalues, the right eigenvectors (columns), the left
     eigenvectors (rows of the inverse, so biorthonormal to the right ones)
-    and the index of each top eigenvalue.  The top eigenpair must be real,
-    unambiguous and non-defective, else SpectralError.
+    and the index of each top eigenvalue.  The blocks must be finite, and
+    the top eigenpair real, unambiguous and non-defective, else
+    SpectralError.
     """
-    w, vr = np.linalg.eig(generator.population_block(s))
+    blocks = generator.population_block(s)
+    _raise_first(
+        ~np.isfinite(blocks).all(axis=(-2, -1)),
+        lambda k: f"tilted block overflows at s={s[k]}",
+    )
+    w, vr = np.linalg.eig(blocks)
     # numpy returns real arrays when every eigenvalue of the stack is real;
     # fixing the dtype keeps a point's result independent of its slice.
     w, vr = w.astype(complex, copy=False), vr.astype(complex, copy=False)
@@ -149,8 +181,8 @@ def _eigensystem(generator: TiltedGenerator, s: np.ndarray):
         raise SpectralError(f"defective top eigenpair at s={s[k]}") from None
     l = vl[rows, i, :]
     r = vr[rows, :, i]
-    with np.errstate(over="ignore"):  # an infinite norm is defective too
-        bound = 1e-12 * np.linalg.norm(l, axis=-1) * np.linalg.norm(r, axis=-1)
+    # an infinite norm is defective too
+    bound = 1e-12 * np.linalg.norm(l, axis=-1) * np.linalg.norm(r, axis=-1)
     _raise_first(
         np.abs((l * r).sum(axis=-1)) < bound,
         lambda k: f"defective top eigenpair at s={s[k]}",
@@ -165,15 +197,17 @@ def _check_real(values: np.ndarray, name: str, s: np.ndarray) -> None:
     )
 
 
+@_quiet_overflow
 def _spectra(generator: TiltedGenerator, s_values) -> np.ndarray:
     """Rows theta, theta' and theta'' over a grid of s, one eigensolve per
     slice of the grid.
 
     theta' comes from the eigenvector identity <l|dW/ds|r> (the left and
     right vectors are biorthonormal), theta'' from the exact second-order
-    eigenvalue-perturbation sum over the remaining eigenpairs.
+    eigenvalue-perturbation sum over the remaining eigenpairs.  Every value
+    is finite, else SpectralError.
     """
-    s = np.asarray(s_values, dtype=float)
+    s = _s_array(s_values)
     out = np.empty((3, s.size))
     step = max(1, _SLICE_ENTRIES // generator.n_excitons**2)
     for lo in range(0, s.size, step):
@@ -200,28 +234,39 @@ def _spectra(generator: TiltedGenerator, s_values) -> np.ndarray:
         d2 = -d1 + 2.0 * terms.sum(axis=-1)
         _check_real(d2, "theta''", part)
         out[:, lo : lo + step] = top.real, d1.real, d2.real
+    _raise_first(
+        ~np.isfinite(out).all(axis=0),
+        lambda k: f"non-finite theta, theta', theta'' = {out[:, k].tolist()} at s={s[k]}",
+    )
     return out
 
 
+def _mandel(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Q = -theta''/theta' - 1, NaN where the activity vanishes."""
+    undefined = np.abs(d1) < _ACTIVITY_FLOOR
+    return np.where(undefined, np.nan, -d2 / np.where(undefined, 1.0, d1) - 1.0)
+
+
 def _mandel_from(d1: float, d2: float) -> float | None:
-    """Q = -theta''/theta' - 1, or None where the activity vanishes."""
-    return None if abs(d1) < 1e-14 else -d2 / d1 - 1.0
+    """Q at one s, or None where the activity vanishes."""
+    q = float(_mandel(np.float64(d1), np.float64(d2)))
+    return None if math.isnan(q) else q
 
 
 def _mandel_grid(generator: TiltedGenerator, s: np.ndarray) -> np.ndarray:
     """Q over the grid s; UndefinedMandelError where the activity vanishes."""
-    _, d1, d2 = _spectra(generator, s)
-    q = [_mandel_from(a, b) for a, b in zip(d1.tolist(), d2.tolist())]
-    if None in q:
+    q = _mandel(*_spectra(generator, s)[1:])
+    undefined = np.isnan(q)
+    if undefined.any():
         raise UndefinedMandelError(
-            f"activity vanishes at s={s[q.index(None)]}; Q undefined"
+            f"activity vanishes at s={s[np.argmax(undefined)]}; Q undefined"
         )
-    return np.array(q)
+    return q
 
 
 def theta(generator: TiltedGenerator, s: float) -> float:
     """theta(s): largest real eigenvalue of the tilted population block."""
-    w, _, _, i = _eigensystem(generator, np.array([s], dtype=float))
+    w, _, _, i = _eigensystem(generator, _s_array([s]))
     return float(w[0, i[0]].real)
 
 
@@ -236,14 +281,11 @@ def mandel(generator: TiltedGenerator, s: float) -> float:
     return float(_mandel_grid(generator, np.array([s], dtype=float))[0])
 
 
-def scan(generator: TiltedGenerator, s_values) -> list[ScanPoint]:
+def scan(generator: TiltedGenerator, s_values) -> ScanResult:
     """Evaluate theta, activity and Mandel Q on a grid of s values."""
-    s = np.asarray(s_values, dtype=float)
-    th, d1, d2 = _spectra(generator, s).tolist()
-    return [
-        ScanPoint(s=x, theta=t, activity=-a, mandel=_mandel_from(a, b))
-        for x, t, a, b in zip(s.tolist(), th, d1, d2)
-    ]
+    s = np.array(s_values, dtype=float)
+    th, d1, d2 = _spectra(generator, s)
+    return ScanResult(s=s, theta=th, activity=-d1, mandel=_mandel(d1, d2))
 
 
 def _check_convexity(s: np.ndarray, th: np.ndarray, tol: float = 1e-9) -> bool:
@@ -251,19 +293,17 @@ def _check_convexity(s: np.ndarray, th: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(second.size == 0 or second.min() >= -tol)
 
 
-def rate_function(scan_points) -> list[RateFunctionPoint]:
-    """Legendre transform of a theta scan: samples of phi on the scanned
-    activity range, via phi(k(s)) = -theta(s) - s*k(s).
+def rate_function(result: ScanResult) -> tuple[np.ndarray, np.ndarray]:
+    """Legendre transform of a theta scan: the columns k and phi(k) on the
+    scanned activity range, in ascending k, via phi(k(s)) = -theta(s) - s*k(s).
 
     The parametric values are cross-checked against the direct grid
     minimum -min_s[theta(s) + k s]; a convexity violation of the numerical
     theta triggers a NonConvexThetaWarning and the result is still
     returned.
     """
-    pts = sorted(scan_points, key=lambda p: p.s)
-    s = np.array([p.s for p in pts])
-    th = np.array([p.theta for p in pts])
-    k = np.array([p.activity for p in pts])
+    by_s = np.argsort(result.s, kind="stable")
+    s, th, k = result.s[by_s], result.theta[by_s], result.activity[by_s]
     convex = _check_convexity(s, th)
     if not convex:
         warnings.warn(
@@ -284,13 +324,13 @@ def rate_function(scan_points) -> list[RateFunctionPoint]:
         )
     phi = np.where((phi < 0.0) & (phi > -1e-9), 0.0, phi)
     order = np.argsort(k)
-    return [RateFunctionPoint(k=float(k[i]), phi=float(phi[i])) for i in order]
+    return k[order], phi[order]
 
 
-def legendre_reconstruct(rate_points, s_values) -> np.ndarray:
-    """Rebuild theta_hat(s) = -min_k [phi(k) + k*s] from a phi grid."""
-    k = np.array([p.k for p in rate_points])
-    phi = np.array([p.phi for p in rate_points])
+def legendre_reconstruct(rate, s_values) -> np.ndarray:
+    """Rebuild theta_hat(s) = -min_k [phi(k) + k*s] from the (k, phi)
+    columns of ``rate_function``."""
+    k, phi = rate
     s = np.asarray(s_values, dtype=float)
     return -(phi[None, :] + np.outer(s, k)).min(axis=1)
 
@@ -342,23 +382,22 @@ def find_crossover(generator: TiltedGenerator, s_grid) -> CrossoverReport:
     q = _mandel_grid(generator, s)
 
     s_star = None
-    for i in range(s.size - 1):
-        if q[i] == 0.0:
-            s_star = float(s[i])
-            break
-        if (q[i] < 0) != (q[i + 1] < 0):
-            s_star = float(
-                _bisect_sign_change(lambda x: mandel(generator, x), s[i], s[i + 1], q[i])
-            )
-            break
+    negative = q < 0
+    change = (q[:-1] == 0.0) | (negative[:-1] != negative[1:])
+    if change.any():
+        i = int(np.argmax(change))
+        s_star = float(
+            s[i]
+            if q[i] == 0.0
+            else _bisect_sign_change(lambda x: mandel(generator, x), s[i], s[i + 1], q[i])
+        )
 
     local_max = None
-    best_q = -np.inf
-    for i in range(1, s.size - 1):
-        if q[i] > q[i - 1] and q[i] >= q[i + 1] and q[i] > best_q:
-            x, qx = _golden_max(lambda x: mandel(generator, x), s[i - 1], s[i + 1])
-            local_max = (float(x), float(qx))
-            best_q = q[i]
+    peaks = np.flatnonzero((q[1:-1] > q[:-2]) & (q[1:-1] >= q[2:])) + 1
+    if peaks.size:
+        i = peaks[np.argmax(q[peaks])]  # the first of equal maxima
+        x, qx = _golden_max(lambda x: mandel(generator, x), s[i - 1], s[i + 1])
+        local_max = (float(x), float(qx))
 
     return CrossoverReport(
         s_star=s_star, q_at_zero=mandel(generator, 0.0), local_max=local_max

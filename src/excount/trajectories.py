@@ -29,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import rate_matrix
-from .lds import RateFunctionPoint
 
-__all__ = ["TrajectoryConfig", "CountStatistics", "simulate", "empirical_rate_function"]
+__all__ = ["TrajectoryConfig", "CountStatistics", "simulate"]
 
 _CHUNK = 1024
 # jumps advanced per block of array arithmetic, rounded up to whole paths
@@ -352,18 +351,3 @@ def _statistics(counts, occupation, window, warning) -> CountStatistics:
         warning=warning,
     )
 
-
-def empirical_rate_function(stats: CountStatistics, t: float) -> list[RateFunctionPoint]:
-    """phi_hat(k) = -ln(P_t(K)) / t over the observed histogram bins.
-
-    Intended for qualitative comparison with the spectral rate function
-    near its minimum; empty bins are simply absent, so no infinities.
-    """
-    if not stats.histogram:
-        raise ValueError("empty histogram")
-    total = sum(stats.histogram.values())
-    points = []
-    for k_count, freq in sorted(stats.histogram.items()):
-        p = freq / total
-        points.append(RateFunctionPoint(k=k_count / t, phi=-math.log(p) / t))
-    return points

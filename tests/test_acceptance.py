@@ -254,10 +254,10 @@ def test_criterion_7_numerical_hygiene():
                 theta_derivatives(gen, s + h)[0] - theta_derivatives(gen, s - h)[0]
             ) / (2.0 * h)
             grad_worst = max(grad_worst, abs(d1 - fd) / abs(d1))
-        points = scan(gen, S_GRID)
-        th = np.array([p.theta for p in points])
+        result = scan(gen, S_GRID)
+        th = result.theta
         convex_worst = min(convex_worst, (th[2:] - 2 * th[1:-1] + th[:-2]).min())
-        rebuilt = legendre_reconstruct(rate_function(points), S_GRID[1:-1])
+        rebuilt = legendre_reconstruct(rate_function(result), S_GRID[1:-1])
         legendre_worst = max(
             legendre_worst,
             np.max(np.abs(rebuilt - th[1:-1])) / np.max(np.abs(th)),

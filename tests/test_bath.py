@@ -105,3 +105,21 @@ def test_gamma_over_arrays(bath300):
     )
     assert type(gamma(bath300, 75.0)) is float
     assert type(gamma(bath300, np.float64(0.0))) is float
+
+
+@pytest.mark.parametrize("temperature", [0.01, 1.0, 300.0, 1e6])
+def test_gamma_where_beta_omega_underflows_is_the_zero_limit(temperature):
+    bath = BathSpec(35.0, 150.0, temperature)
+    limit = 4.0 * 35.0 / (bath.beta * 150.0)
+    tiny = np.finfo(float).tiny
+    # beta*|omega| and |omega| below the smallest normal double, or 0
+    underflows = [5e-324, -5e-324, 0.0, 1e-310, -1e-310, 0.5 * tiny / bath.beta]
+    for omega in underflows:
+        value = gamma(bath, omega)
+        assert isinstance(value, float) and value == limit
+    assert gamma(bath, np.array(underflows)).tolist() == [limit] * len(underflows)
+    mixed = gamma(bath, np.array([5e-324, 1.0, -5e-324, -1.0]))
+    assert mixed.tolist() == [limit, gamma(bath, 1.0), limit, gamma(bath, -1.0)]
+    # just above the underflow the closed form agrees with the limit
+    for omega in (1e-300, -1e-300, 2.0 * tiny / min(bath.beta, 1.0)):
+        assert abs(gamma(bath, omega) - limit) <= 1e-15 * limit

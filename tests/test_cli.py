@@ -395,6 +395,22 @@ def test_invalid_config_machine_readable_error(runner, tmp_path):
     assert "fmo9" in err["error"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_tilt_rejected(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["theta-scan", "--preset", "fmo2", "--channel", "down:a2->a1",
+         "--s-min", "-800", "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2
+    lines = [l for l in result.stderr.splitlines() if l.strip()]
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err.startswith("ValueError: ") and "s=-800.0" in err
+    assert "Warning" not in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_preset_and_model_mutually_exclusive(runner, tmp_path):
     model_path = tmp_path / "m.json"
     model_path.write_text(json.dumps(FMO2_JSON))

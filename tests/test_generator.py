@@ -179,9 +179,9 @@ def test_colliding_gaps_scan_with_zero_theta():
     # a1<->a2 and a2<->a3 share the frequency 100 cm^-1; every rate vanishes
     basis = diagonalize(SiteModel(energies=[0.0, 100.0, 200.0], couplings=np.zeros((3, 3))))
     gen = tilted_generator(basis, BathSpec(35.0, 150.0, 300.0), ["all-down"])
-    points = lds.scan(gen, np.linspace(-2.0, 12.0, 15))
-    assert all(p.theta == 0.0 and p.activity == 0.0 for p in points)
-    assert all(p.mandel is None for p in points)
+    result = lds.scan(gen, np.linspace(-2.0, 12.0, 15))
+    assert np.all(result.theta == 0.0) and np.all(result.activity == 0.0)
+    assert np.all(np.isnan(result.mandel))
 
 
 def grouped_tilted_lindblad(basis, bath, s):
@@ -225,9 +225,10 @@ def test_homogeneous_chain_matches_grouped_lindblad(n):
     bath = BathSpec(35.0, 150.0, 300.0)
     gen = tilted_generator(basis, bath, ["all-down"])
     rate_scale = np.max(np.abs(np.diag(gen.population_block(0.0))))
-    for p in lds.scan(gen, lds.default_s_grid()):
-        expected = top_eigenvalue(grouped_tilted_lindblad(basis, bath, p.s))
-        assert abs(p.theta - expected) <= 1e-9 * rate_scale
+    result = lds.scan(gen, lds.default_s_grid())
+    for s, th in zip(result.s, result.theta):
+        expected = top_eigenvalue(grouped_tilted_lindblad(basis, bath, s))
+        assert abs(th - expected) <= 1e-9 * rate_scale
 
 
 def test_detailed_balance_of_rates_all_presets():
@@ -388,11 +389,11 @@ def test_population_scan_never_assembles_superoperator():
     gen = tilted_generator(basis, BathSpec(35.0, 150.0, 300.0), ["all-down"])
     stored = [v for v in vars(gen).values() if isinstance(v, np.ndarray)]
     assert stored and max(v.size for v in stored) <= n * n
-    points = lds.scan(gen, np.linspace(-2.0, 8.0, 21))
-    rate_scale = max(p.activity for p in points)
+    result = lds.scan(gen, np.linspace(-2.0, 8.0, 21))
+    rate_scale = result.activity.max()
     assert rate_scale > 0
-    (at_zero,) = [p for p in points if p.s == 0.0]
-    assert abs(at_zero.theta) <= 1e-9 * rate_scale
+    (at_zero,) = result.theta[result.s == 0.0]
+    assert abs(at_zero) <= 1e-9 * rate_scale
 
 
 def test_large_s_limit_deletes_counted_sandwiches():

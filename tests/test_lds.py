@@ -9,7 +9,7 @@ from excount.generator import TiltedGenerator, tilted_generator, transport_rates
 from excount import lds
 from excount.lds import (
     NonConvexThetaWarning,
-    ScanPoint,
+    ScanResult,
     SpectralError,
     UndefinedMandelError,
     _mandel_from,
@@ -207,14 +207,14 @@ def test_scan_is_one_eigensolve_per_point(monkeypatch):
         monkeypatch.setattr(lds, "_SLICE_ENTRIES", slice_entries)
         monkeypatch.setattr(np.linalg, "eig", counted)
         monkeypatch.setattr(scipy.linalg, "eig", lambda *a, **k: scipy_calls.append(a))
-        points = scan(gen, grid)
+        result = scan(gen, grid)
         monkeypatch.undo()
         assert len(stacks) == math.ceil(grid.size / (slice_entries // 9))
         assert sum(math.prod(shape) for shape in stacks) == grid.size
         assert scipy_calls == []
-        scale = max(p.activity for p in points)
-        for p in points:
-            assert abs(p.theta - top_eigenvalue(superoperator(gen, bath, p.s))) <= 1e-10 * scale
+        scale = result.activity.max()
+        for s, th in zip(result.s, result.theta):
+            assert abs(th - top_eigenvalue(superoperator(gen, bath, s))) <= 1e-10 * scale
 
 
 def hub_generator(leaves, k_out=3.0, k_in=1.7):
@@ -253,17 +253,17 @@ REFERENCE_CASES = [
 
 
 def assert_matches_reference(gen, grid):
-    points = scan(gen, grid)
+    result = scan(gen, grid)
     scale = np.max(np.abs(np.diag(gen.population_block(0.0))))
-    for p in points:
-        th, d1, d2 = reference_derivatives(gen, p.s)
-        assert abs(p.theta - th) <= 1e-12 * scale
-        assert abs(p.activity + d1) <= 1e-12 * scale
+    for s, theta_s, activity, q_s in zip(result.s, result.theta, result.activity, result.mandel):
+        th, d1, d2 = reference_derivatives(gen, s)
+        assert abs(theta_s - th) <= 1e-12 * scale
+        assert abs(activity + d1) <= 1e-12 * scale
         q = _mandel_from(d1, d2)
-        assert (p.mandel is None) == (q is None)
+        assert np.isnan(q_s) == (q is None)
         if q is not None:
-            assert abs(p.mandel - q) <= 1e-9 * max(1.0, abs(q))
-    return points
+            assert abs(q_s - q) <= 1e-9 * max(1.0, abs(q))
+    return result
 
 
 @pytest.mark.parametrize("name", REFERENCE_CASES)
@@ -277,10 +277,12 @@ def test_scan_over_several_slices_matches_pointwise():
     gen = tilted_generator(basis, bath, ["all-down"])
     step = lds._SLICE_ENTRIES // gen.n_excitons**2
     grid = np.linspace(-2.0, 12.0, 2 * step + 5)
-    points = assert_matches_reference(gen, grid)
-    for p, s in zip(points, grid):
+    result = assert_matches_reference(gen, grid)
+    for i, s in enumerate(grid):
         th, d1, d2 = theta_derivatives(gen, s)
-        assert (p.theta, p.activity, p.mandel) == (th, -d1, _mandel_from(d1, d2))
+        q = _mandel_from(d1, d2)
+        assert (result.theta[i], result.activity[i]) == (th, -d1)
+        assert np.isnan(result.mandel[i]) if q is None else result.mandel[i] == q
 
 
 def test_mandel_two_state_values():
@@ -311,14 +313,14 @@ def test_mandel_undefined_for_dead_chain():
 def test_scan_points_structure():
     gen = make_generator("fmo2")
     grid = default_s_grid(-2.0, 12.0, 57)
-    points = scan(gen, grid)
-    assert len(points) == 57
-    s0 = min(points, key=lambda p: abs(p.s))
-    assert abs(s0.theta) < 1e-10
-    acts = np.array([p.activity for p in points])
+    result = scan(gen, grid)
+    assert len(result) == 57
+    assert all(getattr(result, c).shape == (57,) for c in ("s", "theta", "activity", "mandel"))
+    assert abs(result.theta[np.argmin(np.abs(result.s))]) < 1e-10
+    acts = result.activity
     assert np.all(acts >= 0.0)
     assert np.all(np.diff(acts) <= 1e-9)  # activity non-increasing in s
-    thetas = np.array([p.theta for p in points])
+    thetas = result.theta
     second = thetas[2:] - 2 * thetas[1:-1] + thetas[:-2]
     assert second.min() >= -1e-9  # convexity
 
@@ -327,19 +329,18 @@ def test_scan_marks_undefined_mandel_as_none():
     basis = diagonalize(SiteModel(energies=[0.0, 200.0], couplings=np.zeros((2, 2))))
     bath = BathSpec(35.0, 150.0, 300.0)
     gen = tilted_generator(basis, bath, ["down:a2->a1"])
-    points = scan(gen, np.linspace(-1.0, 1.0, 5))
-    assert all(p.mandel is None for p in points)
-    assert all(p.theta == pytest.approx(0.0, abs=1e-12) for p in points)
+    result = scan(gen, np.linspace(-1.0, 1.0, 5))
+    assert np.all(np.isnan(result.mandel))
+    assert all(th == pytest.approx(0.0, abs=1e-12) for th in result.theta)
 
 
 def test_rate_function_minimum_at_stationary_activity():
     gen = make_generator("fmo2")
-    points = scan(gen, default_s_grid(-2.0, 12.0, 141))
-    rf = rate_function(points)
-    assert all(p.phi >= 0.0 for p in rf)
+    k, phi = rate_function(scan(gen, default_s_grid(-2.0, 12.0, 141)))
+    assert np.all(phi >= 0.0)
     act0 = -theta_derivatives(gen, 0.0)[1]
-    at_mean = min(rf, key=lambda p: abs(p.k - act0))
-    assert at_mean.phi == pytest.approx(0.0, abs=1e-10)
+    at_mean = phi[np.argmin(np.abs(k - act0))]
+    assert at_mean == pytest.approx(0.0, abs=1e-10)
 
 
 def test_rate_function_equal_rate_closed_form():
@@ -347,31 +348,30 @@ def test_rate_function_equal_rate_closed_form():
     # phi(k) = kappa - 2k + 2k ln(2k/kappa)
     kappa = 4.2
     gen = equal_rate_generator(kappa)
-    points = scan(gen, np.linspace(-2.0, 8.0, 101))
-    rf = rate_function(points)
-    for p in rf:
-        expected = kappa - 2.0 * p.k + 2.0 * p.k * math.log(2.0 * p.k / kappa)
-        assert p.phi == pytest.approx(expected, rel=1e-8, abs=1e-10)
+    k, phi = rate_function(scan(gen, np.linspace(-2.0, 8.0, 101)))
+    for k_i, phi_i in zip(k, phi):
+        expected = kappa - 2.0 * k_i + 2.0 * k_i * math.log(2.0 * k_i / kappa)
+        assert phi_i == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
 
 @pytest.mark.parametrize("name", ["fmo2", "fmo3"])
 def test_legendre_round_trip(name):
     gen = make_generator(name)
     grid = default_s_grid()
-    points = scan(gen, grid)
-    rf = rate_function(points)
+    result = scan(gen, grid)
     interior = grid[1:-1]
-    rebuilt = legendre_reconstruct(rf, interior)
-    reference = np.array([p.theta for p in points])[1:-1]
+    rebuilt = legendre_reconstruct(rate_function(result), interior)
+    reference = result.theta[1:-1]
     assert np.max(np.abs(rebuilt - reference)) < 1e-6 * np.max(np.abs(reference))
 
 
 def test_rate_function_flags_nonconvex_input():
-    fake = [
-        ScanPoint(s=0.0, theta=0.0, activity=2.0, mandel=None),
-        ScanPoint(s=1.0, theta=1.0, activity=1.0, mandel=None),
-        ScanPoint(s=2.0, theta=1.2, activity=0.5, mandel=None),
-    ]
+    fake = ScanResult(
+        s=np.array([0.0, 1.0, 2.0]),
+        theta=np.array([0.0, 1.0, 1.2]),
+        activity=np.array([2.0, 1.0, 0.5]),
+        mandel=np.full(3, np.nan),
+    )
     with pytest.warns(NonConvexThetaWarning):
         rate_function(fake)
 
@@ -407,6 +407,111 @@ def test_crossover_grid_validation():
     bad[3] = np.inf
     with pytest.raises(ValueError, match="finite"):
         find_crossover(gen, bad)
+
+
+def loop_crossover(q, s, f, golden_max):
+    """find_crossover's grid search as a per-point loop: the first sign
+    change, and a golden-section refinement of every grid-local maximum of
+    q that beats the best one so far."""
+    s_star = None
+    for i in range(s.size - 1):
+        if q[i] == 0.0:
+            s_star = float(s[i])
+            break
+        if (q[i] < 0) != (q[i + 1] < 0):
+            s_star = float(lds._bisect_sign_change(f, s[i], s[i + 1], q[i]))
+            break
+    local_max, best_q, refinements = None, -np.inf, 0
+    for i in range(1, s.size - 1):
+        if q[i] > q[i - 1] and q[i] >= q[i + 1] and q[i] > best_q:
+            x, qx = golden_max(f, s[i - 1], s[i + 1])
+            local_max, best_q = (float(x), float(qx)), q[i]
+            refinements += 1
+    return s_star, local_max, refinements
+
+
+def patch_mandel(monkeypatch, f, q=None):
+    """Make find_crossover see Q = f (or the grid values q), and record the
+    brackets it hands to _golden_max."""
+    brackets = []
+    golden_max = lds._golden_max
+
+    def recording(g, lo, hi, *args):
+        brackets.append((lo, hi))
+        return golden_max(g, lo, hi, *args)
+
+    monkeypatch.setattr(lds, "_mandel_grid", lambda _gen, s: f(s) if q is None else q)
+    monkeypatch.setattr(lds, "mandel", lambda _gen, x: float(f(x)))
+    monkeypatch.setattr(lds, "_golden_max", recording)
+    return brackets
+
+
+def test_crossover_refines_only_the_highest_local_maximum(monkeypatch):
+    def f(s):
+        return 0.1 * s + np.sin(3.0 * s) - 0.05
+
+    grid = np.linspace(-2.0, 12.0, 141)
+    s_star, local_max, refinements = loop_crossover(f(grid), grid, f, lds._golden_max)
+    assert refinements >= 2  # several local maxima, each higher than the last
+    brackets = patch_mandel(monkeypatch, f)
+    report = find_crossover(None, grid)
+    assert len(brackets) == 1
+    assert report.local_max == local_max
+    assert report.s_star == s_star
+    assert report.q_at_zero == f(0.0)
+
+
+def test_crossover_grid_search_ties_and_zeros(monkeypatch):
+    grid = np.linspace(0.0, 39.0, 40)
+    q = np.full(40, -1.0)
+    q[[10, 30]] = 1.0  # equal maxima: the first is refined
+    q[20] = 0.0  # an exact zero after the first sign change
+    brackets = patch_mandel(monkeypatch, lambda s: np.interp(s, grid, q), q)
+    report = find_crossover(None, grid)
+    assert brackets == [(grid[9], grid[11])]
+    assert 9.0 < report.s_star < 10.0
+    q[:5] = [0.5, 0.25, 0.0, -0.5, -1.0]  # an exact zero comes first
+    assert find_crossover(None, grid).s_star == 2.0
+    q[:] = 0.3  # flat: no sign change and no interior maximum
+    report = find_crossover(None, grid)
+    assert report.s_star is None and report.local_max is None
+
+
+def test_scan_rejects_overflowing_tilt_before_building_blocks(monkeypatch):
+    gen = make_generator("fmo2")
+    builds = []
+    block = TiltedGenerator.population_block
+    monkeypatch.setattr(
+        TiltedGenerator, "population_block", lambda g, s: builds.append(s) or block(g, s)
+    )
+    monkeypatch.setattr(lds, "_SLICE_ENTRIES", 4 * 4)  # four s per slice
+    grid = np.linspace(-2.0, 12.0, 20)
+    grid[[9, 15]] = -800.0, -900.0
+    with pytest.raises(ValueError, match=r"s=-800\.0"):
+        scan(gen, grid)
+    for bad in (-710.0, -np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"s={bad}"):
+            theta(gen, bad)
+        with pytest.raises(ValueError, match=f"s={bad}"):
+            theta_derivatives(gen, bad)
+    assert builds == []
+    # the lowest accepted s is the last one where e^-s is finite
+    assert lds._s_array([lds._S_LOWEST]).tolist() == [lds._S_LOWEST]
+    assert np.isfinite(np.exp(-lds._S_LOWEST))
+
+
+def test_overflowing_tilt_is_a_spectral_error():
+    # the block itself overflows: 4.2 * e^{709.7} > max float
+    with pytest.raises(SpectralError, match="tilted block overflows at s=-709.7"):
+        scan(equal_rate_generator(4.2), [0.0, -709.7])
+    # finite blocks whose theta'' overflows
+    basis = diagonalize(preset("fmo2"))
+    rates = np.array([[0.0, 1e-100], [1e-100, 0.0]])
+    gen = TiltedGenerator(basis, rates, [[False, True], [True, False]])
+    with pytest.raises(SpectralError, match="non-finite theta.* at s=-700.0"):
+        scan(gen, [-700.0])
+    with pytest.raises(SpectralError, match="non-finite"):
+        theta_derivatives(gen, -700.0)
 
 
 @pytest.mark.parametrize("name", ["fmo2", "fmo3", "fmo4"])

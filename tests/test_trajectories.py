@@ -20,13 +20,11 @@ from excount.lds import theta_derivatives
 from excount.model import SiteModel, diagonalize, preset
 from excount.trajectories import (
     _CHUNK,
-    CountStatistics,
     TrajectoryConfig,
     _destinations,
     _lookup,
     _path_table,
     _stationary,
-    empirical_rate_function,
     simulate,
 )
 from reference import counting_distribution
@@ -250,45 +248,6 @@ def test_burn_in_discards_early_relaxation():
     stats = simulate(channels, cfg)
     assert stats.window < cfg.t_max  # default burn-in was applied
     assert abs(stats.mean_rate - activity) < 4.0 * stats.se_mean
-
-
-def test_empirical_rate_function_shape():
-    _, _, channels, activity, _ = fmo_setup("fmo2", "down:a2->a1")
-    cfg = TrajectoryConfig(t_max=200.0 / activity, n_trajectories=10_000, seed=11)
-    stats = simulate(channels, cfg)
-    window = stats.window
-    points = empirical_rate_function(stats, window)
-    assert all(math.isfinite(p.phi) for p in points)
-    phi = {int(round(p.k * window)): p.phi for p in points}
-    mean_bin = int(round(stats.mean_rate * window))
-    # the mode sits within O(ln t / t) of zero
-    assert 0.0 <= phi[mean_bin] <= 2.0 * math.log(window) / window
-    # unimodality: bucket the histogram at half a standard deviation and
-    # demand monotone growth away from the most likely bucket
-    sigma = math.sqrt(stats.variance_rate * window)
-    width = max(2, int(round(sigma / 2.0)))
-    total = sum(stats.histogram.values())
-    buckets: dict[int, int] = {}
-    for k_count, freq in stats.histogram.items():
-        buckets[k_count // width] = buckets.get(k_count // width, 0) + freq
-    bphi = {b: -math.log(c / total) / window for b, c in buckets.items()}
-    keys = sorted(bphi)
-    mode_b = min(bphi, key=bphi.get)
-    left = [bphi[b] for b in keys if b <= mode_b]
-    right = [bphi[b] for b in keys if b >= mode_b]
-    assert len(left) >= 3 and len(right) >= 3
-    assert all(x >= y for x, y in zip(left, left[1:]))
-    assert all(y >= x for x, y in zip(right, right[1:]))
-
-
-def test_empirical_rate_function_empty():
-    stats = CountStatistics(
-        mean_rate=0.0, se_mean=0.0, variance_rate=0.0, se_variance=0.0,
-        mandel_estimate=None, se_mandel=None, histogram={},
-        n_trajectories=0, window=1.0, occupation=np.zeros(2),
-    )
-    with pytest.raises(ValueError, match="histogram"):
-        empirical_rate_function(stats, 1.0)
 
 
 def random_rates(n, seed, absorbing=()):
