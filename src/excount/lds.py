@@ -2,11 +2,15 @@
 
 theta(s), the scaled cumulant generating function of the counted-jump
 statistics, is the largest real eigenvalue of the tilted generator, taken
-from its N x N population block.  One batched numpy eigensolve covers a
-whole s grid (a long grid goes in slices of bounded memory): the blocks
-are stacked, the left eigenvectors are the rows of the inverse of the
-right-eigenvector matrix, and theta' and theta'' follow from vectorised
-perturbation sums.  A single s is a grid of one point.  The mean jump rate
+from its N x N population block.  theta and its derivatives need only the
+top eigenpair: one batched eigenvalues-only solve of the stacked blocks
+gives theta over a whole s grid (a long grid goes in slices of bounded
+memory), and batched bordered systems [[W_s - theta, b], [b^T, 0]] give
+the top right and left vectors and, in the inverse, the generalized
+inverse of W_s - theta, from which theta' and theta'' follow in closed
+form (Meyer, SIAM Rev. 17, 443 (1975)).  Excitons with no rate in or out
+are set aside; they add the eigenvalue 0.  A single s is a grid of one
+point.  The mean jump rate
 is -theta'(0), the variance rate theta''(0), and the Mandel parameter
 Q(s) = -theta''(s)/theta'(s) - 1 flags sub- (Q<0) versus super-Poissonian
 (Q>0) trajectory ensembles.  The rate function phi(k) is the Legendre
@@ -52,7 +56,7 @@ S_MIN_DEFAULT = -2.0
 S_MAX_DEFAULT = 12.0
 S_POINTS_DEFAULT = 281
 
-# Stacked block entries per np.linalg.eig call.  Long grids at large N are
+# Stacked block entries per np.linalg.eigvals call.  Long grids at large N are
 # walked in slices of this size so their memory stays bounded (an unsliced
 # 281-point stack at N = 100 reached 204 MB of resident memory).
 _SLICE_ENTRIES = 2**18
@@ -138,102 +142,186 @@ def _raise_first(bad: np.ndarray, message) -> None:
 
 
 # Overflow under a huge tilt is not warned about: the finite checks in
-# _eigensystem and _spectra turn it into a SpectralError.
+# _top_eigenpairs and _spectra turn it into a SpectralError.
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
-@_quiet_overflow
-def _eigensystem(generator: TiltedGenerator, s: np.ndarray):
-    """One eigensolve of the stacked tilted blocks at the 1-D array s.
+def _live_excitons(block: np.ndarray, derivative: np.ndarray) -> np.ndarray:
+    """Mask of the excitons with a rate in or out: a nonzero entry in their
+    row or column of one block or of its derivative.  The others are
+    isolated, at every s."""
+    nonzero = (block != 0.0) | (derivative != 0.0)
+    return nonzero.any(axis=0) | nonzero.any(axis=1)
 
-    Returns the eigenvalues, the right eigenvectors (columns), the left
-    eigenvectors (rows of the inverse, so biorthonormal to the right ones)
-    and the index of each top eigenvalue.  The blocks must be finite, and
-    the top eigenpair real, unambiguous and non-defective, else
-    SpectralError.
+
+def _inverted(solver, m: np.ndarray, s: np.ndarray, *rhs) -> np.ndarray:
+    """``solver(m, *rhs)``, and a defective SpectralError at the s of the
+    first singular bordered matrix (the stack m may repeat the grid)."""
+    try:
+        return solver(m, *rhs)
+    except np.linalg.LinAlgError:
+        k = int(np.argmin(np.linalg.slogdet(m)[1])) % s.size
+        raise SpectralError(
+            f"defective top eigenpair at s={s[k]}: the bordered matrix is singular"
+        ) from None
+
+
+@_quiet_overflow
+def _top_eigenpairs(generator: TiltedGenerator, s: np.ndarray):
+    """The top eigenpair of the stacked tilted blocks at the 1-D array s,
+    from one eigenvalues-only solve and bordered systems.
+
+    Isolated excitons (no rate in or out) are set aside: each adds the
+    eigenvalue 0 with zero derivatives, and loses a tie with the top
+    eigenvalue of the other ("live") excitons.  On the live block W_s, theta
+    is the eigenvalue with the largest real part.  The bordered matrix
+    M = [[W_s - theta, b], [b^T, 0]] with b = 1 gives the right and left
+    vectors normalized by 1.r = 1 and l.1 = 1 (its last column and row),
+    and so the exciton k with the largest |l_k r_k|.  The inverse of M with
+    b = e_k then holds r (last column, r_k = 1), l (last row, l_k = 1) and,
+    in its top-left block, the generalized inverse S of W_s - theta with
+    S e_k = 0 and e_k^T S = 0.
+
+    Returns (theta, l, r, S, l.r, gap, live, wins): gap is the distance from
+    the top to the nearest other eigenvalue, live the exciton mask, and wins
+    marks the points where the live block's top eigenvalue is theta.  Where
+    an isolated exciton's 0 is theta instead, the pair is that of an
+    identity block, and gap is infinite.
+
+    SpectralError, with the failing s, where a block is not finite, where
+    several eigenvalues with nonzero imaginary parts share the top real part
+    within 1e-12 ("ambiguous"), where the top has an imaginary part above
+    1e-9, and "defective" where the top is not a simple eigenvalue: another
+    real eigenvalue within 1e-12 (a reducible rate matrix), a singular M, or
+    |sum l_i r_i| <= 1e-12 sum |l_i r_i|, a test that diagonal similarity
+    (rescaling the excitons) leaves unchanged.
     """
     blocks = generator.population_block(s)
     _raise_first(
         ~np.isfinite(blocks).all(axis=(-2, -1)),
         lambda k: f"tilted block overflows at s={s[k]}",
     )
-    w, vr = np.linalg.eig(blocks)
-    # numpy returns real arrays when every eigenvalue of the stack is real;
-    # fixing the dtype keeps a point's result independent of its slice.
-    w, vr = w.astype(complex, copy=False), vr.astype(complex, copy=False)
+    live = _live_excitons(blocks[0], generator.population_block_derivative(s[0]))
+    if not live.all():
+        blocks = blocks[:, live][:, :, live]
+    n = blocks.shape[-1]
+    if n == 0:
+        zero, none = np.zeros(s.size), np.zeros((s.size, 0))
+        empty = np.zeros((s.size, 0, 0))
+        return zero, none, none, empty, zero + 1.0, zero + np.inf, live, zero > 0
+    w = np.linalg.eigvals(blocks)
     rows = np.arange(s.size)
     i = np.argmax(w.real, axis=-1)
     top = w[rows, i]
-    near = np.abs(w.real - top.real[:, None]) < 1e-12
+    th = top.real
+    # an isolated exciton's eigenvalue 0 is theta where it beats the live top
+    wins = th >= -1e-12 if n < live.size else np.ones(s.size, dtype=bool)
+    near = np.abs(w.real - th[:, None]) < 1e-12
+    ties = wins & (near.sum(axis=-1) > 1)
+    if np.iscomplexobj(w):  # numpy returns real eigenvalues when all of them are
+        _raise_first(
+            ties & (near & (np.abs(w.imag) > 1e-9)).any(axis=-1),
+            lambda k: f"ambiguous top eigenvalue: {near[k].sum()} eigenvalues share the "
+            f"real part {th[k]:.6g} with nonzero imaginary parts at s={s[k]}",
+        )
+        _raise_first(
+            wins & (np.abs(top.imag) > 1e-9),
+            lambda k: f"top eigenvalue has imaginary part {top[k].imag:.3e} at s={s[k]}",
+        )
     _raise_first(
-        (near.sum(axis=-1) > 1) & (near & (np.abs(w.imag) > 1e-9)).any(axis=-1),
-        lambda k: f"ambiguous top eigenvalue: {near[k].sum()} eigenvalues share the "
-        f"real part {top[k].real:.6g} with nonzero imaginary parts at s={s[k]}",
+        ties,
+        lambda k: f"defective top eigenpair at s={s[k]}: {near[k].sum()} eigenvalues "
+        f"tie at the top {th[k]:.6g}, so the rate matrix is reducible",
     )
+    m = np.zeros((s.size, n + 1, n + 1), dtype=np.result_type(blocks, float))
+    m[:, :n, :n] = blocks
+    diag = np.arange(n)
+    m[:, diag, diag] -= th[:, None]
+    if n < live.size:
+        th = np.where(wins, th, 0.0)
+        m[~wins, :n, :n] = np.eye(n)  # no pair is needed there
+    m[:, :n, n] = m[:, n, :n] = 1.0
+    last = np.zeros((n + 1, 1))
+    last[n] = 1.0
+    pair = _inverted(np.linalg.solve, np.concatenate([m, m.transpose(0, 2, 1)]), s, last)
+    # Bordering with e_k keeps every entry of the pair accurate where the
+    # block is graded: at large |s| the entries of r and l span many
+    # decades, and the ones border gets the small ones only to an absolute
+    # rounding error (Q lost up to 1e-10 on fmo2 pair:a1<->a2 at s = 12).
+    heavy = np.argmax(np.abs(pair[: s.size, :n, 0] * pair[s.size :, :n, 0]), axis=-1)
+    m[:, :n, n] = m[:, n, :n] = 0.0
+    m[rows, heavy, n] = m[rows, n, heavy] = 1.0
+    inverse = _inverted(np.linalg.inv, m, s)
+    r, l, inv_s = inverse[:, :n, n], inverse[:, n, :n], inverse[:, :n, :n]
+    lr = l * r
+    overlap = lr.sum(axis=-1)
+    # not-greater, so a NaN or infinite overlap is defective too
     _raise_first(
-        np.abs(top.imag) > 1e-9,
-        lambda k: f"top eigenvalue has imaginary part {top[k].imag:.3e} at s={s[k]}",
-    )
-    try:
-        vl = np.linalg.inv(vr)
-    except np.linalg.LinAlgError:
-        k = int(np.argmin(np.abs(np.linalg.det(vr))))
-        raise SpectralError(f"defective top eigenpair at s={s[k]}") from None
-    l = vl[rows, i, :]
-    r = vr[rows, :, i]
-    # an infinite norm is defective too
-    bound = 1e-12 * np.linalg.norm(l, axis=-1) * np.linalg.norm(r, axis=-1)
-    _raise_first(
-        np.abs((l * r).sum(axis=-1)) < bound,
+        ~(np.abs(overlap) > 1e-12 * np.abs(lr).sum(axis=-1)),
         lambda k: f"defective top eigenpair at s={s[k]}",
     )
-    return w, vr, vl, i
+    gap = np.abs(w - top[:, None])
+    gap[rows, i] = np.inf
+    gap = np.where(wins, gap.min(axis=-1), np.inf)
+    return th, l, r, inv_s, overlap, gap, live, wins
 
 
 def _check_real(values: np.ndarray, name: str, s: np.ndarray) -> None:
-    _raise_first(
-        np.abs(values.imag) > 1e-9 * np.maximum(1.0, np.abs(values)),
-        lambda k: f"{name}({s[k]}) came out complex: {values[k]}",
-    )
+    if np.iscomplexobj(values):
+        _raise_first(
+            np.abs(values.imag) > 1e-9 * np.maximum(1.0, np.abs(values)),
+            lambda k: f"{name}({s[k]}) came out complex: {values[k]}",
+        )
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two stacks of vectors."""
+    return (a * b).sum(axis=-1)
 
 
 @_quiet_overflow
 def _spectra(generator: TiltedGenerator, s_values) -> np.ndarray:
-    """Rows theta, theta' and theta'' over a grid of s, one eigensolve per
-    slice of the grid.
+    """Rows theta, theta' and theta'' over a grid of s, one eigenvalues-only
+    solve and one batched bordered inverse per slice of the grid.
 
-    theta' comes from the eigenvector identity <l|dW/ds|r> (the left and
-    right vectors are biorthonormal), theta'' from the exact second-order
-    eigenvalue-perturbation sum over the remaining eigenpairs.  Every value
-    is finite, else SpectralError.
+    With dW = dW/ds and the top pair of ``_top_eigenpairs``,
+    theta' = l.dW.r / l.r.  The derivative of r (normalized by r_k = 1) is
+    r' = -S u with u = (dW - theta') r, and as d2W/ds2 = -dW,
+    theta'' = -theta' + 2 l.(dW - theta').r' / l.r = -theta' - 2 v.S.u / l.r
+    with v = l (dW - theta').
+
+    SpectralError where theta' or theta'' has an imaginary part, where
+    another eigenvalue within 1e-9 of the top couples to it through dW
+    ("crowds": that eigenvalue's pole carries gap * |v.S.u| > 1e-6 |v||u|
+    of v.S.u), and where theta, theta' or theta'' is not finite.
     """
     s = _s_array(s_values)
     out = np.empty((3, s.size))
     step = max(1, _SLICE_ENTRIES // generator.n_excitons**2)
     for lo in range(0, s.size, step):
         part = s[lo : lo + step]
-        w, vr, vl, i = _eigensystem(generator, part)
-        rows = np.arange(part.size)
-        top = w[rows, i]
-        a = vl @ generator.population_block_derivative(part) @ vr
-        d1 = a[rows, i, i]
+        th, l, r, inv_s, overlap, gap, live, wins = _top_eigenpairs(generator, part)
+        dw = generator.population_block_derivative(part)
+        if not live.all():
+            dw = dw[:, live][:, :, live]
+        dw_r = (dw @ r[..., None])[..., 0]
+        d1 = _dot(l, dw_r) / overlap
         _check_real(d1, "theta'", part)
-        # d2W/ds2 = -dW/ds for an exponential tilt, so the diagonal term is
-        # -d1; the cross terms are the usual second-order perturbation sum,
-        # skipping uncoupled eigenpairs (whose gap may be 0).
-        num = a[rows, i, :] * a[rows, :, i]
-        num[rows, i] = 0.0
-        gap = top[:, None] - w
-        crowded = (num != 0.0) & (np.abs(gap) < 1e-9)
-        _raise_first(
-            crowded.any(axis=-1),
-            lambda k: f"eigenvalue {w[k, np.argmax(crowded[k])]:.6g} crowds the top "
-            f"eigenvalue at s={part[k]}",
-        )
-        terms = np.divide(num, gap, out=np.zeros_like(num), where=num != 0.0)
-        d2 = -d1 + 2.0 * terms.sum(axis=-1)
+        u = dw_r - d1[:, None] * r
+        v = (l[:, None, :] @ dw)[:, 0] - d1[:, None] * l
+        vsu = _dot(v, (inv_s @ u[..., None])[..., 0])
+        close = gap < 1e-9
+        if close.any():
+            coupling = gap * np.abs(vsu)
+            bound = 1e-6 * np.linalg.norm(v, axis=-1) * np.linalg.norm(u, axis=-1)
+            _raise_first(
+                close & (coupling > bound),
+                lambda k: f"an eigenvalue {gap[k]:.3g} away crowds the top eigenvalue "
+                f"{th[k]:.6g} at s={part[k]}",
+            )
+        d2 = -d1 - 2.0 * vsu / overlap
         _check_real(d2, "theta''", part)
-        out[:, lo : lo + step] = top.real, d1.real, d2.real
+        out[:, lo : lo + step] = np.where(wins, (th, d1.real, d2.real), 0.0)
     _raise_first(
         ~np.isfinite(out).all(axis=0),
         lambda k: f"non-finite theta, theta', theta'' = {out[:, k].tolist()} at s={s[k]}",
@@ -266,8 +354,7 @@ def _mandel_grid(generator: TiltedGenerator, s: np.ndarray) -> np.ndarray:
 
 def theta(generator: TiltedGenerator, s: float) -> float:
     """theta(s): largest real eigenvalue of the tilted population block."""
-    w, _, _, i = _eigensystem(generator, _s_array([s]))
-    return float(w[0, i[0]].real)
+    return float(_top_eigenpairs(generator, _s_array([s]))[0][0])
 
 
 def theta_derivatives(generator: TiltedGenerator, s: float) -> tuple[float, float, float]:

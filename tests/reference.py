@@ -9,6 +9,9 @@ i + j*N, so the populations sit at a*(N + 1).
 ``counting_distribution`` is the exact finite-time distribution of the
 counted jumps, a deterministic reference for the trajectory sampler.
 
+``random_basis`` and ``random_aggregate`` draw seeded site models (the
+latter with the couplings 100 / |m - n|^3 of the benchmark aggregates).
+
 ``scalar_rates`` is the rate matrix computed one ordered exciton pair at a
 time with ``math.exp``, the reference for the array build, and
 ``ClassicalTwoState`` holds the closed forms of the two-state chain.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 from excount.bath import BathSpec, gamma
 from excount.model import SiteModel, diagonalize
@@ -33,6 +36,17 @@ def random_basis(seed, n_min=2, n_max=6):
     j = np.triu(j, 1)
     model = SiteModel(energies=rng.uniform(0.0, 800.0, size=n), couplings=j + j.T)
     return diagonalize(model), BathSpec(35.0, 150.0, float(rng.uniform(77.0, 400.0)))
+
+
+def random_aggregate(seed, n):
+    """Seeded aggregate of n sites: energies uniform on 0..600 cm^-1,
+    couplings 100 / |m - n|^3 cm^-1, and a 35/150 cm^-1 bath at 300 K."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(n)
+    dist = np.abs(idx[:, None] - idx[None, :]).astype(float)
+    np.fill_diagonal(dist, np.inf)
+    model = SiteModel(energies=rng.uniform(0.0, 600.0, n), couplings=100.0 / dist**3)
+    return diagonalize(model), BathSpec(35.0, 150.0, 300.0)
 
 
 def homogeneous_chain(n, coupling=100.0):
@@ -161,7 +175,8 @@ def counting_distribution(rates, counted, p0, t, k_max):
     P^m (Jensen 1953; Grassmann, Comput. Oper. Res. 4, 47 (1977)).  The
     Poisson weights are taken in log space, and the series is cut where
     the omitted weight is below 1e-12, which is checked before the
-    propagation starts.
+    propagation starts.  The kept weights are then normalized by their
+    exactly rounded sum, so their rounding does not leak into the total.
     """
     rates = np.asarray(rates, dtype=float)
     counted = np.asarray(counted, dtype=bool)
@@ -174,9 +189,11 @@ def counting_distribution(rates, counted, p0, t, k_max):
         return dist.sum(axis=1)
     m = np.arange(math.ceil(x + 12.0 * math.sqrt(x) + 40.0))
     log_w = -x + m * math.log(x) - gammaln(m + 1.0)
+    omitted = pdtrc(m[-1], x)  # P(Pois(x) > m[-1])
+    if not omitted < 1e-12:
+        raise ValueError(f"Poisson truncation leaves {omitted:.3g}")
     weights = np.exp(log_w)
-    if not 1.0 - weights.sum() < 1e-12:
-        raise ValueError(f"Poisson truncation leaves {1.0 - weights.sum():.3g}")
+    weights /= math.fsum(weights)
     stay = 1.0 - esc / lam
     plain = np.where(counted, 0.0, rates).T / lam
     shift = np.where(counted, rates, 0.0).T / lam

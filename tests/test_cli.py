@@ -411,6 +411,20 @@ def test_overflowing_tilt_rejected(runner, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_active_side_scans(runner, tmp_path):
+    # at s = -100 the tilt is e^100, and the top eigenpair is still simple
+    result = invoke(
+        runner,
+        ["theta-scan", "--preset", "fmo2", "--temps", "300", "--channel", "down:a2->a1",
+         "--s-min", "-100", "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 0
+    rows = read_rows(next(tmp_path.glob("*.csv")))
+    assert rows[0][0] == -100.0 and len(rows) == 281
+    assert all(row[4] < 0.0 for row in rows)
+
+
 def test_preset_and_model_mutually_exclusive(runner, tmp_path):
     model_path = tmp_path / "m.json"
     model_path.write_text(json.dumps(FMO2_JSON))

@@ -27,6 +27,7 @@ from excount.model import SiteModel, diagonalize, preset
 from reference import (
     ClassicalTwoState,
     homogeneous_chain,
+    random_aggregate,
     random_basis,
     reference_derivatives,
     superoperator,
@@ -177,6 +178,16 @@ def test_singular_eigenvector_matrix_is_defective(monkeypatch):
         theta_derivatives(make_generator("fmo2"), 0.5)
 
 
+def test_singular_bordered_matrix_names_its_s():
+    # [[0, -1], [-1, 0]] has the simple top eigenvalue 1, but its vector
+    # (1, -1) has 1.r = 0, so the bordered matrix is singular
+    good, bad = np.array([[-1.0, 2.0], [1.0, -2.0]]), np.array([[0.0, -1.0], [-1.0, 0.0]])
+    gen = FakeGenerator(good)
+    gen.population_block = lambda s: np.where((np.asarray(s) == 2.0)[..., None, None], bad, good)
+    with pytest.raises(SpectralError, match=r"defective top eigenpair at s=2\.0: the bordered"):
+        scan(gen, [0.0, 1.0, 2.0, 3.0])
+
+
 def test_derivative_guards_raise():
     crowded = FakeGenerator(np.diag([0.0, -1e-10]), [[0.0, 1.0], [1.0, 0.0]])
     complex_slope = FakeGenerator(np.diag([0.0, -1.0]), np.diag([1.0j, 0.0]))
@@ -187,31 +198,129 @@ def test_derivative_guards_raise():
         theta_derivatives(complex_slope, 0.0)
 
 
+def test_defective_guard_ignores_exciton_scaling():
+    # rescaling the excitons, D W D^-1 with D = diag(1, 1e150), leaves the
+    # spectrum and the derivatives unchanged; a guard on |<l|r>| / (|l| |r|)
+    # called the rescaled block defective
+    mat = np.array([[-1.0, 2.0], [1.0, -2.0]])
+    dmat = np.array([[0.0, -2.0], [0.0, 0.0]])
+    scale = np.array([1.0, 1e150])
+    similar = FakeGenerator(mat * np.outer(scale, 1.0 / scale), dmat * np.outer(scale, 1.0 / scale))
+    plain = theta_derivatives(FakeGenerator(mat, dmat), 0.0)
+    assert plain[1] == pytest.approx(-2.0 / 3.0, rel=1e-15)  # -l.dW.r with l = 1, r = (2, 1)/3
+    assert theta_derivatives(similar, 0.0) == pytest.approx(plain, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("s", [-58.0, -60.0, -100.0, -300.0, -700.0])
+def test_fmo2_far_active_side_matches_closed_form(s):
+    """fmo2 300 K down:a2->a1 far on the active side, where the left and
+    right vectors grow apart by the tilt but nothing is defective."""
+    basis = diagonalize(preset("fmo2"))
+    bath = BathSpec(35.0, 150.0, 300.0)
+    cts = ClassicalTwoState.from_rates(transport_rates(basis, bath), basis, bath)
+    gen = make_generator("fmo2")
+    th, d1, d2 = theta_derivatives(gen, s)
+    assert th == pytest.approx(cts.theta(s), rel=1e-14)
+    assert -d1 == pytest.approx(cts.activity(s), rel=1e-14)
+    assert _mandel_from(d1, d2) == pytest.approx(cts.mandel(s), rel=1e-14)
+    result = scan(gen, [0.0, s])
+    assert (result.theta[1], result.activity[1]) == (th, -d1)
+
+
+def test_pair_counting_far_inactive_side_matches_closed_form():
+    """fmo2 77 K pair:a1<->a2 at large s: with both legs of the two-state
+    chain counted, Q = 1 - kappa Gamma z^2 / D with z = e^-s and
+    D = (kappa - Gamma)^2 / 4 + kappa Gamma z^2.  The entries of r and l
+    span five decades there, and Q - 1 is about 1e-11."""
+    basis = diagonalize(preset("fmo2"))
+    rates = transport_rates(basis, BathSpec(35.0, 150.0, 77.0))
+    kappa, gamma_ = rates[1, 0], rates[0, 1]
+    gen = TiltedGenerator(basis, rates, [[False, True], [True, False]])
+    grid = np.linspace(10.0, 12.0, 9)
+    result = scan(gen, grid)
+    z2 = np.exp(-2.0 * grid)
+    d = (kappa - gamma_) ** 2 / 4.0 + kappa * gamma_ * z2
+    np.testing.assert_allclose(result.activity, kappa * gamma_ * z2 / np.sqrt(d), rtol=1e-14)
+    np.testing.assert_allclose(result.mandel, 1.0 - kappa * gamma_ * z2 / d, rtol=0.0, atol=1e-15)
+
+
+def one_uncoupled_site_generator():
+    """Sites at 0, 120 and 300 cm^-1 with only J12 = 80 cm^-1: the exciton
+    on site 3 has no rate in or out."""
+    j = np.zeros((3, 3))
+    j[0, 1] = j[1, 0] = 80.0
+    basis = diagonalize(SiteModel(energies=[0.0, 120.0, 300.0], couplings=j))
+    return tilted_generator(basis, BathSpec(35.0, 150.0, 300.0), ["all-down"])
+
+
+def test_isolated_exciton_is_set_aside():
+    gen = one_uncoupled_site_generator()
+    assert not gen.rates[2].any() and not gen.rates[:, 2].any()
+    # the dimer's theta where it is positive, its derivatives at the tie
+    # s = 0, and the isolated exciton's 0 with zero derivatives beyond
+    expected = {
+        -1.0: (13.0597803318877, -17.030932089459, 9.2279214174873),
+        0.0: (0.0, -9.65880445265381, 5.78969022012082),
+        1.0: (0.0, 0.0, 0.0),
+    }
+    for s, values in expected.items():
+        assert theta_derivatives(gen, s) == pytest.approx(values, rel=1e-12, abs=1e-15)
+    result = scan(gen, default_s_grid())
+    assert np.isnan(result.mandel).sum() == 240
+    assert np.array_equal(np.isnan(result.mandel), result.s > 0.0)
+    assert np.all(result.theta[result.s > 0.0] == 0.0)
+    assert np.all(result.theta[result.s < 0.0] > 0.0)
+
+
+def test_two_closed_classes_tie_at_zero():
+    """Two uncoupled dimers, both counted: theta is the larger of the two
+    dimers' thetas, and at s = 0, where both are 0, the top is double."""
+    bath = BathSpec(35.0, 150.0, 300.0)
+
+    def dimers(energies, couplings):
+        j = np.zeros((len(energies), len(energies)))
+        for (a, b), value in couplings.items():
+            j[a, b] = j[b, a] = value
+        return tilted_generator(diagonalize(SiteModel(energies=energies, couplings=j)), bath, ["all-down"])
+
+    gen = dimers([0.0, 150.0, 300.0, 500.0], {(0, 1): 60.0, (2, 3): 70.0})
+    alone = [dimers([0.0, 150.0], {(0, 1): 60.0}), dimers([300.0, 500.0], {(0, 1): 70.0})]
+    with pytest.raises(SpectralError, match=r"defective top eigenpair at s=0\.0.*reducible"):
+        theta_derivatives(gen, 0.0)
+    with pytest.raises(SpectralError, match=r"defective top eigenpair at s=0\.0"):
+        scan(gen, [-1.0, -0.5, 0.0, 1.0])
+    for s in (-1.0, 1.0):
+        expected = max(theta_derivatives(d, s) for d in alone)
+        assert theta_derivatives(gen, s) == pytest.approx(expected, rel=1e-12)
+    assert theta_derivatives(alone[0], -1.0)[0] != theta_derivatives(alone[1], -1.0)[0]
+
+
 def test_scan_is_one_eigensolve_per_point(monkeypatch):
     """fmo3 pair:a1<->a2 at 77 K: the top two eigenvalues nearly touch, the
     case where a power iteration stalls; scan must match the full
-    superoperator with one batched numpy eigensolve per grid slice, one
-    matrix per grid point and no scipy eigensolve."""
+    superoperator with one batched numpy eigenvalues-only solve per grid
+    slice, one matrix per grid point and no eigenvector solve."""
     bath = BathSpec(35.0, 150.0, 77.0)
     gen = tilted_generator(diagonalize(preset("fmo3")), bath, ["pair:a1<->a2"])
     grid = default_s_grid()
-    original = np.linalg.eig
+    original = np.linalg.eigvals
     # the default slice holds the whole grid; 900 entries make three slices
     for slice_entries in (lds._SLICE_ENTRIES, 9 * 100):
-        stacks, scipy_calls = [], []
+        stacks, eig_calls = [], []
 
         def counted(a, *args, **kwargs):
             stacks.append(a.shape[:-2])
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(lds, "_SLICE_ENTRIES", slice_entries)
-        monkeypatch.setattr(np.linalg, "eig", counted)
-        monkeypatch.setattr(scipy.linalg, "eig", lambda *a, **k: scipy_calls.append(a))
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: eig_calls.append(a))
+        monkeypatch.setattr(scipy.linalg, "eig", lambda *a, **k: eig_calls.append(a))
         result = scan(gen, grid)
         monkeypatch.undo()
         assert len(stacks) == math.ceil(grid.size / (slice_entries // 9))
         assert sum(math.prod(shape) for shape in stacks) == grid.size
-        assert scipy_calls == []
+        assert eig_calls == []
         scale = result.activity.max()
         for s, th in zip(result.s, result.theta):
             assert abs(th - top_eigenvalue(superoperator(gen, bath, s))) <= 1e-10 * scale
@@ -237,6 +346,9 @@ def reference_case(name):
     if kind == "chain":
         n, selector = arg.split("-", 1)
         return tilted_generator(homogeneous_chain(int(n)), BathSpec(35.0, 150.0, 300.0), [selector])
+    if kind == "aggregate":
+        n, selector = arg.split("-", 1)
+        return tilted_generator(*random_aggregate(int(n), int(n)), [selector])
     seed, selector = arg.split("-", 1)
     basis, bath = random_basis(int(seed), 2, 9)
     n = basis.n_excitons
@@ -249,6 +361,8 @@ REFERENCE_CASES = [
     *(f"chain-{n}-{sel}" for n in (3, 4, 6) for sel in ("all-down", "pair:a1<->a2")),
     "hub-3",
     "hub-5",
+    *(f"aggregate-{n}-all-down" for n in (16, 24, 30)),
+    "aggregate-24-pair:a1<->a2",
 ]
 
 
@@ -504,14 +618,24 @@ def test_overflowing_tilt_is_a_spectral_error():
     # the block itself overflows: 4.2 * e^{709.7} > max float
     with pytest.raises(SpectralError, match="tilted block overflows at s=-709.7"):
         scan(equal_rate_generator(4.2), [0.0, -709.7])
-    # finite blocks whose theta'' overflows
+    # finite blocks near overflow: both jumps of a two-state chain with equal
+    # rates k counted, so theta = k (e^-s - 1), theta' = -k e^-s, theta'' = k e^-s
     basis = diagonalize(preset("fmo2"))
-    rates = np.array([[0.0, 1e-100], [1e-100, 0.0]])
-    gen = TiltedGenerator(basis, rates, [[False, True], [True, False]])
+    k = 1e-100
+    gen = TiltedGenerator(basis, [[0.0, k], [k, 0.0]], [[False, True], [True, False]])
+    tilt = math.exp(700.0)
+    result = scan(gen, [-700.0])
+    assert result.theta[0] == pytest.approx(k * (tilt - 1.0), rel=1e-14)
+    assert result.activity[0] == pytest.approx(k * tilt, rel=1e-14)
+    th, d1, d2 = theta_derivatives(gen, -700.0)
+    assert (th, d1, d2) == pytest.approx((k * (tilt - 1.0), -k * tilt, k * tilt), rel=1e-14)
+    # finite blocks whose theta'' overflows: a derivative of about 1e200
+    # couples the top to an eigenvalue 1 below, so theta'' is about 2e400
+    huge = FakeGenerator(np.diag([0.0, -1.0]), [[0.0, 1e200], [1e200, 0.0]])
     with pytest.raises(SpectralError, match="non-finite theta.* at s=-700.0"):
-        scan(gen, [-700.0])
+        scan(huge, [-700.0])
     with pytest.raises(SpectralError, match="non-finite"):
-        theta_derivatives(gen, -700.0)
+        theta_derivatives(huge, -700.0)
 
 
 @pytest.mark.parametrize("name", ["fmo2", "fmo3", "fmo4"])
