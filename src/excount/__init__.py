@@ -3,10 +3,8 @@
 from .bath import BathSpec, gamma, spectral_density
 from .generator import (
     DegenerateGapError,
-    JumpChannel,
     SelectorError,
     TiltedGenerator,
-    enumerate_channels,
     resolve_counted,
     tilted_generator,
     transport_rates,

@@ -70,6 +70,8 @@ class RunConfig:
             raise ConfigError("need s_min < s_max")
         if self.traj < 1:
             raise ConfigError("need at least one trajectory")
+        if self.workers < 0:
+            raise ConfigError(f"need workers >= 0 (0: all processors), got {self.workers}")
         return self
 
 
@@ -127,10 +129,10 @@ def _assemble_config(config_file: str | None, **flags) -> RunConfig:
         if val is None or val == ():
             continue
         values[key] = val
-    cfg = RunConfig(**values)
-    if cfg.workers < 1:
+    cfg = RunConfig(**values).validate()
+    if cfg.workers == 0:
         cfg = replace(cfg, workers=os.cpu_count() or 1)
-    return cfg.validate()
+    return cfg
 
 
 def _build_model(cfg: RunConfig):
@@ -205,7 +207,7 @@ def _common_options(fn):
     fn = click.option("--format", "formats", callback=_parse_formats, default=None,
                       help="Comma-separated output formats (csv,json,svg).")(fn)
     fn = click.option("--workers", type=int, default=None,
-                      help="Worker pool size (default: number of processors).")(fn)
+                      help="Worker pool size (default or 0: number of processors).")(fn)
     return fn
 
 
@@ -369,14 +371,13 @@ def oracle_check_cmd(config_file, preset_name, **flags):
     overall = True
     for i, temp in enumerate(cfg.temps):
         gen = tilted_generator(basis, _bath(cfg, temp), cfg.channels)
-        channels = gen.channels
         if cfg.traj_channels is not None:
-            traj_side = resolve_counted(channels, cfg.traj_channels)
-            if [c.counted for c in traj_side] != [c.counted for c in channels]:
+            traj_side = resolve_counted(gen.n_excitons, cfg.traj_channels)
+            if not np.array_equal(traj_side, gen.counted):
                 raise ConfigError("trajectory counted set differs from the spectral one")
-        _, d1, d2 = lds.theta_derivatives(gen, 0.0)
-        activity = -d1
-        q_spectral = lds._mandel_from(d1, d2)
+        at_zero = lds.scan(gen, [0.0])
+        activity = float(at_zero.activity[0])
+        q_spectral = None if np.isnan(at_zero.mandel[0]) else float(at_zero.mandel[0])
         if cfg.t_max_ps is not None:
             t_max = time_ps_to_cm(cfg.t_max_ps)
         elif activity > 0:
@@ -384,7 +385,7 @@ def oracle_check_cmd(config_file, preset_name, **flags):
         else:
             t_max = 1.0
         stats = simulate(
-            channels,
+            gen,
             TrajectoryConfig(t_max=t_max, n_trajectories=cfg.traj, seed=cfg.seed + i),
         )
         z_rate, rate_ok = _z(stats.mean_rate, activity, stats.se_mean)

@@ -11,9 +11,13 @@ homogeneous chain, say): grouping their jump operators by frequency only
 couples coherences to coherences.
 
 The rates are computed in one place, ``transport_rates``, as one N x N
-matrix; ``JumpChannel`` lists are views of it.
+matrix R[b, a] (the rate of the jump a -> b).  ``TiltedGenerator`` holds R
+and the boolean mask of the counted jumps; the spectral kernel (``lds``)
+and the trajectory sampler (``trajectories.simulate``) both read those two
+arrays.
 
-Counting: a channel selector names ordered exciton pairs.  The e^{-s}
+Counting: a channel selector names ordered exciton pairs, and
+``resolve_counted`` turns selectors into the counted mask.  The e^{-s}
 counting factor multiplies the population-jump rates of the selected
 channels and nothing else.
 """
@@ -21,7 +25,6 @@ channels and nothing else.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,12 +34,9 @@ from .model import ExcitonBasis
 __all__ = [
     "DegenerateGapError",
     "SelectorError",
-    "JumpChannel",
     "TiltedGenerator",
     "transport_rates",
-    "enumerate_channels",
     "resolve_counted",
-    "rate_matrix",
     "tilted_generator",
 ]
 
@@ -51,33 +51,6 @@ class DegenerateGapError(ValueError):
 
 class SelectorError(ValueError):
     """A channel selector does not resolve to an existing channel."""
-
-
-@dataclass(frozen=True, eq=False)
-class JumpChannel:
-    """One dissipative transition between exciton states.
-
-    ``omega`` is the signed energy change of the system (energy of the
-    destination minus the source) and ``rate`` is gamma(omega) times the
-    intensity factor.
-    """
-
-    from_exciton: int
-    to_exciton: int
-    omega: float
-    rate: float
-    counted: bool = False
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.from_exciton, self.to_exciton)
-
-    def __repr__(self):
-        flag = ", counted" if self.counted else ""
-        return (
-            f"JumpChannel(a{self.from_exciton + 1}->a{self.to_exciton + 1}, "
-            f"omega={self.omega:.6g}, rate={self.rate:.6g}{flag})"
-        )
 
 
 def transport_rates(basis: ExcitonBasis, bath: BathSpec) -> np.ndarray:
@@ -101,23 +74,6 @@ def transport_rates(basis: ExcitonBasis, bath: BathSpec) -> np.ndarray:
     return np.where(off, gamma(bath, gaps) * basis.intensity_factors, 0.0).T
 
 
-def _channels(basis: ExcitonBasis, rates, counted) -> list[JumpChannel]:
-    """JumpChannel views of R and the counted mask, in row-major (from, to) order."""
-    n = basis.n_excitons
-    gaps, by_source, flags = basis.gaps.tolist(), rates.T.tolist(), counted.T.tolist()
-    return [
-        JumpChannel(a, b, gaps[a][b], by_source[a][b], flags[a][b])
-        for a in range(n) for b in range(n) if a != b
-    ]
-
-
-def enumerate_channels(basis: ExcitonBasis, bath: BathSpec) -> list[JumpChannel]:
-    """The N(N-1) ordered transport channels of ``transport_rates``, none
-    counted yet.  Raises DegenerateGapError as ``transport_rates`` does."""
-    rates = transport_rates(basis, bath)
-    return _channels(basis, rates, np.zeros_like(rates, dtype=bool))
-
-
 _DOWN_RE = re.compile(r"^down:a(\d+)->a(\d+)$")
 _UP_RE = re.compile(r"^up:a(\d+)->a(\d+)$")
 _PAIR_RE = re.compile(r"^pair:a(\d+)<->a(\d+)$")
@@ -132,21 +88,26 @@ def _parse_label(text: str, value: str, n: int) -> int:
     return idx
 
 
-def _counted_mask(existing: np.ndarray, selectors) -> np.ndarray:
-    """counted[b, a] flags the jump a -> b as named by the selectors (syntax
-    in ``tilted_generator``); ``existing[b, a]`` flags the channels that exist."""
-    n = existing.shape[0]
+def resolve_counted(n: int, selectors) -> np.ndarray:
+    """The N x N counted mask of n excitons: counted[b, a] flags the jump
+    a -> b as named by the selectors (syntax in ``tilted_generator``).
+
+    Raises SelectorError for a malformed selector, an exciton out of range,
+    a selector naming a single exciton, and an empty counted set.
+    """
     counted = np.zeros((n, n), dtype=bool)
     for sel in selectors:
         if isinstance(sel, tuple):
             frm, to = sel
             if not (0 <= frm < n and 0 <= to < n):
                 raise SelectorError(f"selector {sel}: exciton index out of range")
+            if frm == to:
+                raise SelectorError(f"selector {sel} names a single exciton")
             counted[to, frm] = True
             continue
         text = sel.strip()
         if text == "all-down":
-            counted |= np.triu(existing, 1)  # to < from: labels ascend in energy
+            counted[np.triu_indices(n, 1)] = True  # to < from: labels ascend in energy
             continue
         if m := _DOWN_RE.match(text):
             frm = _parse_label(text, m.group(1), n)
@@ -175,52 +136,31 @@ def _counted_mask(existing: np.ndarray, selectors) -> np.ndarray:
             )
     if not counted.any():
         raise SelectorError("empty counted set: theta(s) would be structure-free")
-    missing = np.argwhere((counted & ~existing).T)
-    if missing.size:
-        pairs = [(int(a), int(b)) for a, b in missing]
-        raise SelectorError(f"selectors name non-existing channels: {pairs}")
     return counted
-
-
-def resolve_counted(channels, selectors) -> tuple[JumpChannel, ...]:
-    """Return a channel tuple with counted flags set from the selectors
-    (syntax as in ``tilted_generator``)."""
-    channels = tuple(channels)
-    n = max(max(c.from_exciton, c.to_exciton) for c in channels) + 1
-    existing = np.zeros((n, n), dtype=bool)
-    for c in channels:
-        existing[c.to_exciton, c.from_exciton] = True
-    counted = _counted_mask(existing, selectors)
-    return tuple(replace(c, counted=bool(counted[c.to_exciton, c.from_exciton])) for c in channels)
-
-
-def rate_matrix(channels, n: int) -> np.ndarray:
-    """R[b, a] = transport rate from exciton a to b, rebuilt from channels."""
-    rates = np.zeros((n, n))
-    for ch in channels:
-        rates[ch.to_exciton, ch.from_exciton] += ch.rate
-    return rates
 
 
 class TiltedGenerator:
     """The s-parameterized tilted population block W_s.
 
     Built from the rate matrix ``rates`` (R[b, a], a -> b) and the boolean
-    mask ``counted`` of the counted jumps, shaped like it.  Stores the
-    untilted and counted N x N parts of the block, so ``population_block``
+    mask ``counted`` of the counted jumps, shaped like it.  Both are kept
+    as attributes: the spectral kernel and the trajectory sampler read the
+    same two arrays.  Stores the untilted and counted N x N parts of the block, so ``population_block``
     is a cheap, pure function of s, or of a whole grid of s at once.  All
     methods are safe to call concurrently.
     """
 
-    def __init__(self, basis: ExcitonBasis, rates, counted):
-        n = basis.n_excitons
+    def __init__(self, rates, counted):
         rates = np.array(rates, dtype=float, order="C")  # sets how column sums round
         counted = np.array(counted, dtype=bool)
-        if rates.shape != (n, n) or counted.shape != (n, n):
-            raise ValueError(f"rates and counted must be {n}x{n} for {n} excitons")
+        if rates.ndim != 2 or rates.shape[0] != rates.shape[1] or counted.shape != rates.shape:
+            raise ValueError(
+                f"rates and counted must be N x N, got {rates.shape} and {counted.shape}"
+            )
+        if not np.all(np.isfinite(rates) & (rates >= 0.0)):
+            raise ValueError("channel rates must be finite and non-negative")
         if not counted.any():
             raise SelectorError("tilted generator needs a non-empty counted set")
-        self.basis = basis
         self.rates = rates
         self.counted = counted
         self._block_counted = np.where(counted, rates, 0.0)
@@ -229,12 +169,7 @@ class TiltedGenerator:
 
     @property
     def n_excitons(self) -> int:
-        return self.basis.n_excitons
-
-    @property
-    def channels(self) -> list[JumpChannel]:
-        """The transport channels as JumpChannel views, counted flags set."""
-        return _channels(self.basis, self.rates, self.counted)
+        return self.rates.shape[0]
 
     def population_block(self, s) -> np.ndarray:
         """Classical tilted rate matrix over exciton populations (real).
@@ -264,5 +199,4 @@ def tilted_generator(basis: ExcitonBasis, bath: BathSpec, counted) -> TiltedGene
     Ordered (from, to) index tuples are accepted programmatically.
     """
     rates = transport_rates(basis, bath)
-    existing = ~np.eye(basis.n_excitons, dtype=bool)
-    return TiltedGenerator(basis, rates, _counted_mask(existing, counted))
+    return TiltedGenerator(rates, resolve_counted(basis.n_excitons, counted))

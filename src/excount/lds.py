@@ -10,11 +10,11 @@ the top right and left vectors and, in the inverse, the generalized
 inverse of W_s - theta, from which theta' and theta'' follow in closed
 form (Meyer, SIAM Rev. 17, 443 (1975)).  Excitons with no rate in or out
 are set aside; they add the eigenvalue 0.  A single s is a grid of one
-point.  The mean jump rate
-is -theta'(0), the variance rate theta''(0), and the Mandel parameter
-Q(s) = -theta''(s)/theta'(s) - 1 flags sub- (Q<0) versus super-Poissonian
-(Q>0) trajectory ensembles.  The rate function phi(k) is the Legendre
-transform of theta.
+point.  The top right vector at s = 0 gives the stationary populations
+(``stationary``).  The mean jump rate is -theta'(0), the variance rate
+theta''(0), and the Mandel parameter Q(s) = -theta''(s)/theta'(s) - 1
+flags sub- (Q<0) versus super-Poissonian (Q>0) trajectory ensembles.  The
+rate function phi(k) is the Legendre transform of theta.
 
 Results are numpy columns, never per-point objects: ``scan`` returns one
 ``ScanResult`` (s, theta, activity, and Q with NaN where the activity
@@ -43,6 +43,7 @@ __all__ = [
     "theta",
     "theta_derivatives",
     "mandel",
+    "stationary",
     "scan",
     "rate_function",
     "legendre_reconstruct",
@@ -173,8 +174,10 @@ def _top_eigenpairs(generator: TiltedGenerator, s: np.ndarray):
 
     Isolated excitons (no rate in or out) are set aside: each adds the
     eigenvalue 0 with zero derivatives, and loses a tie with the top
-    eigenvalue of the other ("live") excitons.  On the live block W_s, theta
-    is the eigenvalue with the largest real part.  The bordered matrix
+    eigenvalue of the other ("live") excitons.  A tie is within 1e-12 times
+    the larger of 1 and the live block's largest entry, the scale of the
+    top's rounding (at s = 0 that top is 0 exactly).  On the live block
+    W_s, theta is the eigenvalue with the largest real part.  The bordered matrix
     M = [[W_s - theta, b], [b^T, 0]] with b = 1 gives the right and left
     vectors normalized by 1.r = 1 and l.1 = 1 (its last column and row),
     and so the exciton k with the largest |l_k r_k|.  The inverse of M with
@@ -215,7 +218,9 @@ def _top_eigenpairs(generator: TiltedGenerator, s: np.ndarray):
     top = w[rows, i]
     th = top.real
     # an isolated exciton's eigenvalue 0 is theta where it beats the live top
-    wins = th >= -1e-12 if n < live.size else np.ones(s.size, dtype=bool)
+    wins = np.ones(s.size, dtype=bool)
+    if n < live.size:
+        wins = th >= -1e-12 * np.maximum(1.0, np.abs(blocks).max(axis=(-2, -1)))
     near = np.abs(w.real - th[:, None]) < 1e-12
     ties = wins & (near.sum(axis=-1) > 1)
     if np.iscomplexobj(w):  # numpy returns real eigenvalues when all of them are
@@ -335,12 +340,6 @@ def _mandel(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return np.where(undefined, np.nan, -d2 / np.where(undefined, 1.0, d1) - 1.0)
 
 
-def _mandel_from(d1: float, d2: float) -> float | None:
-    """Q at one s, or None where the activity vanishes."""
-    q = float(_mandel(np.float64(d1), np.float64(d2)))
-    return None if math.isnan(q) else q
-
-
 def _mandel_grid(generator: TiltedGenerator, s: np.ndarray) -> np.ndarray:
     """Q over the grid s; UndefinedMandelError where the activity vanishes."""
     q = _mandel(*_spectra(generator, s)[1:])
@@ -350,6 +349,22 @@ def _mandel_grid(generator: TiltedGenerator, s: np.ndarray) -> np.ndarray:
             f"activity vanishes at s={s[np.argmax(undefined)]}; Q undefined"
         )
     return q
+
+
+def stationary(generator: TiltedGenerator) -> np.ndarray:
+    """The stationary exciton populations: the top right vector r of the
+    s = 0 block, as r / sum(r).
+
+    Isolated excitons get weight 0, and a model without any rate the
+    uniform vector.  A reducible chain, whose stationary state is not
+    unique, is a defective SpectralError.
+    """
+    _, _, r, _, _, _, live, _ = _top_eigenpairs(generator, np.zeros(1))
+    if not live.any():
+        return np.full(live.size, 1.0 / live.size)
+    pi = np.zeros(live.size)
+    pi[live] = r[0] / r[0].sum()
+    return pi
 
 
 def theta(generator: TiltedGenerator, s: float) -> float:

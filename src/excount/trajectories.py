@@ -1,11 +1,12 @@
 """Stochastic trajectory oracle: continuous-time jumps over exciton populations.
 
 Under the secular generator the populations close on a classical Markov
-chain, the same rate matrix (``generator.transport_rates``, rebuilt from
-the channel views ``simulate`` takes by ``generator.rate_matrix``) whose
-tilted form gives theta(s).  The counted-jump statistics at s=0 are
-therefore sampled exactly by a Gillespie walk (Gillespie, J. Phys. Chem.
-81, 2340 (1977)) over exciton indices; no wavefunction unraveling is needed.
+chain, the same rate matrix whose tilted form gives theta(s): ``simulate``
+reads the rates and the counted mask of the ``TiltedGenerator`` itself,
+and takes its stationary start from the spectral kernel
+(``lds.stationary``).  The counted-jump statistics at s=0 are therefore
+sampled exactly by a Gillespie walk (Gillespie, J. Phys. Chem. 81, 2340
+(1977)) over exciton indices; no wavefunction unraveling is needed.
 
 The jump chain and the holding times are drawn apart.  A path table holds
 the cumulative probability of every L-jump path from each exciton, so one
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import rate_matrix
+from .generator import TiltedGenerator
+from .lds import stationary
 
 __all__ = ["TrajectoryConfig", "CountStatistics", "simulate"]
 
@@ -98,17 +100,6 @@ class CountStatistics:
     window: float
     occupation: np.ndarray
     warning: str | None = None
-
-
-def _stationary(rates: np.ndarray) -> np.ndarray:
-    n = rates.shape[0]
-    if not rates.any():
-        return np.full(n, 1.0 / n)
-    gen = rates - np.diag(rates.sum(axis=0))
-    w, v = np.linalg.eig(gen)
-    i = int(np.argmax(w.real))
-    pi = np.abs(v[:, i].real)
-    return pi / pi.sum()
 
 
 def _destinations(rates, esc):
@@ -221,19 +212,16 @@ def _walk(rng, state, esc, table, counted, t_max, burn_in):
     return counts, occ
 
 
-def simulate(channels, config: TrajectoryConfig) -> CountStatistics:
-    """Sample counted-jump statistics of the classical exciton chain.
+def simulate(generator: TiltedGenerator, config: TrajectoryConfig) -> CountStatistics:
+    """Sample counted-jump statistics of the classical exciton chain whose
+    rates and counted jumps are those of ``generator``.  Counting is
+    passive, so the walk itself is independent of which jumps are counted.
 
-    ``channels`` is a JumpChannel list with counted flags set.  Counting is
-    passive, so the walk itself is independent of which channels are
-    counted.
+    The stationary populations come from ``lds.stationary``.  Where they
+    are needed, for a stationary start or for the expected-count check
+    after the default burn-in, a reducible chain raises its SpectralError.
     """
-    channels = list(channels)
-    if not channels:
-        raise ValueError("need at least one channel")
-    if not any(c.counted for c in channels):
-        raise ValueError("no counted channels")
-    n = max(max(c.from_exciton, c.to_exciton) for c in channels) + 1
+    rates, n = generator.rates, generator.n_excitons
     start = config.initial_state
     if isinstance(start, str) and start == "stationary":
         start = None
@@ -246,17 +234,9 @@ def simulate(channels, config: TrajectoryConfig) -> CountStatistics:
         if not 0 <= index < n:
             raise ValueError(f"initial exciton {index} out of range [0, {n})")
         start = index
-    rates = rate_matrix(channels, n)
-    if not np.all(np.isfinite(rates) & (rates >= 0.0)):
-        raise ValueError("channel rates must be finite and non-negative")
     esc = rates.sum(axis=0)
     if not esc.any() and start is not None:
         raise ValueError("all rates vanish; only a stationary start is meaningful")
-
-    counted = np.zeros((n, n), dtype=np.bool_)
-    for ch in channels:
-        if ch.counted:
-            counted[ch.from_exciton, ch.to_exciton] = True
 
     if config.burn_in is not None:
         burn_in = config.burn_in
@@ -272,14 +252,14 @@ def simulate(channels, config: TrajectoryConfig) -> CountStatistics:
 
     table = _path_table(_destinations(rates, esc))
 
-    pi = _stationary(rates)
-    cum_pi = np.cumsum(pi)
     warning = None
     # The stationary expectation holds only for a walk that is stationary
     # over the window: a stationary start, or a fixed start relaxed by the
     # default burn-in.  After an explicit burn-in nothing is predicted.
     if start is None or config.burn_in is None:
-        expected = float((rates * pi[None, :])[counted.T].sum()) * window
+        pi = stationary(generator)
+        cum_pi = np.cumsum(pi)
+        expected = float((rates * pi[None, :])[generator.counted].sum()) * window
         if expected < 1.0:
             warning = (
                 f"expected counted jumps per trajectory is {expected:.3g} < 1; "
@@ -290,6 +270,7 @@ def simulate(channels, config: TrajectoryConfig) -> CountStatistics:
     n_traj = config.n_trajectories
     counts = np.zeros(n_traj, dtype=np.int64)
     occupation = np.zeros(n)
+    counted = generator.counted.T  # counted[a, b] flags the jump a -> b
     streams = np.random.SeedSequence(config.seed).spawn(math.ceil(n_traj / _CHUNK))
     for c, stream in enumerate(streams):
         rng = np.random.default_rng(stream)

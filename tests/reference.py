@@ -7,7 +7,8 @@ operators are vectorized by column stacking: entry (i, j) sits at index
 i + j*N, so the populations sit at a*(N + 1).
 
 ``counting_distribution`` is the exact finite-time distribution of the
-counted jumps, a deterministic reference for the trajectory sampler.
+counted jumps, a deterministic reference for the trajectory sampler, and
+``stationary_eig`` the stationary populations from a full eigensolve.
 
 ``random_basis`` and ``random_aggregate`` draw seeded site models (the
 latter with the couplings 100 / |m - n|^3 of the benchmark aggregates).
@@ -89,27 +90,27 @@ def lindblad_direct(basis, bath):
     return out
 
 
-def kron_reference(gen, bath):
+def kron_reference(gen, basis, bath):
     """The generator rebuilt term by term from dense np.kron sandwiches:
-    returns (static, counted) with W_s = static + e^{-s} counted.  ``bath``
-    must be the one the generator's channels came from; it sets the
-    zero-frequency pure-dephasing rate gamma(0)."""
-    basis, n = gen.basis, gen.n_excitons
+    returns (static, counted) with W_s = static + e^{-s} counted.  ``basis``
+    and ``bath`` must be the ones the generator's rates came from; the bath
+    sets the zero-frequency pure-dephasing rate gamma(0)."""
+    n = gen.n_excitons
     eye = np.eye(n)
     ham = np.diag(basis.energies).astype(complex)
     static = -1j * (np.kron(eye, ham) - np.kron(ham, eye))
     counted = np.zeros((n * n, n * n), dtype=complex)
-    for ch in gen.channels:
-        a, b = ch.from_exciton, ch.to_exciton
+    for a, b in np.argwhere(~np.eye(n, dtype=bool)):  # each jump a -> b
+        rate = gen.rates[b, a]
         e_ba = np.zeros((n, n))
         e_ba[b, a] = 1.0
         p_a = np.zeros((n, n))
         p_a[a, a] = 1.0
-        static -= 0.5 * ch.rate * (np.kron(eye, p_a) + np.kron(p_a, eye))
-        if ch.counted:
-            counted += ch.rate * np.kron(e_ba, e_ba)
+        static -= 0.5 * rate * (np.kron(eye, p_a) + np.kron(p_a, eye))
+        if gen.counted[b, a]:
+            counted += rate * np.kron(e_ba, e_ba)
         else:
-            static += ch.rate * np.kron(e_ba, e_ba)
+            static += rate * np.kron(e_ba, e_ba)
     gamma0 = gamma(bath, 0.0)
     for m in range(basis.n_sites):
         d_m = np.diag(basis.amplitudes[m, :] ** 2)
@@ -120,9 +121,9 @@ def kron_reference(gen, bath):
     return static, counted
 
 
-def superoperator(gen, bath, s):
+def superoperator(gen, basis, bath, s):
     """The full tilted superoperator W_s from the kron reference."""
-    static, counted = kron_reference(gen, bath)
+    static, counted = kron_reference(gen, basis, bath)
     return static + math.exp(-s) * counted
 
 
@@ -161,11 +162,27 @@ def reference_derivatives(gen, s):
     return float(w[i].real), float(d1.real), float(d2.real)
 
 
+def stationary_eig(rates):
+    """Stationary populations of the rate matrix R[b, a] from a full
+    ``np.linalg.eig`` of R - diag(escape rates): the eigenvector of the
+    eigenvalue with the largest real part, in absolute value, normalized to
+    sum 1; uniform when every rate vanishes.  The reference for
+    ``lds.stationary``."""
+    n = rates.shape[0]
+    if not rates.any():
+        return np.full(n, 1.0 / n)
+    gen = rates - np.diag(rates.sum(axis=0))
+    w, v = np.linalg.eig(gen)
+    i = int(np.argmax(w.real))
+    pi = np.abs(v[:, i].real)
+    return pi / pi.sum()
+
+
 def counting_distribution(rates, counted, p0, t, k_max):
     """P_t(K) of the counted jumps of the population chain, by uniformization.
 
     ``rates[b, a]`` is the rate from exciton a to b (as
-    ``generator.rate_matrix``) and ``counted[b, a]`` flags the jumps a -> b
+    ``TiltedGenerator.rates``) and ``counted[b, a]`` flags the jumps a -> b
     that count.  The chain starts from populations ``p0`` and runs for time
     t.  Returns P_t(K) for K = 0 .. k_max - 1, and P_t(K >= k_max) as entry
     k_max.

@@ -223,6 +223,18 @@ def test_worker_count_does_not_change_output(runner, tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_negative_worker_count_rejected(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["theta-scan", "--preset", "fmo2", "--channel", "down:a2->a1",
+         "--workers", "-3", "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"].startswith("ConfigError:") and "workers" in err["error"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_crossover_map(runner, tmp_path):
     result = invoke(
         runner,

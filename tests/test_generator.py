@@ -11,7 +11,6 @@ from excount.generator import (
     DegenerateGapError,
     SelectorError,
     TiltedGenerator,
-    enumerate_channels,
     resolve_counted,
     tilted_generator,
     transport_rates,
@@ -44,29 +43,35 @@ def boltzmann(basis, bath):
     return w / w.sum()
 
 
+def counted_pairs(counted):
+    """The (from, to) pairs flagged by a counted mask counted[to, from]."""
+    return {(int(a), int(b)) for a, b in np.argwhere(counted.T)}
+
+
 def test_fmo2_channel_enumeration():
     basis, bath = make("fmo2")
-    channels = enumerate_channels(basis, bath)
-    assert len(channels) == 2
-    down = next(c for c in channels if c.omega < 0)
-    up = next(c for c in channels if c.omega > 0)
+    rates, gaps = transport_rates(basis, bath), basis.gaps
+    assert rates.shape == (2, 2)
+    ((down_from, down_to),) = np.argwhere(gaps < 0)
+    ((up_from, up_to),) = np.argwhere(gaps > 0)
+    down, up = rates[down_to, down_from], rates[up_to, up_from]
     gap = basis.gap(0, 1)
-    assert down.omega == pytest.approx(-gap, rel=1e-12)
-    assert down.rate == pytest.approx(
+    assert gaps[down_from, down_to] == pytest.approx(-gap, rel=1e-12)
+    assert down == pytest.approx(
         gamma(bath, -gap) * intensity_factor(basis, 0, 1), rel=1e-12
     )
-    assert up.rate == pytest.approx(down.rate * math.exp(-bath.beta * gap), rel=1e-10)
+    assert up == pytest.approx(down * math.exp(-bath.beta * gap), rel=1e-10)
 
 
 def test_uncoupled_model_has_zero_transport_rates():
     basis = diagonalize(SiteModel(energies=[0.0, 150.0, 340.0], couplings=np.zeros((3, 3))))
     bath = BathSpec(35.0, 150.0, 300.0)
-    assert all(c.rate == 0.0 for c in enumerate_channels(basis, bath))
+    assert not transport_rates(basis, bath).any()
 
 
 def test_fmo3_channel_count_and_strongest_pair():
     basis, bath = make("fmo3")
-    assert len(enumerate_channels(basis, bath)) == 6
+    assert transport_rates(basis, bath).shape == (3, 3)
     # brute-force the largest intensity factor over all pairs
     best = max(
         ((a, b) for a in range(3) for b in range(3) if a != b),
@@ -89,7 +94,7 @@ def test_degenerate_gap_error_names_pairs():
             basis = diagonalize(SiteModel(energies=energies, couplings=np.zeros((n, n))))
         message = rf"transition {pair} has zero frequency"
         with pytest.raises(DegenerateGapError, match=message):
-            enumerate_channels(basis, bath)
+            transport_rates(basis, bath)
         with pytest.raises(DegenerateGapError, match=message):
             tilted_generator(basis, bath, ["all-down"])
 
@@ -101,8 +106,6 @@ def assert_rates_match_scalar_reference(basis, bath):
     assert np.all(np.abs(rates - expected) <= 4 * np.finfo(float).eps * np.abs(expected))
     gen = tilted_generator(basis, bath, ["all-down"])
     assert np.array_equal(gen.rates, rates)
-    for c in enumerate_channels(basis, bath):
-        assert c.rate == rates[c.to_exciton, c.from_exciton]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -141,12 +144,10 @@ def test_counted_mask_matches_selector_pairs(seed):
         ([(lo, hi)], {(lo, hi)}),
         ([(hi, lo), f"up:a{lo + 1}->a{hi + 1}"], {(hi, lo), (lo, hi)}),
     ]
-    channels = enumerate_channels(basis, bath)
     for selectors, pairs in cases:
         gen = tilted_generator(basis, bath, selectors)
-        assert {(int(a), int(b)) for a, b in np.argwhere(gen.counted.T)} == pairs
-        assert {c.pair for c in gen.channels if c.counted} == pairs
-        assert {c.pair for c in resolve_counted(channels, selectors) if c.counted} == pairs
+        assert counted_pairs(gen.counted) == pairs
+        assert counted_pairs(resolve_counted(n, selectors)) == pairs
 
 
 def test_generator_does_not_depend_on_rate_layout():
@@ -154,8 +155,8 @@ def test_generator_does_not_depend_on_rate_layout():
     basis, bath = random_basis(11, 20, 21)
     rates = transport_rates(basis, bath)
     counted = np.triu(np.ones_like(rates, dtype=bool), 1)
-    plain = TiltedGenerator(basis, np.ascontiguousarray(rates), counted)
-    fortran = TiltedGenerator(basis, np.asfortranarray(rates), counted)
+    plain = TiltedGenerator(np.ascontiguousarray(rates), counted)
+    fortran = TiltedGenerator(np.asfortranarray(rates), counted)
     for s in (-1.0, 0.0, 2.0):
         assert np.array_equal(plain.population_block(s), fortran.population_block(s))
 
@@ -235,8 +236,9 @@ def test_detailed_balance_of_rates_all_presets():
     for name in ("fmo2", "fmo3", "fmo4"):
         for temp in TEMPS:
             basis, bath = make(name, temp)
-            channels = enumerate_channels(basis, bath)
-            rate = {(c.from_exciton, c.to_exciton): c.rate for c in channels}
+            rates = transport_rates(basis, bath)
+            pairs = np.argwhere(~np.eye(basis.n_excitons, dtype=bool))
+            rate = {(int(a), int(b)): rates[b, a] for a, b in pairs}
             for (a, b), r in rate.items():
                 expected = rate[(b, a)] * math.exp(-bath.beta * basis.gap(a, b))
                 assert r == pytest.approx(expected, rel=1e-10)
@@ -248,7 +250,9 @@ def test_untilted_matches_independent_construction():
         gen = tilted_generator(basis, bath, ["down:a2->a1"])
         direct = lindblad_direct(basis, bath)
         scale = np.max(np.abs(direct))
-        np.testing.assert_allclose(superoperator(gen, bath, 0.0), direct, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            superoperator(gen, basis, bath, 0.0), direct, atol=1e-12 * scale
+        )
         np.testing.assert_allclose(
             gen.population_block(0.0), population_entries(direct), atol=1e-12 * scale
         )
@@ -258,7 +262,7 @@ def test_trace_preservation_at_s_zero():
     for name in ("fmo2", "fmo3", "fmo4"):
         basis, bath = make(name)
         gen = tilted_generator(basis, bath, ["all-down"])
-        w0 = superoperator(gen, bath, 0.0)
+        w0 = superoperator(gen, basis, bath, 0.0)
         n = basis.n_excitons
         trace_vec = np.zeros(n * n)
         trace_vec[:: n + 1] = 1.0
@@ -272,10 +276,10 @@ def test_counting_factor_touches_only_counted_sandwiches():
     diff = gen.population_block(1.0) - gen.population_block(0.0)
     # only the population a3 -> population a2 entry moves
     expected = np.zeros((3, 3))
-    rate = next(c.rate for c in gen.channels if c.counted)
+    (rate,) = gen.rates[gen.counted]
     expected[1, 2] = rate * (math.exp(-1.0) - 1.0)
     np.testing.assert_allclose(diff, expected, atol=1e-12 * rate)
-    full_diff = superoperator(gen, bath, 1.0) - superoperator(gen, bath, 0.0)
+    full_diff = superoperator(gen, basis, bath, 1.0) - superoperator(gen, basis, bath, 0.0)
     np.testing.assert_allclose(population_entries(full_diff), expected, atol=1e-12 * rate)
     full_diff[np.ix_([0, 4, 8], [0, 4, 8])] = 0.0
     assert np.max(np.abs(full_diff)) <= 1e-12 * rate
@@ -286,7 +290,8 @@ def test_stationary_state_is_boltzmann():
         for temp in TEMPS:
             basis, bath = make(name, temp)
             n = basis.n_excitons
-            w0 = superoperator(tilted_generator(basis, bath, ["down:a2->a1"]), bath, 0.0)
+            gen = tilted_generator(basis, bath, ["down:a2->a1"])
+            w0 = superoperator(gen, basis, bath, 0.0)
             evals, evecs = np.linalg.eig(w0)
             sigma = evecs[:, np.argmin(np.abs(evals))].reshape(n, n, order="F")
             sigma = sigma / np.trace(sigma)
@@ -300,9 +305,9 @@ def test_stationary_state_is_boltzmann():
 def test_stationary_flux_balance_fmo2():
     basis, bath = make("fmo2")
     pops = boltzmann(basis, bath)
-    rate = {(c.from_exciton, c.to_exciton): c.rate for c in enumerate_channels(basis, bath)}
-    down_flux = rate[(1, 0)] * pops[1]
-    up_flux = rate[(0, 1)] * pops[0]
+    rates = transport_rates(basis, bath)
+    down_flux = rates[0, 1] * pops[1]
+    up_flux = rates[1, 0] * pops[0]
     assert down_flux == pytest.approx(up_flux, rel=1e-10)
 
 
@@ -332,7 +337,7 @@ def test_population_block_top_eigenvalue_matches_full():
         gen = tilted_generator(basis, bath, ["down:a2->a1"])
         for s in np.linspace(-2.0, 10.0, 13):
             top_block = top_eigenvalue(gen.population_block(s))
-            top_full = top_eigenvalue(superoperator(gen, bath, s))
+            top_full = top_eigenvalue(superoperator(gen, basis, bath, s))
             assert top_block == pytest.approx(top_full, abs=1e-9)
 
 
@@ -343,7 +348,7 @@ def test_population_block_consistency_random_models(seed):
     gen = tilted_generator(basis, bath, ["down:a2->a1"])
     for s in (-1.5, 0.0, 2.5, 8.0):
         top_block = top_eigenvalue(gen.population_block(s))
-        top_full = top_eigenvalue(superoperator(gen, bath, s))
+        top_full = top_eigenvalue(superoperator(gen, basis, bath, s))
         assert top_block == pytest.approx(top_full, abs=1e-9)
 
 
@@ -359,7 +364,7 @@ def test_direct_build_matches_kron_reference(seed, selector):
         "all-down": "all-down",
     }[selector]
     gen = tilted_generator(basis, bath, [chosen])
-    static, counted = kron_reference(gen, bath)
+    static, counted = kron_reference(gen, basis, bath)
     for s in (-1.5, 0.0, 2.5, 8.0):
         expected = population_entries(static + math.exp(-s) * counted)
         scale = np.max(np.abs(expected))
@@ -399,32 +404,20 @@ def test_population_scan_never_assembles_superoperator():
 def test_large_s_limit_deletes_counted_sandwiches():
     basis, bath = make("fmo3")
     gen = tilted_generator(basis, bath, ["all-down"])
-    n = basis.n_excitons
-    rates = np.zeros((n, n))
-    for c in gen.channels:
-        rates[c.to_exciton, c.from_exciton] = c.rate
-    limit = rates - np.diag(rates.sum(axis=0))
-    for c in gen.channels:
-        if c.counted:
-            limit[c.to_exciton, c.from_exciton] -= c.rate
+    rates = gen.rates
+    limit = rates - np.diag(rates.sum(axis=0)) - np.where(gen.counted, rates, 0.0)
     expected = np.max(np.linalg.eigvals(limit).real)
-    top40 = top_eigenvalue(superoperator(gen, bath, 40.0))
+    top40 = top_eigenvalue(superoperator(gen, basis, bath, 40.0))
     assert top40 == pytest.approx(expected, abs=1e-8)
 
 
 def test_selector_forms():
-    basis, bath = make("fmo3")
-    channels = enumerate_channels(basis, bath)
-    down = resolve_counted(channels, ["down:a3->a2"])
-    assert {c.pair for c in down if c.counted} == {(2, 1)}
-    up = resolve_counted(channels, ["up:a1->a3"])
-    assert {c.pair for c in up if c.counted} == {(0, 2)}
-    pair = resolve_counted(channels, ["pair:a1<->a2"])
-    assert {c.pair for c in pair if c.counted} == {(0, 1), (1, 0)}
-    alldown = resolve_counted(channels, ["all-down"])
-    assert {c.pair for c in alldown if c.counted} == {(1, 0), (2, 0), (2, 1)}
-    explicit = resolve_counted(channels, [(2, 0)])
-    assert {c.pair for c in explicit if c.counted} == {(2, 0)}
+    n = diagonalize(preset("fmo3")).n_excitons
+    assert counted_pairs(resolve_counted(n, ["down:a3->a2"])) == {(2, 1)}
+    assert counted_pairs(resolve_counted(n, ["up:a1->a3"])) == {(0, 2)}
+    assert counted_pairs(resolve_counted(n, ["pair:a1<->a2"])) == {(0, 1), (1, 0)}
+    assert counted_pairs(resolve_counted(n, ["all-down"])) == {(1, 0), (2, 0), (2, 1)}
+    assert counted_pairs(resolve_counted(n, [(2, 0)])) == {(2, 0)}
 
 
 @pytest.mark.parametrize(
@@ -439,19 +432,17 @@ def test_selector_forms():
     ],
 )
 def test_selector_rejections(selector):
-    basis, bath = make("fmo3")
-    channels = enumerate_channels(basis, bath)
+    basis, _ = make("fmo3")
     with pytest.raises(SelectorError):
-        resolve_counted(channels, [selector])
+        resolve_counted(basis.n_excitons, [selector])
 
 
 def test_empty_counted_set_rejected():
     basis, bath = make("fmo2")
-    channels = enumerate_channels(basis, bath)
     with pytest.raises(SelectorError, match="empty"):
-        resolve_counted(channels, [])
+        resolve_counted(basis.n_excitons, [])
     with pytest.raises(SelectorError):
-        TiltedGenerator(basis, transport_rates(basis, bath), np.zeros((2, 2), bool))
+        TiltedGenerator(transport_rates(basis, bath), np.zeros((2, 2), bool))
 
 
 def test_counting_direction_is_irrelevant_for_theta():

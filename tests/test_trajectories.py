@@ -7,16 +7,10 @@ import pytest
 import scipy.linalg
 from scipy.stats import chi2, poisson
 
-from excount import trajectories
+from excount import lds, trajectories
 from excount.bath import BathSpec
-from excount.generator import (
-    JumpChannel,
-    enumerate_channels,
-    rate_matrix,
-    resolve_counted,
-    tilted_generator,
-)
-from excount.lds import theta_derivatives
+from excount.generator import TiltedGenerator, tilted_generator
+from excount.lds import SpectralError, theta_derivatives
 from excount.model import SiteModel, diagonalize, preset
 from excount.trajectories import (
     _CHUNK,
@@ -24,25 +18,23 @@ from excount.trajectories import (
     _destinations,
     _lookup,
     _path_table,
-    _stationary,
     simulate,
 )
-from reference import counting_distribution
+from reference import counting_distribution, stationary_eig
 
 
 def fmo_setup(name, selector, temp=300.0):
     basis = diagonalize(preset(name))
     bath = BathSpec(35.0, 150.0, temp)
-    channels = resolve_counted(enumerate_channels(basis, bath), [selector])
     gen = tilted_generator(basis, bath, [selector])
     _, d1, d2 = theta_derivatives(gen, 0.0)
-    return basis, bath, channels, -d1, -d2 / d1 - 1.0
+    return basis, bath, gen, -d1, -d2 / d1 - 1.0
 
 
-def zero_rate_channels():
+def zero_rate_generator():
     basis = diagonalize(SiteModel(energies=[0.0, 200.0], couplings=np.zeros((2, 2))))
     bath = BathSpec(35.0, 150.0, 300.0)
-    return resolve_counted(enumerate_channels(basis, bath), ["down:a2->a1"])
+    return tilted_generator(basis, bath, ["down:a2->a1"])
 
 
 def test_config_validation():
@@ -63,17 +55,17 @@ def test_config_validation():
     for bad in (1.5, 2.0, False, -1):
         with pytest.raises(ValueError, match=f"seed .* got {bad!r}"):
             TrajectoryConfig(t_max=1.0, seed=bad)
-    _, _, channels, activity, _ = fmo_setup("fmo2", "down:a2->a1")
+    _, _, gen, activity, _ = fmo_setup("fmo2", "down:a2->a1")
     cfg = TrajectoryConfig(
         t_max=50.0 / activity, n_trajectories=np.int64(3), seed=np.uint32(5)
     )
-    assert simulate(channels, cfg).n_trajectories == 3
+    assert simulate(gen, cfg).n_trajectories == 3
 
 
 def test_zero_rates_stationary_start():
-    channels = zero_rate_channels()
+    gen = zero_rate_generator()
     with pytest.warns(UserWarning, match="expected counted jumps"):
-        stats = simulate(channels, TrajectoryConfig(t_max=5.0, n_trajectories=64, seed=1))
+        stats = simulate(gen, TrajectoryConfig(t_max=5.0, n_trajectories=64, seed=1))
     assert stats.mean_rate == 0.0
     assert stats.histogram == {0: 64}
     assert stats.mandel_estimate is None
@@ -81,31 +73,66 @@ def test_zero_rates_stationary_start():
 
 
 def test_zero_rates_fixed_start_rejected():
-    channels = zero_rate_channels()
+    gen = zero_rate_generator()
     with pytest.raises(ValueError, match="stationary"):
-        simulate(channels, TrajectoryConfig(t_max=5.0, n_trajectories=8, initial_state=0))
+        simulate(gen, TrajectoryConfig(t_max=5.0, n_trajectories=8, initial_state=0))
 
 
 @pytest.mark.parametrize("bad_rate", [-1.0, math.inf, math.nan], ids=["negative", "inf", "nan"])
 def test_bad_channel_rate_rejected(bad_rate):
-    channels = (
-        JumpChannel(0, 1, 100.0, 2.0, counted=False),
-        JumpChannel(1, 0, -100.0, bad_rate, counted=True),
-    )
-    with pytest.raises(ValueError, match="finite and non-negative"):
-        simulate(channels, TrajectoryConfig(t_max=5.0, n_trajectories=8, burn_in=0.0))
+    # the counted jump 1 -> 0 has the bad rate; the sampler and the spectral
+    # kernel both see it rejected when the generator is built, not as a
+    # misleading "ambiguous" or "overflows" error later
+    rates, counted = [[0.0, bad_rate], [2.0, 0.0]], [[False, True], [False, False]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            simulate(
+                TiltedGenerator(rates, counted),
+                TrajectoryConfig(t_max=5.0, n_trajectories=8, burn_in=0.0),
+            )
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            lds.scan(TiltedGenerator(rates, counted), [-1.0, 0.0])
+
+
+def test_stationary_start_on_reducible_chain_is_an_error():
+    # two uncoupled dimers: the stationary state is not unique, and a start
+    # drawn from one of them alone never reaches the counted jump
+    j = np.zeros((4, 4))
+    j[0, 1] = j[1, 0] = 60.0
+    j[2, 3] = j[3, 2] = 70.0
+    basis = diagonalize(SiteModel(energies=[0.0, 150.0, 300.0, 500.0], couplings=j))
+    gen = tilted_generator(basis, BathSpec(35.0, 150.0, 300.0), ["down:a2->a1"])
+    with pytest.raises(SpectralError, match="defective .* reducible"):
+        simulate(gen, TrajectoryConfig(t_max=5.0, n_trajectories=8))
+
+
+def test_isolated_exciton_gets_no_stationary_weight():
+    # sites at 0, 150 and 400 cm^-1 with only J12 = 60 cm^-1: the exciton on
+    # site 3 has no rate in or out
+    j = np.zeros((3, 3))
+    j[0, 1] = j[1, 0] = 60.0
+    basis = diagonalize(SiteModel(energies=[0.0, 150.0, 400.0], couplings=j))
+    gen = tilted_generator(basis, BathSpec(35.0, 150.0, 300.0), ["down:a2->a1"])
+    np.testing.assert_allclose(lds.stationary(gen), [0.7153, 0.2847, 0.0], rtol=0.0, atol=1e-4)
+    activity = -theta_derivatives(gen, 0.0)[1]
+    assert activity == pytest.approx(6.267, abs=1e-3)
+    cfg = TrajectoryConfig(t_max=200.0 / activity, n_trajectories=4000, seed=3)
+    stats = simulate(gen, cfg)
+    assert abs(stats.mean_rate - activity) < 3.0 * stats.se_mean
+    assert stats.occupation[2] == 0.0
 
 
 def test_fmo2_agrees_with_spectral_pipeline():
-    basis, bath, channels, activity, q = fmo_setup("fmo2", "down:a2->a1")
+    basis, bath, gen, activity, q = fmo_setup("fmo2", "down:a2->a1")
     cfg = TrajectoryConfig(t_max=200.0 / activity, n_trajectories=10_000, seed=42)
-    stats = simulate(channels, cfg)
+    stats = simulate(gen, cfg)
     assert abs(stats.mean_rate - activity) < 3.0 * stats.se_mean
     assert abs(stats.mandel_estimate - q) < 3.0 * stats.se_mandel
     # same number as the stationary downward flux
     pops = np.exp(-bath.beta * basis.energies)
     pops /= pops.sum()
-    rate_down = next(c.rate for c in channels if c.counted)
+    rate_down = gen.rates[0, 1]
     assert abs(stats.mean_rate - rate_down * pops[1]) < 3.0 * stats.se_mean
     # occupation fractions track the Boltzmann weights
     occ_se = np.sqrt(pops * (1 - pops) / cfg.n_trajectories)  # loose per-state bound
@@ -115,22 +142,19 @@ def test_fmo2_agrees_with_spectral_pipeline():
 
 def test_equal_rate_toy_mandel_is_minus_half():
     kappa = 5.0
-    channels = (
-        JumpChannel(0, 1, 100.0, kappa, counted=False),
-        JumpChannel(1, 0, -100.0, kappa, counted=True),
-    )
+    gen = TiltedGenerator([[0.0, kappa], [kappa, 0.0]], [[False, True], [False, False]])
     cfg = TrajectoryConfig(t_max=80.0, n_trajectories=6000, seed=9)
-    stats = simulate(channels, cfg)
+    stats = simulate(gen, cfg)
     assert abs(stats.mandel_estimate + 0.5) < 3.0 * stats.se_mandel
 
 
 def test_bit_reproducibility():
     # one trajectory, a partial chunk, exactly one chunk, one past a chunk
-    _, _, channels, activity, _ = fmo_setup("fmo2", "down:a2->a1")
+    _, _, gen, activity, _ = fmo_setup("fmo2", "down:a2->a1")
     for n_traj in (1, 500, _CHUNK, _CHUNK + 1):
         cfg = TrajectoryConfig(t_max=100.0 / activity, n_trajectories=n_traj, seed=77)
-        a = simulate(channels, cfg)
-        b = simulate(channels, cfg)
+        a = simulate(gen, cfg)
+        b = simulate(gen, cfg)
         assert a.histogram == b.histogram
         assert a.mean_rate == b.mean_rate
         assert a.se_mandel == b.se_mandel
@@ -152,17 +176,17 @@ def test_bit_reproducibility():
     ids=["above", "below", "string", "float", "fraction", "bool"],
 )
 def test_initial_state_validated(initial_state, message):
-    _, _, channels, _, _ = fmo_setup("fmo2", "down:a2->a1")
+    _, _, gen, _, _ = fmo_setup("fmo2", "down:a2->a1")
     cfg = TrajectoryConfig(t_max=1.0, n_trajectories=8, initial_state=initial_state)
     with pytest.raises(ValueError, match=message):
-        simulate(channels, cfg)
+        simulate(gen, cfg)
 
 
 def test_numpy_integer_initial_state_accepted():
-    _, _, channels, activity, _ = fmo_setup("fmo2", "down:a2->a1")
+    _, _, gen, activity, _ = fmo_setup("fmo2", "down:a2->a1")
     runs = [
         simulate(
-            channels,
+            gen,
             TrajectoryConfig(
                 t_max=20.0 / activity, n_trajectories=64, seed=4, initial_state=start
             ),
@@ -177,16 +201,13 @@ def test_absorbing_state_reached_mid_trajectory():
     # from exciton 1 the counted downward jump leads into exciton 0, which
     # has no escape: K is 0 or 1, and exciton 1 is held for min(T, t_max)
     gamma_down, t_max, n_traj = 5.0, 0.2, 4000
-    channels = (
-        JumpChannel(0, 1, 100.0, 0.0, counted=False),
-        JumpChannel(1, 0, -100.0, gamma_down, counted=True),
-    )
+    gen = TiltedGenerator([[0.0, gamma_down], [0.0, 0.0]], [[False, True], [False, False]])
     cfg = TrajectoryConfig(
         t_max=t_max, n_trajectories=n_traj, burn_in=0.0, seed=5, initial_state=1
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stats = simulate(channels, cfg)
+        stats = simulate(gen, cfg)
     assert stats.warning is None
     assert set(stats.histogram) <= {0, 1}
     x = gamma_down * t_max
@@ -202,9 +223,9 @@ def test_absorbing_state_reached_mid_trajectory():
 
 
 def test_seed_changes_the_sample():
-    _, _, channels, activity, _ = fmo_setup("fmo2", "down:a2->a1")
-    a = simulate(channels, TrajectoryConfig(t_max=50.0 / activity, n_trajectories=200, seed=1))
-    b = simulate(channels, TrajectoryConfig(t_max=50.0 / activity, n_trajectories=200, seed=2))
+    _, _, gen, activity, _ = fmo_setup("fmo2", "down:a2->a1")
+    a = simulate(gen, TrajectoryConfig(t_max=50.0 / activity, n_trajectories=200, seed=1))
+    b = simulate(gen, TrajectoryConfig(t_max=50.0 / activity, n_trajectories=200, seed=2))
     assert a.histogram != b.histogram
 
 
@@ -212,11 +233,9 @@ def test_upward_and_downward_counts_balance():
     # same seed -> identical paths, so only the counting flags differ
     basis = diagonalize(preset("fmo3"))
     bath = BathSpec(35.0, 150.0, 300.0)
-    all_channels = enumerate_channels(basis, bath)
-    down = resolve_counted(all_channels, ["down:a3->a2"])
-    up = resolve_counted(all_channels, ["up:a2->a3"])
-    gen = tilted_generator(basis, bath, ["down:a3->a2"])
-    activity = -theta_derivatives(gen, 0.0)[1]
+    down = tilted_generator(basis, bath, ["down:a3->a2"])
+    up = tilted_generator(basis, bath, ["up:a2->a3"])
+    activity = -theta_derivatives(down, 0.0)[1]
     cfg = TrajectoryConfig(t_max=100.0 / activity, n_trajectories=4000, seed=13)
     st_down = simulate(down, cfg)
     st_up = simulate(up, cfg)
@@ -225,14 +244,14 @@ def test_upward_and_downward_counts_balance():
 
 
 def test_standard_error_scaling():
-    _, _, channels, activity, _ = fmo_setup("fmo2", "down:a2->a1")
+    _, _, gen, activity, _ = fmo_setup("fmo2", "down:a2->a1")
     ratios = []
     for rep in range(10):
         small = simulate(
-            channels, TrajectoryConfig(t_max=50.0 / activity, n_trajectories=400, seed=100 + rep)
+            gen, TrajectoryConfig(t_max=50.0 / activity, n_trajectories=400, seed=100 + rep)
         )
         big = simulate(
-            channels, TrajectoryConfig(t_max=50.0 / activity, n_trajectories=800, seed=200 + rep)
+            gen, TrajectoryConfig(t_max=50.0 / activity, n_trajectories=800, seed=200 + rep)
         )
         ratios.append(small.se_mean / big.se_mean)
     assert 1.25 <= np.mean(ratios) <= 1.6
@@ -241,11 +260,11 @@ def test_standard_error_scaling():
 def test_burn_in_discards_early_relaxation():
     # start in the upper exciton: without burn-in the early downhill bias
     # inflates the counted rate; the default burn-in removes it
-    basis, bath, channels, activity, _ = fmo_setup("fmo2", "down:a2->a1")
+    basis, bath, gen, activity, _ = fmo_setup("fmo2", "down:a2->a1")
     cfg = TrajectoryConfig(
         t_max=200.0 / activity, n_trajectories=4000, seed=3, initial_state=1
     )
-    stats = simulate(channels, cfg)
+    stats = simulate(gen, cfg)
     assert stats.window < cfg.t_max  # default burn-in was applied
     assert abs(stats.mean_rate - activity) < 4.0 * stats.se_mean
 
@@ -374,22 +393,20 @@ def test_histogram_matches_exact_counting_distribution(case, block, monkeypatch)
     name, temp, selector, start, burn_frac, seed = EXACT_CASES[case]
     if block is not None:
         monkeypatch.setattr(trajectories, "_BLOCK", block)
-    basis, bath, channels, activity, _ = fmo_setup(name, selector, temp)
+    basis, bath, gen, activity, _ = fmo_setup(name, selector, temp)
     t_max = 200.0 / activity
     burn_in = None if burn_frac is None else burn_frac * t_max
     n_traj = 4000
     stats = simulate(
-        channels,
+        gen,
         TrajectoryConfig(
             t_max=t_max, n_trajectories=n_traj, burn_in=burn_in, seed=seed,
             initial_state=start,
         ),
     )
-    n = basis.n_excitons
-    rates = rate_matrix(channels, n)
-    counted = rate_matrix([c for c in channels if c.counted], n) > 0
+    rates, counted = gen.rates, gen.counted
     if start == "stationary":
-        p0 = _stationary(rates)
+        p0 = stationary_eig(rates)
     else:
         # relax the fixed start through the burn-in before counting
         p0 = scipy.linalg.expm((rates - np.diag(rates.sum(axis=0))) * burn_in)[:, start]
