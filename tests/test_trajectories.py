@@ -15,7 +15,6 @@ from excount.model import SiteModel, diagonalize, preset
 from excount.trajectories import (
     _CHUNK,
     TrajectoryConfig,
-    _destinations,
     _lookup,
     _path_table,
     simulate,
@@ -277,65 +276,96 @@ def random_rates(n, seed, absorbing=()):
     return rates
 
 
+def destination_cum(rates, esc):
+    """Cumulative probabilities of the destinations b != a from each exciton
+    a, in ascending b, as the reference for single-jump lookups; an
+    absorbing exciton goes to its first other exciton."""
+    n = esc.size
+    cum = np.ones((n, n - 1))
+    for a in range(n):
+        if esc[a] > 0:
+            cum[a] = np.minimum(np.cumsum(np.delete(rates[:, a], a) / esc[a]), 1.0)
+            cum[a, -1] = 1.0
+    return cum
+
+
 @pytest.mark.parametrize(
     "n, absorbing, length",
-    [(2, (), 11), (3, (), 6), (17, (), 1), (20, (), 1), (3, (1,), 6), (4, (0, 3), 5)],
+    [(2, (), 16), (3, (), 10), (17, (), 1), (20, (), 1), (3, (1,), 10), (4, (0, 3), 6)],
     ids=["n2", "n3", "n17", "n20", "n3-absorbing", "n4-two-absorbing"],
 )
 def test_path_table_holds_path_probabilities(n, absorbing, length):
     rates = random_rates(n, seed=n, absorbing=absorbing)
     esc = rates.sum(axis=0)
-    cum = _destinations(rates, esc)
-    # the row loop the table replaced, as the reference; the new table also
-    # caps entries at 1.0, which may move one by an ulp
-    ref = np.ones((n, n))
-    for a in range(n):
-        if esc[a] > 0:
-            ref[a] = np.cumsum(rates[:, a]) / esc[a]
-            ref[a, -1] = 1.0
-    np.testing.assert_allclose(cum, ref, rtol=0.0, atol=2.0 * np.spacing(1.0))
-    assert np.all(np.diff(cum, axis=1) >= 0.0)
-
-    keys, got_length = _path_table(cum)
-    assert got_length == length
-    assert keys.size == n ** (length + 1) <= max(trajectories._PATH_ENTRIES, n * n)
-    assert np.all(np.diff(keys) >= 0.0)
-    rows = keys.reshape(n, -1)
+    counted = np.random.default_rng(n).random((n, n)) < 0.5  # counted[a, b]: a -> b
+    table = _path_table(rates, esc, counted)
+    n_paths = (n - 1) ** length
+    assert table.held.shape == (n * n_paths, length)
+    assert table.keys.size == n * n_paths <= max(trajectories._PATH_ENTRIES, n * (n - 1))
+    if n == 2:
+        assert n_paths == 1
+    rows = table.keys.reshape(n, -1)
+    assert np.all(np.diff(rows, axis=1) >= 0.0)
     assert np.array_equal(rows[:, -1], np.arange(n) + 1.0)
-    step = np.diff(cum, prepend=0.0, axis=1)
-    # the keys of row a resolve only to ulp(a + 1) <= ulp(n)
+    seqs = np.column_stack((table.held, table.last))
+    assert np.all(seqs[:, 1:] != seqs[:, :-1])  # no path holds a self-jump
+    # the guide only speeds up the search: a lookup is the first key above
+    # a + u / 2, and it stays in row a
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, n, 10_000)
+    u = rng.random(10_000)
+    entry = _lookup(table, a, u)
+    assert np.array_equal(entry, np.searchsorted(table.keys, a + 0.5 * u, side="right"))
+    assert np.array_equal(entry // n_paths, a)
+    # the keys hold half the cumulative probabilities, and the last path
+    # takes the rest; they resolve only to ulp(a + 1) <= ulp(n)
     tol = max(1e-15, 2.0 * np.spacing(float(n)))
     for a in range(n):
-        diffs = np.diff(rows[a], prepend=float(a))
-        for p, path in enumerate(itertools.product(range(n), repeat=length)):
-            prob, here = 1.0, a
-            for b in path:
-                prob *= step[here, b]
+        probs = 2.0 * np.diff(rows[a], prepend=float(a))
+        probs[-1] = 1.0 - 2.0 * (rows[a, -2] - a) if n_paths > 1 else 1.0
+        for p, digits in enumerate(itertools.product(range(n - 1), repeat=length)):
+            prob, here, seq, k_count = 1.0, a, [a], 0
+            for d in digits:
+                b = d + (d >= here)
+                prob *= rates[b, here] / esc[here] if esc[here] > 0 else float(d == 0)
+                k_count += counted[here, b]
                 here = b
-            assert abs(diffs[p] - prob) <= tol, (a, path)
+                seq.append(b)
+            entry = a * n_paths + p
+            assert np.array_equal(seqs[entry], seq), (a, digits)
+            assert table.counted[entry] == k_count, (a, digits)
+            assert abs(probs[p] - prob) <= tol, (a, digits)
+            # the per-exciton hold counts agree with the held sequence
+            holds = np.bincount(
+                table.visited[:, entry], weights=table.visits[:, entry], minlength=n
+            )
+            assert np.array_equal(holds, np.bincount(seq[:-1], minlength=n))
 
 
 @pytest.mark.parametrize("n, absorbing", [(17, ()), (20, (3,))], ids=["n17", "n20-absorbing"])
 def test_single_jump_lookup_matches_cumulative_search(n, absorbing):
     rates = random_rates(n, seed=100 + n, absorbing=absorbing)
-    cum = _destinations(rates, rates.sum(axis=0))
-    keys, length = _path_table(cum)
-    assert length == 1
+    esc = rates.sum(axis=0)
+    table = _path_table(rates, esc, np.zeros((n, n), dtype=bool))
+    assert table.held.shape[1] == 1
+    cum = destination_cum(rates, esc)
     rng = np.random.default_rng(7)
     a = rng.integers(0, n, 100_000)
     u = rng.random(100_000)
-    expected = (cum[a] <= u[:, None]).sum(axis=1)
-    assert np.array_equal(_lookup(keys, n, a, u), expected)
+    digit = (cum[a] <= u[:, None]).sum(axis=1)
+    entry = _lookup(table, a, u)
+    assert np.array_equal(entry, a * (n - 1) + digit)
+    assert np.array_equal(table.last[entry], digit + (digit >= a))
 
 
 def test_lookup_stays_in_its_row_when_a_plus_u_rounds_up():
     rates = random_rates(3, seed=1)
-    keys, length = _path_table(_destinations(rates, rates.sum(axis=0)))
-    n_paths = 3**length
+    table = _path_table(rates, rates.sum(axis=0), np.zeros((3, 3), dtype=bool))
+    n_paths = 2 ** table.held.shape[1]
     a = np.array([1, 2])
     u = np.full(2, np.nextafter(1.0, 0.0))  # a + u rounds to a + 1
     assert np.all(a + u == a + 1.0)
-    assert np.array_equal(_lookup(keys, n_paths, a, u), [n_paths - 1] * 2)
+    assert np.array_equal(_lookup(table, a, u), (a + 1) * n_paths - 1)
 
 
 def test_counting_distribution_reference():
@@ -416,3 +446,100 @@ def test_histogram_matches_exact_counting_distribution(case, block, monkeypatch)
     assert probs.sum() == pytest.approx(1.0, abs=1e-10)
     assert sum(stats.histogram.values()) == n_traj
     assert chi_square_p(stats.histogram, probs, n_traj) > 1e-3
+
+
+def test_runaway_run_warns_before_sampling(monkeypatch):
+    # fmo4 at 77 K counting the rare upward jump a1 -> a4: the default window
+    # of 200 expected counted jumps holds about 1.65e6 jumps per trajectory
+    _, _, gen, activity, _ = fmo_setup("fmo4", "up:a1->a4", 77.0)
+
+    def no_walk(*args):
+        raise AssertionError("sampled despite the warning")
+
+    monkeypatch.setattr(trajectories, "_walk", no_walk)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match=r"expected 1\.6\de\+10 jumps .*--traj, --t-max-ps"):
+            simulate(gen, TrajectoryConfig(t_max=200.0 / activity))
+        # without the stationary state, the largest escape rate bounds the count
+        with pytest.raises(UserWarning, match=r"expected \d\.\d+e\+\d+ jumps"):
+            simulate(
+                gen,
+                TrajectoryConfig(t_max=200.0 / activity, burn_in=0.0, initial_state=0),
+            )
+
+
+def test_self_jump_rates_rejected():
+    rates = [[1.0, 2.0], [3.0, 0.0]]
+    gen = TiltedGenerator(rates, [[False, True], [False, False]])
+    with pytest.raises(ValueError, match="self-jump"):
+        simulate(gen, TrajectoryConfig(t_max=5.0, n_trajectories=8))
+
+
+def occupation_se(rates, pi, window, n_traj):
+    """Standard errors of the occupation fractions of ``n_traj`` stationary
+    trajectories over ``window``: the time spent in exciton a has the
+    asymptotic variance 2 pi_a D[a, a] per unit time, where
+    D = (pi 1^T - Q)^-1 - pi 1^T is the deviation matrix of the chain."""
+    q = rates - np.diag(rates.sum(axis=0))
+    proj = np.outer(pi, np.ones_like(pi))
+    dev = np.linalg.inv(proj - q) - proj
+    return np.sqrt(2.0 * pi * np.diag(dev) / (window * n_traj))
+
+
+# (n, absorbing excitons, initial state, burn-in in units of t_max, jumps
+# per trajectory in units of the mean escape rate, seed).  The rates into an
+# absorbing exciton are cut 20-fold, so that most trajectories enter it
+# after many blocks that lie inside the window.  With 3 jumps per
+# trajectory against blocks of at least 16, the edge-heavy case takes nearly
+# every hold from the Dirichlet split of a block that straddles both the
+# burn-in and t_max.
+RANDOM_CASES = {
+    "n2": (2, (), "stationary", None, 40.0, 51),
+    "n3": (3, (), "stationary", None, 40.0, 52),
+    "n4": (4, (), "stationary", None, 40.0, 53),
+    "n5": (5, (), "stationary", None, 40.0, 54),
+    "n6": (6, (), "stationary", None, 40.0, 55),
+    "n4-absorbing-mid-trajectory": (4, (0,), 3, 0.0, 150.0, 56),
+    "n5-fixed-start-burn-in": (5, (), 2, 0.2, 40.0, 57),
+    "n6-edge-heavy": (6, (), 1, 0.3, 3.0, 58),
+}
+
+
+@pytest.mark.parametrize("case", list(RANDOM_CASES))
+def test_random_chain_matches_exact_counting_distribution(case):
+    n, absorbing, start, burn_frac, jumps, seed = RANDOM_CASES[case]
+    rates = random_rates(n, seed, absorbing)
+    rates[list(absorbing)] /= 20.0
+    counted = np.random.default_rng(seed).random((n, n)) < 0.5
+    np.fill_diagonal(counted, False)
+    counted[0, n - 1] = True  # the jump n - 1 -> 0, into any absorbing exciton
+    gen = TiltedGenerator(rates, counted)
+    esc = rates.sum(axis=0)
+    t_max = jumps / esc.mean()
+    burn_in = None if burn_frac is None else burn_frac * t_max
+    n_traj = 4000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = simulate(
+            gen,
+            TrajectoryConfig(
+                t_max=t_max, n_trajectories=n_traj, burn_in=burn_in, seed=seed,
+                initial_state=start,
+            ),
+        )
+    if start == "stationary":
+        p0 = stationary_eig(rates)
+    else:
+        # relax the fixed start through the burn-in before counting
+        p0 = scipy.linalg.expm((rates - np.diag(esc)) * burn_in)[:, start]
+    k_max = 2 * max(stats.histogram) + 10
+    probs = counting_distribution(rates, counted, p0, stats.window, k_max)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+    assert sum(stats.histogram.values()) == n_traj
+    assert chi_square_p(stats.histogram, probs, n_traj) > 1e-3
+    assert stats.occupation.sum() == pytest.approx(1.0, abs=1e-12)
+    if start == "stationary":
+        pi = lds.stationary(gen)
+        se = occupation_se(rates, pi, stats.window, n_traj)
+        assert np.all(np.abs(stats.occupation - pi) < 4.0 * se)
