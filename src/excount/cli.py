@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import lds, output
 from .bath import BathSpec
-from .generator import resolve_counted, tilted_generator
+from .generator import TiltedGenerator, resolve_counted, tilted_generator, transport_rates
 from .model import diagonalize, load_model, preset, preset_names
 from .trajectories import TrajectoryConfig, simulate
 from .units import time_ps_to_cm
@@ -144,14 +143,6 @@ def _bath(cfg: RunConfig, temp: float) -> BathSpec:
     return BathSpec(cfg.reorg_cm1, cfg.cutoff_cm1, temp)
 
 
-def _fanout(tasks, worker, n_workers: int):
-    """Map worker over tasks with deterministic, order-preserving assembly."""
-    if n_workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
-
-
 def _guarded(fn):
     """Emit one machine-readable JSON error line on stderr, exit nonzero."""
 
@@ -235,15 +226,20 @@ def presets_cmd():
             click.echo(f"  J[{i + 1},:]: {', '.join(f'{j:g}' for j in row)}")
 
 
-def _scan_tasks(cfg: RunConfig, basis):
-    grid = lds.default_s_grid(cfg.s_min, cfg.s_max, cfg.s_points)
+def _tasks(cfg: RunConfig, basis):
+    """The (temperature, channel) tasks, and one generator that stacks
+    them on its task axes (temperature, channel), in the same order."""
+    rates = np.stack([transport_rates(basis, _bath(cfg, t)) for t in cfg.temps])
+    counted = np.stack([resolve_counted(basis.n_excitons, [ch]) for ch in cfg.channels])
     tasks = [(t, ch) for t in cfg.temps for ch in cfg.channels]
+    return tasks, TiltedGenerator(*np.broadcast_arrays(rates[:, None], counted[None]))
 
-    def worker(task):
-        temp, ch = task
-        return lds.scan(tilted_generator(basis, _bath(cfg, temp), [ch]), grid)
 
-    return tasks, worker
+def _scan_tasks(cfg: RunConfig, basis):
+    """The tasks and their scan results, from one stacked scan."""
+    tasks, gen = _tasks(cfg, basis)
+    grid = lds.default_s_grid(cfg.s_min, cfg.s_max, cfg.s_points)
+    return tasks, lds.scan(gen, grid, workers=cfg.workers).tasks()
 
 
 def _model_tag(cfg: RunConfig) -> str:
@@ -266,8 +262,7 @@ def theta_scan_cmd(config_file, preset_name, **flags):
     """Scan theta(s), activity and Mandel Q; one CSV per (temperature, channel)."""
     cfg = _assemble_config(config_file, preset=preset_name, **flags)
     _, basis = _build_model(cfg)
-    tasks, worker = _scan_tasks(cfg, basis)
-    results = _fanout(tasks, worker, cfg.workers)
+    tasks, results = _scan_tasks(cfg, basis)
     outdir = Path(cfg.out)
     tag = _model_tag(cfg)
     for (temp, ch), result in zip(tasks, results):
@@ -290,8 +285,7 @@ def rate_function_cmd(config_file, preset_name, **flags):
     """Legendre-transform rate function phi(k) from a theta scan."""
     cfg = _assemble_config(config_file, preset=preset_name, **flags)
     _, basis = _build_model(cfg)
-    tasks, worker = _scan_tasks(cfg, basis)
-    results = _fanout(tasks, worker, cfg.workers)
+    tasks, results = _scan_tasks(cfg, basis)
     outdir = Path(cfg.out)
     tag = _model_tag(cfg)
     for (temp, ch), result in zip(tasks, results):
@@ -313,22 +307,16 @@ def crossover_map_cmd(config_file, preset_name, **flags):
     if len(cfg.temps) < 2:
         raise ConfigError("crossover-map needs at least two temperatures")
     _, basis = _build_model(cfg)
+    tasks, gen = _tasks(cfg, basis)
     grid = lds.default_s_grid(cfg.s_min, cfg.s_max, cfg.s_points)
-    tasks = [(t, ch) for t in cfg.temps for ch in cfg.channels]
-
-    def worker(task):
-        temp, ch = task
-        gen = tilted_generator(basis, _bath(cfg, temp), [ch])
-        report = lds.find_crossover(gen, grid)
+    reports = lds.find_crossover(gen, grid, workers=cfg.workers)
+    entries = []
+    n = basis.n_excitons
+    for (temp, ch), counted, report in zip(tasks, gen.counted.reshape(-1, n, n), reports):
         factors = [
             {"pair": f"a{a + 1}->a{b + 1}", "intensity_factor": float(basis.intensity_factors[a, b])}
-            for a, b in np.argwhere(gen.counted.T)
+            for a, b in np.argwhere(counted.T)
         ]
-        return report, factors
-
-    results = _fanout(tasks, worker, cfg.workers)
-    entries = []
-    for (temp, ch), (report, factors) in zip(tasks, results):
         entries.append(
             {
                 "temperature_K": temp,

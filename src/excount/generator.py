@@ -145,37 +145,62 @@ class TiltedGenerator:
     Built from the rate matrix ``rates`` (R[b, a], a -> b) and the boolean
     mask ``counted`` of the counted jumps, shaped like it.  Both are kept
     as attributes: the spectral kernel and the trajectory sampler read the
-    same two arrays.  Stores the untilted and counted N x N parts of the block, so ``population_block``
-    is a cheap, pure function of s, or of a whole grid of s at once.  All
-    methods are safe to call concurrently.
+    same two arrays.  Stores the untilted and counted N x N parts of the
+    block, so ``population_block`` is a cheap, pure function of s, or of a
+    whole grid of s at once.  All methods are safe to call concurrently.
+
+    Leading axes of ``rates`` (shape (..., N, N)) are task axes: one
+    generator then holds a stack of tasks, say one per (temperature,
+    channel), whose blocks the spectral kernel solves in one stacked call.
+    Every task needs a zero diagonal (no self-jumps) and a counted jump.
     """
 
     def __init__(self, rates, counted):
         rates = np.array(rates, dtype=float, order="C")  # sets how column sums round
         counted = np.array(counted, dtype=bool)
-        if rates.ndim != 2 or rates.shape[0] != rates.shape[1] or counted.shape != rates.shape:
+        shape = rates.shape
+        if rates.ndim < 2 or shape[-2] != shape[-1] or counted.shape != shape:
             raise ValueError(
-                f"rates and counted must be N x N, got {rates.shape} and {counted.shape}"
+                f"rates and counted must be (..., N, N), got {shape} and {counted.shape}"
             )
         if not np.all(np.isfinite(rates) & (rates >= 0.0)):
             raise ValueError("channel rates must be finite and non-negative")
-        if not counted.any():
+        if np.diagonal(rates, axis1=-2, axis2=-1).any():
+            raise ValueError("no self-jump rates: the diagonal of rates must be 0")
+        if not counted.any(axis=(-2, -1)).all():
             raise SelectorError("tilted generator needs a non-empty counted set")
         self.rates = rates
         self.counted = counted
         self._block_counted = np.where(counted, rates, 0.0)
-        esc = rates.sum(axis=0)
-        self._block_static = rates - self._block_counted - np.diag(esc)
+        esc = rates.sum(axis=-2)
+        diag = esc[..., None, :] * np.eye(shape[-1])
+        self._block_static = rates - self._block_counted - diag
 
     @property
     def n_excitons(self) -> int:
-        return self.rates.shape[0]
+        return self.rates.shape[-1]
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """The shape of the task axes; () for a single task."""
+        return self.rates.shape[:-2]
+
+    def tasks(self) -> list["TiltedGenerator"]:
+        """One single-task generator per task, in C order of the task axes."""
+        if not self.batch_shape:
+            return [self]
+        n = self.n_excitons
+        return [
+            TiltedGenerator(r, c)
+            for r, c in zip(self.rates.reshape(-1, n, n), self.counted.reshape(-1, n, n))
+        ]
 
     def population_block(self, s) -> np.ndarray:
         """Classical tilted rate matrix over exciton populations (real).
 
-        A scalar s gives one N x N block, an array of s a stack of blocks
-        with the shape of s in front.
+        A scalar s gives one N x N block per task, an array of s a stack of
+        blocks: the shape of s broadcasts against the task axes, so for a
+        single task the shape of s is in front of N x N.
         """
         return self._block_static + _tilt(s) * self._block_counted
 

@@ -10,11 +10,17 @@ the top right and left vectors and, in the inverse, the generalized
 inverse of W_s - theta, from which theta' and theta'' follow in closed
 form (Meyer, SIAM Rev. 17, 443 (1975)).  Excitons with no rate in or out
 are set aside; they add the eigenvalue 0.  A single s is a grid of one
-point.  The top right vector at s = 0 gives the stationary populations
-(``stationary``).  The mean jump rate is -theta'(0), the variance rate
-theta''(0), and the Mandel parameter Q(s) = -theta''(s)/theta'(s) - 1
-flags sub- (Q<0) versus super-Poissonian (Q>0) trajectory ensembles.  The
-rate function phi(k) is the Legendre transform of theta.
+point.  A generator may stack tasks (say one per temperature and
+channel) on leading axes: ``scan`` and ``find_crossover`` solve the blocks
+of all its tasks at all s in one stack, and each task's result is the one
+its own generator gives, bit for bit.  The stack goes in slices, which are
+also the unit of parallel work: a large stack runs its slices on threads,
+as the batched eigensolver releases the interpreter lock.  The top right
+vector at s = 0 gives the stationary populations (``stationary``).  The
+mean jump rate is -theta'(0), the variance rate theta''(0), and the
+Mandel parameter Q(s) = -theta''(s)/theta'(s) - 1 flags sub- (Q<0) versus
+super-Poissonian (Q>0) trajectory ensembles.  The rate function phi(k) is
+the Legendre transform of theta.
 
 Results are numpy columns, never per-point objects: ``scan`` returns one
 ``ScanResult`` (s, theta, activity, and Q with NaN where the activity
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +64,18 @@ S_MIN_DEFAULT = -2.0
 S_MAX_DEFAULT = 12.0
 S_POINTS_DEFAULT = 281
 
-# Stacked block entries per np.linalg.eigvals call.  Long grids at large N are
-# walked in slices of this size so their memory stays bounded (an unsliced
-# 281-point stack at N = 100 reached 204 MB of resident memory).
+# Stacked block entries per slice, one np.linalg.eigvals call each.  Long
+# grids at large N are walked in slices of this size so their memory stays
+# bounded (an unsliced 281-point stack at N = 100 reached 204 MB of resident
+# memory).  Slices are also the unit of parallel work.
 _SLICE_ENTRIES = 2**18
+
+# Stacks of more block entries than this are cut into at least ``workers``
+# slices, solved on that many threads.  Measured on 2 cores: two threads
+# with a fresh pool win on stacks of N = 3 and 4 blocks from about 2^14
+# entries, by 1.2-1.5x from 2^15; a 41-point scan of one N = 30 task (36900
+# entries) gained nothing and its process grew by 1 MB.
+_THREAD_ENTRIES = 2**16
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -86,7 +101,8 @@ class NonConvexThetaWarning(UserWarning):
 @dataclass(frozen=True)
 class ScanResult:
     """An s grid with theta, the activity -theta'(s) and Mandel Q(s) as
-    float64 columns; Q is NaN where the activity vanishes."""
+    float64 columns; Q is NaN where the activity vanishes.  The scan of a
+    stacked generator has its task axes in front of every column."""
 
     s: np.ndarray
     theta: np.ndarray
@@ -95,6 +111,13 @@ class ScanResult:
 
     def __len__(self) -> int:
         return self.s.size
+
+    def tasks(self) -> list[ScanResult]:
+        """One single-task result per task of a stacked scan, in the order
+        of ``TiltedGenerator.tasks``."""
+        points = self.s.shape[-1]
+        columns = (self.s, self.theta, self.activity, self.mandel)
+        return [ScanResult(*row) for row in zip(*(c.reshape(-1, points) for c in columns))]
 
 
 @dataclass(frozen=True)
@@ -143,16 +166,32 @@ def _raise_first(bad: np.ndarray, message) -> None:
 
 
 # Overflow under a huge tilt is not warned about: the finite checks in
-# _top_eigenpairs and _spectra turn it into a SpectralError.
+# _top_eigenpairs and _spectra turn it into a SpectralError.  The callers of
+# _top_eigenpairs apply it.
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
-def _live_excitons(block: np.ndarray, derivative: np.ndarray) -> np.ndarray:
+def _single(generator: TiltedGenerator) -> TiltedGenerator:
+    if generator.batch_shape:
+        raise ValueError(
+            f"needs a single-task generator, got task axes {generator.batch_shape}"
+        )
+    return generator
+
+
+def _live_excitons(blocks: np.ndarray, derivatives: np.ndarray) -> np.ndarray:
     """Mask of the excitons with a rate in or out: a nonzero entry in their
-    row or column of one block or of its derivative.  The others are
-    isolated, at every s."""
-    nonzero = (block != 0.0) | (derivative != 0.0)
-    return nonzero.any(axis=0) | nonzero.any(axis=1)
+    row or column of a block or of its derivative, given at one s for every
+    task.  The others are isolated, at every s.  ValueError where the tasks
+    of a stacked generator differ in which excitons are isolated."""
+    nonzero = (blocks != 0.0) | (derivatives != 0.0)
+    live = nonzero.any(axis=-2) | nonzero.any(axis=-1)
+    if len(live) > 1 and (live[1:] != live[0]).any():
+        raise ValueError(
+            "the tasks of a stacked generator differ in which excitons are isolated; "
+            "solve them as separate generators"
+        )
+    return live[0]
 
 
 def _inverted(solver, m: np.ndarray, s: np.ndarray, *rhs) -> np.ndarray:
@@ -167,16 +206,16 @@ def _inverted(solver, m: np.ndarray, s: np.ndarray, *rhs) -> np.ndarray:
         ) from None
 
 
-@_quiet_overflow
-def _top_eigenpairs(generator: TiltedGenerator, s: np.ndarray):
-    """The top eigenpair of the stacked tilted blocks at the 1-D array s,
-    from one eigenvalues-only solve and bordered systems.
+def _top_eigenpairs(blocks: np.ndarray, s: np.ndarray, live: np.ndarray):
+    """The top eigenpair of each tilted block of the stack ``blocks``, the
+    block at s[k] being blocks[k], from one eigenvalues-only solve and
+    bordered systems.
 
-    Isolated excitons (no rate in or out) are set aside: each adds the
-    eigenvalue 0 with zero derivatives, and loses a tie with the top
-    eigenvalue of the other ("live") excitons.  A tie is within 1e-12 times
-    the larger of 1 and the live block's largest entry, the scale of the
-    top's rounding (at s = 0 that top is 0 exactly).  On the live block
+    The excitons outside the mask ``live`` (no rate in or out) are set
+    aside: each adds the eigenvalue 0 with zero derivatives, and loses a
+    tie with the top eigenvalue of the other ("live") excitons.  A tie is
+    within 1e-12 times the larger of 1 and the live block's largest entry,
+    the scale of the top's rounding (at s = 0 that top is 0 exactly).  On the live block
     W_s, theta is the eigenvalue with the largest real part.  The bordered matrix
     M = [[W_s - theta, b], [b^T, 0]] with b = 1 gives the right and left
     vectors normalized by 1.r = 1 and l.1 = 1 (its last column and row),
@@ -185,11 +224,11 @@ def _top_eigenpairs(generator: TiltedGenerator, s: np.ndarray):
     in its top-left block, the generalized inverse S of W_s - theta with
     S e_k = 0 and e_k^T S = 0.
 
-    Returns (theta, l, r, S, l.r, gap, live, wins): gap is the distance from
-    the top to the nearest other eigenvalue, live the exciton mask, and wins
-    marks the points where the live block's top eigenvalue is theta.  Where
-    an isolated exciton's 0 is theta instead, the pair is that of an
-    identity block, and gap is infinite.
+    Returns (theta, l, r, S, l.r, gap, wins): gap is the distance from the
+    top to the nearest other eigenvalue, and wins marks the points where
+    the live block's top eigenvalue is theta.  Where an isolated exciton's
+    0 is theta instead, the pair is that of an identity block, and gap is
+    infinite.
 
     SpectralError, with the failing s, where a block is not finite, where
     several eigenvalues with nonzero imaginary parts share the top real part
@@ -199,19 +238,17 @@ def _top_eigenpairs(generator: TiltedGenerator, s: np.ndarray):
     |sum l_i r_i| <= 1e-12 sum |l_i r_i|, a test that diagonal similarity
     (rescaling the excitons) leaves unchanged.
     """
-    blocks = generator.population_block(s)
     _raise_first(
         ~np.isfinite(blocks).all(axis=(-2, -1)),
         lambda k: f"tilted block overflows at s={s[k]}",
     )
-    live = _live_excitons(blocks[0], generator.population_block_derivative(s[0]))
     if not live.all():
         blocks = blocks[:, live][:, :, live]
     n = blocks.shape[-1]
     if n == 0:
         zero, none = np.zeros(s.size), np.zeros((s.size, 0))
         empty = np.zeros((s.size, 0, 0))
-        return zero, none, none, empty, zero + 1.0, zero + np.inf, live, zero > 0
+        return zero, none, none, empty, zero + 1.0, zero + np.inf, zero > 0
     w = np.linalg.eigvals(blocks)
     rows = np.arange(s.size)
     i = np.argmax(w.real, axis=-1)
@@ -268,7 +305,7 @@ def _top_eigenpairs(generator: TiltedGenerator, s: np.ndarray):
     gap = np.abs(w - top[:, None])
     gap[rows, i] = np.inf
     gap = np.where(wins, gap.min(axis=-1), np.inf)
-    return th, l, r, inv_s, overlap, gap, live, wins
+    return th, l, r, inv_s, overlap, gap, wins
 
 
 def _check_real(values: np.ndarray, name: str, s: np.ndarray) -> None:
@@ -285,9 +322,23 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @_quiet_overflow
-def _spectra(generator: TiltedGenerator, s_values) -> np.ndarray:
-    """Rows theta, theta' and theta'' over a grid of s, one eigenvalues-only
-    solve and one batched bordered inverse per slice of the grid.
+def _stack(generator: TiltedGenerator, s: np.ndarray):
+    """(s, blocks, dW/ds) of every task at the s values, s by s: the stack
+    holds the block of each task at s[0], then at s[1], and so on, and its
+    s values come out in the same order."""
+    batch, n = generator.batch_shape, generator.n_excitons
+    part = s.reshape((-1,) + (1,) * len(batch))  # s in front of the task axes
+    return (
+        np.repeat(s, math.prod(batch)),
+        generator.population_block(part).reshape(-1, n, n),
+        generator.population_block_derivative(part).reshape(-1, n, n),
+    )
+
+
+@_quiet_overflow
+def _stack_spectra(s: np.ndarray, blocks, dw, live: np.ndarray) -> np.ndarray:
+    """Rows theta, theta' and theta'' of the stack of tilted blocks
+    ``blocks`` with derivatives ``dw``, the block at s[k] being blocks[k].
 
     With dW = dW/ds and the top pair of ``_top_eigenpairs``,
     theta' = l.dW.r / l.r.  The derivative of r (normalized by r_k = 1) is
@@ -295,41 +346,84 @@ def _spectra(generator: TiltedGenerator, s_values) -> np.ndarray:
     theta'' = -theta' + 2 l.(dW - theta').r' / l.r = -theta' - 2 v.S.u / l.r
     with v = l (dW - theta').
 
-    SpectralError where theta' or theta'' has an imaginary part, where
+    SpectralError where theta' or theta'' has an imaginary part, and where
     another eigenvalue within 1e-9 of the top couples to it through dW
     ("crowds": that eigenvalue's pole carries gap * |v.S.u| > 1e-6 |v||u|
-    of v.S.u), and where theta, theta' or theta'' is not finite.
+    of v.S.u).
+    """
+    th, l, r, inv_s, overlap, gap, wins = _top_eigenpairs(blocks, s, live)
+    if not live.all():
+        dw = dw[:, live][:, :, live]
+    dw_r = (dw @ r[..., None])[..., 0]
+    d1 = _dot(l, dw_r) / overlap
+    _check_real(d1, "theta'", s)
+    u = dw_r - d1[:, None] * r
+    v = (l[:, None, :] @ dw)[:, 0] - d1[:, None] * l
+    vsu = _dot(v, (inv_s @ u[..., None])[..., 0])
+    close = gap < 1e-9
+    if close.any():
+        coupling = gap * np.abs(vsu)
+        bound = 1e-6 * np.linalg.norm(v, axis=-1) * np.linalg.norm(u, axis=-1)
+        _raise_first(
+            close & (coupling > bound),
+            lambda k: f"an eigenvalue {gap[k]:.3g} away crowds the top eigenvalue "
+            f"{th[k]:.6g} at s={s[k]}",
+        )
+    d2 = -d1 - 2.0 * vsu / overlap
+    _check_real(d2, "theta''", s)
+    return np.where(wins, (th, d1.real, d2.real), 0.0)
+
+
+def _spectra(generator: TiltedGenerator, s_values, workers: int = 1) -> np.ndarray:
+    """Rows theta, theta' and theta'' over a grid of s for every task of
+    ``generator``, shaped (3, *generator.batch_shape, number of s).
+
+    The blocks of all tasks at all s form one stack, solved by
+    ``_stack_spectra`` in slices of at most _SLICE_ENTRIES entries (or one s
+    of every task).  A stack of more than _THREAD_ENTRIES entries is cut
+    into at least ``workers`` slices, which run on up to ``workers``
+    threads.  Every block is solved on its own, so neither stacking nor
+    slicing changes a bit of any result.
+
+    SpectralError where theta, theta' or theta'' is not finite, and as
+    ``_stack_spectra`` raises it.  The error is always the one that the
+    first failing task raises alone and serially: when the stacked or
+    threaded solve fails, the tasks are solved again one by one to find it.
     """
     s = _s_array(s_values)
-    out = np.empty((3, s.size))
-    step = max(1, _SLICE_ENTRIES // generator.n_excitons**2)
-    for lo in range(0, s.size, step):
-        part = s[lo : lo + step]
-        th, l, r, inv_s, overlap, gap, live, wins = _top_eigenpairs(generator, part)
-        dw = generator.population_block_derivative(part)
-        if not live.all():
-            dw = dw[:, live][:, :, live]
-        dw_r = (dw @ r[..., None])[..., 0]
-        d1 = _dot(l, dw_r) / overlap
-        _check_real(d1, "theta'", part)
-        u = dw_r - d1[:, None] * r
-        v = (l[:, None, :] @ dw)[:, 0] - d1[:, None] * l
-        vsu = _dot(v, (inv_s @ u[..., None])[..., 0])
-        close = gap < 1e-9
-        if close.any():
-            coupling = gap * np.abs(vsu)
-            bound = 1e-6 * np.linalg.norm(v, axis=-1) * np.linalg.norm(u, axis=-1)
-            _raise_first(
-                close & (coupling > bound),
-                lambda k: f"an eigenvalue {gap[k]:.3g} away crowds the top eigenvalue "
-                f"{th[k]:.6g} at s={part[k]}",
-            )
-        d2 = -d1 - 2.0 * vsu / overlap
-        _check_real(d2, "theta''", part)
-        out[:, lo : lo + step] = np.where(wins, (th, d1.real, d2.real), 0.0)
+    batch, n = generator.batch_shape, generator.n_excitons
+    tasks = math.prod(batch)
+    if not s.size:
+        return np.empty((3, *batch, 0))
+    step = max(1, _SLICE_ENTRIES // (tasks * n * n))
+    threaded = workers > 1 and s.size * tasks * n * n > _THREAD_ENTRIES
+    if threaded:
+        step = min(step, -(-s.size // workers))
+    slices = [s[lo : lo + step] for lo in range(0, s.size, step)]
+    first = _stack(generator, slices[0])
+    live = _live_excitons(first[1][:tasks], first[2][:tasks])
+
+    def solve(i: int) -> np.ndarray:
+        return _stack_spectra(*(first if i == 0 else _stack(generator, slices[i])), live)
+
+    try:
+        if threaded and len(slices) > 1:
+            with ThreadPoolExecutor(max_workers=min(workers, len(slices))) as pool:
+                parts = list(pool.map(solve, range(len(slices))))
+        else:
+            parts = [solve(i) for i in range(len(slices))]
+    except SpectralError:
+        if tasks > 1 or threaded:
+            for task in generator.tasks():
+                _spectra(task, s)  # raises the error of the first failing task
+        raise
+    out = np.concatenate(parts, axis=1).reshape(3, s.size, tasks)
+    out = out.transpose(0, 2, 1).reshape(3, *batch, s.size)  # task by task
+    flat = out.reshape(3, -1)
     _raise_first(
-        ~np.isfinite(out).all(axis=0),
-        lambda k: f"non-finite theta, theta', theta'' = {out[:, k].tolist()} at s={s[k]}",
+        ~np.isfinite(flat).all(axis=0),
+        lambda k: f"non-finite theta, theta', theta'' = {flat[:, k].tolist()} "
+        f"at s={s[k % s.size]}",
     )
     return out
 
@@ -340,17 +434,20 @@ def _mandel(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return np.where(undefined, np.nan, -d2 / np.where(undefined, 1.0, d1) - 1.0)
 
 
-def _mandel_grid(generator: TiltedGenerator, s: np.ndarray) -> np.ndarray:
-    """Q over the grid s; UndefinedMandelError where the activity vanishes."""
-    q = _mandel(*_spectra(generator, s)[1:])
+def _mandel_grid(generator: TiltedGenerator, s: np.ndarray, workers: int = 1) -> np.ndarray:
+    """Q over the grid s for every task, shaped (*batch_shape, s.size);
+    UndefinedMandelError at the first task and s where the activity
+    vanishes."""
+    q = _mandel(*_spectra(generator, s, workers)[1:])
     undefined = np.isnan(q)
     if undefined.any():
         raise UndefinedMandelError(
-            f"activity vanishes at s={s[np.argmax(undefined)]}; Q undefined"
+            f"activity vanishes at s={s[np.argmax(undefined) % s.size]}; Q undefined"
         )
     return q
 
 
+@_quiet_overflow
 def stationary(generator: TiltedGenerator) -> np.ndarray:
     """The stationary exciton populations: the top right vector r of the
     s = 0 block, as r / sum(r).
@@ -359,7 +456,10 @@ def stationary(generator: TiltedGenerator) -> np.ndarray:
     uniform vector.  A reducible chain, whose stationary state is not
     unique, is a defective SpectralError.
     """
-    _, _, r, _, _, _, live, _ = _top_eigenpairs(generator, np.zeros(1))
+    s = np.zeros(1)
+    blocks = _single(generator).population_block(s)
+    live = _live_excitons(blocks, generator.population_block_derivative(s))
+    r = _top_eigenpairs(blocks, s, live)[2]
     if not live.any():
         return np.full(live.size, 1.0 / live.size)
     pi = np.zeros(live.size)
@@ -367,26 +467,37 @@ def stationary(generator: TiltedGenerator) -> np.ndarray:
     return pi
 
 
+@_quiet_overflow
 def theta(generator: TiltedGenerator, s: float) -> float:
     """theta(s): largest real eigenvalue of the tilted population block."""
-    return float(_top_eigenpairs(generator, _s_array([s]))[0][0])
+    s = _s_array([s])
+    blocks = _single(generator).population_block(s)
+    live = _live_excitons(blocks, generator.population_block_derivative(s))
+    return float(_top_eigenpairs(blocks, s, live)[0][0])
 
 
 def theta_derivatives(generator: TiltedGenerator, s: float) -> tuple[float, float, float]:
     """(theta, theta', theta'') at the given s, from one eigensolve."""
-    th, d1, d2 = _spectra(generator, [s])[:, 0].tolist()
+    th, d1, d2 = _spectra(_single(generator), [s])[:, 0].tolist()
     return th, d1, d2
 
 
 def mandel(generator: TiltedGenerator, s: float) -> float:
     """Q(s) = -theta''(s)/theta'(s) - 1."""
-    return float(_mandel_grid(generator, np.array([s], dtype=float))[0])
+    return float(_mandel_grid(_single(generator), np.array([s], dtype=float))[0])
 
 
-def scan(generator: TiltedGenerator, s_values) -> ScanResult:
-    """Evaluate theta, activity and Mandel Q on a grid of s values."""
+def scan(generator: TiltedGenerator, s_values, workers: int = 1) -> ScanResult:
+    """Evaluate theta, activity and Mandel Q on a grid of s values, on up
+    to ``workers`` threads for a large stack.
+
+    For a stacked generator the columns have its task axes in front (s is
+    repeated per task), so ``len`` counts every point of every task, and
+    ``ScanResult.tasks`` splits the result by task.
+    """
     s = np.array(s_values, dtype=float)
-    th, d1, d2 = _spectra(generator, s)
+    th, d1, d2 = _spectra(generator, s, workers)
+    s = np.array(np.broadcast_to(s, th.shape))
     return ScanResult(s=s, theta=th, activity=-d1, mandel=_mandel(d1, d2))
 
 
@@ -467,13 +578,18 @@ def _golden_max(f, lo: float, hi: float, xatol: float = 1e-8) -> tuple[float, fl
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def find_crossover(generator: TiltedGenerator, s_grid) -> CrossoverReport:
+def find_crossover(generator: TiltedGenerator, s_grid, workers: int = 1):
     """Locate sign changes and local maxima of Q(s) on the given grid.
 
-    Q on the grid comes from one batched eigensolve.  The first sign change
-    of Q is refined by bisection to 1e-6 in s; the strongest interior local
-    maximum of Q (a phase-coexistence indicator) by golden-section search
-    to 1e-8.  Absent features are reported as None rather than raised.
+    Q on the grid and at s = 0 comes from one batched eigensolve, on up to
+    ``workers`` threads for a large stack.  The first sign change of Q is
+    refined by bisection to 1e-6 in s; the strongest interior local maximum
+    of Q (a phase-coexistence indicator) by golden-section search to 1e-8.
+    Absent features are reported as None rather than raised.
+
+    A stacked generator gives one report per task, in the order of
+    ``TiltedGenerator.tasks``: every task's grid is in the one stacked
+    solve, and the refinement runs task by task.
     """
     s = np.asarray(s_grid, dtype=float)
     if s.size < 32:
@@ -481,7 +597,17 @@ def find_crossover(generator: TiltedGenerator, s_grid) -> CrossoverReport:
     if not np.all(np.isfinite(s)):
         raise ValueError("s grid must be finite")
     s = np.sort(s)
-    q = _mandel_grid(generator, s)
+    q = _mandel_grid(generator, np.append(s, 0.0), workers)
+    if q.ndim == 1:
+        return _crossover(generator, s, q)
+    rows = q.reshape(-1, s.size + 1)
+    return [_crossover(task, s, row) for task, row in zip(generator.tasks(), rows)]
+
+
+def _crossover(generator: TiltedGenerator, s: np.ndarray, q: np.ndarray) -> CrossoverReport:
+    """The report of a single-task generator from Q on the sorted grid s
+    followed by Q(0)."""
+    q, q_at_zero = q[:-1], q[-1]
 
     s_star = None
     negative = q < 0
@@ -501,9 +627,7 @@ def find_crossover(generator: TiltedGenerator, s_grid) -> CrossoverReport:
         x, qx = _golden_max(lambda x: mandel(generator, x), s[i - 1], s[i + 1])
         local_max = (float(x), float(qx))
 
-    return CrossoverReport(
-        s_star=s_star, q_at_zero=mandel(generator, 0.0), local_max=local_max
-    )
+    return CrossoverReport(s_star=s_star, q_at_zero=float(q_at_zero), local_max=local_max)
 
 
 def scan_mandel_vs_parameter(family, values) -> ParameterScan:

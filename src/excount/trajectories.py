@@ -314,10 +314,14 @@ def simulate(generator: TiltedGenerator, config: TrajectoryConfig) -> CountStati
     are needed, for a stationary start or for the expected-count check
     after the default burn-in, a reducible chain raises its SpectralError.
     A UserWarning comes before any sampling when the expected jumps over
-    all trajectories exceed ``_RUNAWAY_JUMPS``.  The walk has no self-jumps,
-    so a generator with diagonal rates is refused.
+    all trajectories exceed ``_RUNAWAY_JUMPS``.  A stacked generator (with
+    task axes) is refused: the walk reads one N x N rate matrix.
     """
     rates, n = generator.rates, generator.n_excitons
+    if rates.ndim != 2:
+        raise ValueError(
+            f"the sampler takes one N x N rate matrix, got rates of shape {rates.shape}"
+        )
     start = config.initial_state
     if isinstance(start, str) and start == "stationary":
         start = None
@@ -332,8 +336,6 @@ def simulate(generator: TiltedGenerator, config: TrajectoryConfig) -> CountStati
         start = index
     if n < 2:
         raise ValueError("the sampler needs at least two excitons")
-    if np.diagonal(rates).any():
-        raise ValueError("the sampler takes no self-jump rates: the diagonal of rates must be 0")
     esc = rates.sum(axis=0)
     if not esc.any() and start is not None:
         raise ValueError("all rates vanish; only a stationary start is meaningful")

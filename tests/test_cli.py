@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import excount
+from excount import lds
 from excount.cli import main
 from excount.units import CM1_TO_PS1
 
@@ -216,6 +219,36 @@ def test_worker_count_does_not_change_output(runner, tmp_path):
     ]
     invoke(runner, args + ["--workers", "1", "--out", str(tmp_path / "serial")])
     invoke(runner, args + ["--workers", "6", "--out", str(tmp_path / "pooled")])
+    serial = sorted((tmp_path / "serial").iterdir())
+    pooled = sorted((tmp_path / "pooled").iterdir())
+    assert [p.name for p in serial] == [p.name for p in pooled]
+    for a, b in zip(serial, pooled):
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_threaded_slices_do_not_change_output(runner, tmp_path, monkeypatch):
+    # 6 stacked tasks of 3 x 3 blocks: four s points of every task per slice,
+    # and every stack is large enough to run its slices on threads
+    monkeypatch.setattr(lds, "_SLICE_ENTRIES", 4 * 6 * 9)
+    monkeypatch.setattr(lds, "_THREAD_ENTRIES", 6 * 9)
+    eigvals = np.linalg.eigvals
+    threads = []
+
+    def recording(a):
+        threads.append(threading.get_ident())
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    args = [
+        "theta-scan", "--preset", "fmo3", "--temps", "77,150,300",
+        "--channel", "down:a3->a2", "--channel", "pair:a1<->a2",
+        "--s-points", "41",
+    ]
+    invoke(runner, args + ["--workers", "1", "--out", str(tmp_path / "serial")])
+    assert threads == [threading.get_ident()] * 11
+    threads.clear()
+    invoke(runner, args + ["--workers", "6", "--out", str(tmp_path / "pooled")])
+    assert len(threads) == 11 and threading.get_ident() not in threads
     serial = sorted((tmp_path / "serial").iterdir())
     pooled = sorted((tmp_path / "pooled").iterdir())
     assert [p.name for p in serial] == [p.name for p in pooled]

@@ -445,6 +445,27 @@ def test_empty_counted_set_rejected():
         TiltedGenerator(transport_rates(basis, bath), np.zeros((2, 2), bool))
 
 
+def test_stacked_generator_checks_every_task():
+    basis, bath = make("fmo2")
+    rates = transport_rates(basis, bath)
+    counted = np.array([[False, True], [False, False]])
+    gen = TiltedGenerator([rates, 2.0 * rates], [counted, counted.T])
+    assert gen.batch_shape == (2,) and gen.n_excitons == 2
+    s = np.linspace(-1.0, 1.0, 5)
+    blocks = gen.population_block(s[:, None])
+    for i, task in enumerate(gen.tasks()):
+        assert task.batch_shape == ()
+        assert np.array_equal(blocks[:, i], task.population_block(s))
+    self_jump = rates.copy()
+    self_jump[1, 1] = 0.5
+    with pytest.raises(ValueError, match="self-jump"):
+        TiltedGenerator([rates, self_jump], [counted, counted])
+    with pytest.raises(SelectorError, match="empty"):
+        TiltedGenerator([rates, rates], [counted, np.zeros((2, 2), bool)])
+    with pytest.raises(ValueError, match=r"\(\.\.\., N, N\)"):
+        TiltedGenerator([rates, rates], counted)
+
+
 def test_counting_direction_is_irrelevant_for_theta():
     # reversibility makes the tilted spectra of the two directions coincide
     basis, bath = make("fmo3")

@@ -148,6 +148,8 @@ class FakeGenerator:
     """Duck-typed generator with fixed blocks, W_s = mat and dW/ds = dmat,
     broadcast over an array of s like the real blocks."""
 
+    batch_shape = ()
+
     def __init__(self, mat, dmat=None):
         self.mat = np.asarray(mat)
         self.dmat = np.zeros_like(self.mat) if dmat is None else np.asarray(dmat)
@@ -251,13 +253,13 @@ def test_pair_counting_far_inactive_side_matches_closed_form():
     np.testing.assert_allclose(result.mandel, 1.0 - kappa * gamma_ * z2 / d, rtol=0.0, atol=1e-15)
 
 
-def one_uncoupled_site_generator():
+def one_uncoupled_site_generator(temp=300.0, selector="all-down"):
     """Sites at 0, 120 and 300 cm^-1 with only J12 = 80 cm^-1: the exciton
     on site 3 has no rate in or out."""
     j = np.zeros((3, 3))
     j[0, 1] = j[1, 0] = 80.0
     basis = diagonalize(SiteModel(energies=[0.0, 120.0, 300.0], couplings=j))
-    return tilted_generator(basis, BathSpec(35.0, 150.0, 300.0), ["all-down"])
+    return tilted_generator(basis, BathSpec(35.0, 150.0, temp), [selector])
 
 
 def test_isolated_exciton_is_set_aside():
@@ -404,6 +406,84 @@ def test_scan_over_several_slices_matches_pointwise():
         q = mandel_from(d1, d2)
         assert (result.theta[i], result.activity[i]) == (th, -d1)
         assert np.isnan(result.mandel[i]) if q is None else result.mandel[i] == q
+
+
+def stacked(generators, shape):
+    """One generator with the tasks of ``generators`` on task axes of ``shape``."""
+    n = generators[0].n_excitons
+    return TiltedGenerator(
+        np.reshape([g.rates for g in generators], shape + (n, n)),
+        np.reshape([g.counted for g in generators], shape + (n, n)),
+    )
+
+
+def assert_same_scan(result, single):
+    for name in ("s", "theta", "activity", "mandel"):
+        assert np.array_equal(getattr(result, name), getattr(single, name), equal_nan=True)
+
+
+def test_stacked_scan_and_crossover_equal_the_per_task_calls(monkeypatch):
+    selectors = ("pair:a1<->a2", "down:a3->a2")
+    singles = [make_generator("fmo3", t, sel) for t in TEMPS for sel in selectors]
+    gen = stacked(singles, (3, 2))
+    grid = default_s_grid()
+    result = scan(gen, grid)
+    assert result.theta.shape == (3, 2, grid.size) and len(result) == 6 * grid.size
+    for part, single in zip(result.tasks(), singles):
+        assert_same_scan(part, scan(single, grid))
+    assert find_crossover(gen, grid) == [find_crossover(single, grid) for single in singles]
+    # slices on threads: two s points of every task per slice
+    monkeypatch.setattr(lds, "_SLICE_ENTRIES", 2 * 6 * 9)
+    monkeypatch.setattr(lds, "_THREAD_ENTRIES", 0)
+    assert_same_scan(scan(gen, grid, workers=3), result)
+
+
+def test_stacked_scan_with_an_isolated_exciton():
+    singles = [
+        one_uncoupled_site_generator(t, sel)
+        for t in (150.0, 300.0)
+        for sel in ("all-down", "down:a2->a1")
+    ]
+    grid = default_s_grid()
+    result = scan(stacked(singles, (4,)), grid)
+    assert np.isnan(result.mandel).any()
+    for part, single in zip(result.tasks(), singles):
+        assert_same_scan(part, scan(single, grid))
+
+
+def test_stacked_tasks_must_share_their_isolated_excitons():
+    gen = stacked([one_uncoupled_site_generator(), make_generator("fmo3")], (2,))
+    with pytest.raises(ValueError, match="isolated"):
+        scan(gen, [0.0, 1.0])
+
+
+def test_stacked_error_is_that_of_the_first_failing_task(monkeypatch):
+    # two uncoupled dimers tie at s = 0; fmo4 with huge rates overflows at
+    # s = -300, the first point of the grid, so the stacked solve meets its
+    # error first, but the dimers come first in task order
+    j = np.zeros((4, 4))
+    j[0, 1] = j[1, 0] = 60.0
+    j[2, 3] = j[3, 2] = 70.0
+    basis = diagonalize(SiteModel(energies=[0.0, 150.0, 300.0, 500.0], couplings=j))
+    dimers = tilted_generator(basis, BathSpec(35.0, 150.0, 300.0), ["all-down"])
+    fmo4 = make_generator("fmo4")
+    huge = TiltedGenerator(fmo4.rates * 1e200, fmo4.counted)
+    gen = stacked([dimers, huge], (2,))
+    grid = np.append(-300.0, np.linspace(-2.0, 2.0, 41))
+    with pytest.raises(SpectralError, match=r"overflows at s=-300\.0"):
+        scan(huge, grid)
+    with pytest.raises(SpectralError, match=r"at s=0\.0.*reducible") as alone:
+        scan(dimers, grid)
+    for workers in (1, 2):
+        with pytest.raises(SpectralError) as both:
+            scan(gen, grid, workers=workers)
+        assert str(both.value) == str(alone.value)
+        with pytest.raises(SpectralError) as both:
+            find_crossover(gen, grid, workers=workers)
+        assert str(both.value) == str(alone.value)
+        # then on threads, four s points of both tasks per slice
+        monkeypatch.setattr(lds, "_SLICE_ENTRIES", 4 * 2 * 16)
+        monkeypatch.setattr(lds, "_THREAD_ENTRIES", 0)
 
 
 def assert_stationary_matches_eig(gen):
@@ -602,7 +682,10 @@ def patch_mandel(monkeypatch, f, q=None):
         brackets.append((lo, hi))
         return golden_max(g, lo, hi, *args)
 
-    monkeypatch.setattr(lds, "_mandel_grid", lambda _gen, s: f(s) if q is None else q)
+    # find_crossover asks for Q on the grid followed by s = 0
+    monkeypatch.setattr(
+        lds, "_mandel_grid", lambda _gen, s, _workers: f(s) if q is None else np.append(q, f(s[-1]))
+    )
     monkeypatch.setattr(lds, "mandel", lambda _gen, x: float(f(x)))
     monkeypatch.setattr(lds, "_golden_max", recording)
     return brackets

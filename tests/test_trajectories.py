@@ -470,9 +470,19 @@ def test_runaway_run_warns_before_sampling(monkeypatch):
 
 
 def test_self_jump_rates_rejected():
+    # the generator refuses them, so neither the sampler nor lds gets one
     rates = [[1.0, 2.0], [3.0, 0.0]]
-    gen = TiltedGenerator(rates, [[False, True], [False, False]])
     with pytest.raises(ValueError, match="self-jump"):
+        gen = TiltedGenerator(rates, [[False, True], [False, False]])
+        simulate(gen, TrajectoryConfig(t_max=5.0, n_trajectories=8))
+    with pytest.raises(ValueError, match="self-jump"):
+        lds.scan(TiltedGenerator(rates, [[True, True], [False, False]]), [0.0])
+
+
+def test_stacked_generator_rejected():
+    rates = np.array([[0.0, 2.0], [3.0, 0.0]])
+    gen = TiltedGenerator([rates, 2.0 * rates], np.ones((2, 2, 2), dtype=bool))
+    with pytest.raises(ValueError, match=r"rates of shape \(2, 2, 2\)"):
         simulate(gen, TrajectoryConfig(t_max=5.0, n_trajectories=8))
 
 
