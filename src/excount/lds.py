@@ -71,7 +71,7 @@ S_POINTS_DEFAULT = 281
 _SLICE_ENTRIES = 2**18
 
 # Stacks of more block entries than this are cut into at least ``workers``
-# slices, solved on that many threads.  Measured on 2 cores: two threads
+# slices, solved on up to that many threads.  Measured on 2 cores: two threads
 # with a fresh pool win on stacks of N = 3 and 4 blocks from about 2^14
 # entries, by 1.2-1.5x from 2^15; a 41-point scan of one N = 30 task (36900
 # entries) gained nothing and its process grew by 1 MB.
@@ -401,7 +401,7 @@ def _spectra(generator: TiltedGenerator, s_values, workers: int = 1) -> np.ndarr
         step = min(step, -(-s.size // workers))
     slices = [s[lo : lo + step] for lo in range(0, s.size, step)]
     first = _stack(generator, slices[0])
-    live = _live_excitons(first[1][:tasks], first[2][:tasks])
+    live = _live_excitons(first[1][:tasks], first[2][:tasks])  # the blocks at s[0]
 
     def solve(i: int) -> np.ndarray:
         return _stack_spectra(*(first if i == 0 else _stack(generator, slices[i])), live)
