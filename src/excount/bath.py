@@ -44,9 +44,6 @@ class BathSpec:
         """Inverse temperature in cm."""
         return beta_cm(self.temperature)
 
-    def replace_temperature(self, temperature_K: float) -> "BathSpec":
-        return BathSpec(self.reorg_energy, self.cutoff, temperature_K)
-
 
 def _like(omega, value):
     """``value`` as a float when ``omega`` is a scalar, else as an array."""

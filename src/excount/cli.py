@@ -25,7 +25,7 @@ from .model import diagonalize, load_model, preset, preset_names
 from .trajectories import TrajectoryConfig, simulate
 from .units import time_ps_to_cm
 
-FORMATS = ("csv", "json", "svg")
+FORMATS = ("csv", "svg")
 
 
 class ConfigError(ValueError):
@@ -49,7 +49,6 @@ class RunConfig:
     traj: int = 10_000
     t_max_ps: float | None = None
     workers: int = 0
-    traj_channels: tuple[str, ...] | None = None
 
     def validate(self) -> "RunConfig":
         if self.preset and self.model_file:
@@ -99,7 +98,7 @@ def _load_config_file(path: str) -> dict:
     for key, val in doc.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in ("temps", "channels", "formats", "traj_channels"):
+        if key in ("temps", "channels", "formats"):
             val = tuple(val)
         values[key] = val
     return values
@@ -134,9 +133,8 @@ def _assemble_config(config_file: str | None, **flags) -> RunConfig:
     return cfg
 
 
-def _build_model(cfg: RunConfig):
-    model = preset(cfg.preset) if cfg.preset else load_model(cfg.model_file)
-    return model, diagonalize(model)
+def _basis(cfg: RunConfig):
+    return diagonalize(preset(cfg.preset) if cfg.preset else load_model(cfg.model_file))
 
 
 def _bath(cfg: RunConfig, temp: float) -> BathSpec:
@@ -196,7 +194,7 @@ def _common_options(fn):
     fn = click.option("--out", default=None, type=click.Path(),
                       help="Output directory.")(fn)
     fn = click.option("--format", "formats", callback=_parse_formats, default=None,
-                      help="Comma-separated output formats (csv,json,svg).")(fn)
+                      help="Comma-separated output formats (csv,svg).")(fn)
     fn = click.option("--workers", type=int, default=None,
                       help="Worker pool size (default or 0: number of processors).")(fn)
     return fn
@@ -261,7 +259,7 @@ def _write(path: Path, text: str) -> None:
 def theta_scan_cmd(config_file, preset_name, **flags):
     """Scan theta(s), activity and Mandel Q; one CSV per (temperature, channel)."""
     cfg = _assemble_config(config_file, preset=preset_name, **flags)
-    _, basis = _build_model(cfg)
+    basis = _basis(cfg)
     tasks, results = _scan_tasks(cfg, basis)
     outdir = Path(cfg.out)
     tag = _model_tag(cfg)
@@ -284,7 +282,7 @@ def theta_scan_cmd(config_file, preset_name, **flags):
 def rate_function_cmd(config_file, preset_name, **flags):
     """Legendre-transform rate function phi(k) from a theta scan."""
     cfg = _assemble_config(config_file, preset=preset_name, **flags)
-    _, basis = _build_model(cfg)
+    basis = _basis(cfg)
     tasks, results = _scan_tasks(cfg, basis)
     outdir = Path(cfg.out)
     tag = _model_tag(cfg)
@@ -306,7 +304,7 @@ def crossover_map_cmd(config_file, preset_name, **flags):
     cfg = _assemble_config(config_file, preset=preset_name, **flags)
     if len(cfg.temps) < 2:
         raise ConfigError("crossover-map needs at least two temperatures")
-    _, basis = _build_model(cfg)
+    basis = _basis(cfg)
     tasks, gen = _tasks(cfg, basis)
     grid = lds.default_s_grid(cfg.s_min, cfg.s_max, cfg.s_points)
     reports = lds.find_crossover(gen, grid, workers=cfg.workers)
@@ -348,21 +346,15 @@ def crossover_map_cmd(config_file, preset_name, **flags):
 @click.option("--t-max-ps", type=float, default=None,
               help="Observation time per trajectory in ps "
                    "(default: expected 200 counted jumps).")
-@click.option("--traj-channel", "traj_channels", multiple=True,
-              help="Counted set for the trajectory side (must equal --channel).")
 @_guarded
 def oracle_check_cmd(config_file, preset_name, **flags):
     """Cross-validate spectral rate and Q(0) against stochastic trajectories."""
     cfg = _assemble_config(config_file, preset=preset_name, **flags)
-    _, basis = _build_model(cfg)
+    basis = _basis(cfg)
     entries = []
     overall = True
     for i, temp in enumerate(cfg.temps):
         gen = tilted_generator(basis, _bath(cfg, temp), cfg.channels)
-        if cfg.traj_channels is not None:
-            traj_side = resolve_counted(gen.n_excitons, cfg.traj_channels)
-            if not np.array_equal(traj_side, gen.counted):
-                raise ConfigError("trajectory counted set differs from the spectral one")
         at_zero = lds.scan(gen, [0.0])
         activity = float(at_zero.activity[0])
         q_spectral = None if np.isnan(at_zero.mandel[0]) else float(at_zero.mandel[0])

@@ -24,6 +24,7 @@ channels and nothing else.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -195,6 +196,11 @@ class TiltedGenerator:
             for r, c in zip(self.rates.reshape(-1, n, n), self.counted.reshape(-1, n, n))
         ]
 
+    @functools.cached_property
+    def classes(self) -> tuple[np.ndarray, ...]:
+        """``strong_classes`` of the jump graph (nonzero rates), one for all tasks."""
+        return strong_classes(self.rates != 0.0)
+
     def population_block(self, s) -> np.ndarray:
         """Classical tilted rate matrix over exciton populations (real).
 
@@ -207,6 +213,25 @@ class TiltedGenerator:
     def population_block_derivative(self, s) -> np.ndarray:
         """dW/ds, shaped like ``population_block(s)``."""
         return -_tilt(s) * self._block_counted
+
+
+def strong_classes(support) -> tuple[np.ndarray, ...]:
+    """The strongly connected classes of the graph with an edge a -> b
+    wherever ``support[..., b, a]`` is true, each as the ascending array of
+    its excitons, ordered by their first exciton; reachability squares a 0/1
+    matrix until it stops growing.  ValueError where the leading (task)
+    axes hold different graphs."""
+    support = np.asarray(support, dtype=bool)
+    support = support.reshape(-1, *support.shape[-2:])
+    if (support[1:] != support[0]).any():
+        raise ValueError("the tasks of a stacked generator differ in their jump graphs")
+    reach, grown = None, support[0] | np.eye(support.shape[-1], dtype=bool)
+    while not np.array_equal(reach, grown):
+        reach = grown
+        one = reach.astype(float)
+        grown = one @ one > 0.0
+    first = (reach & reach.T).argmax(axis=1)  # the first exciton of each one's class
+    return tuple(np.flatnonzero(first == a) for a in range(first.size) if first[a] == a)
 
 
 def _tilt(s) -> np.ndarray:

@@ -8,17 +8,21 @@ gives theta over a whole s grid (a long grid goes in slices of bounded
 memory), and batched bordered systems [[W_s - theta, b], [b^T, 0]] give
 the top right and left vectors and, in the inverse, the generalized
 inverse of W_s - theta, from which theta' and theta'' follow in closed
-form (Meyer, SIAM Rev. 17, 443 (1975)).  Excitons with no rate in or out
-are set aside; they add the eigenvalue 0.  A single s is a grid of one
-point.  A generator may stack tasks (say one per temperature and
+form (Meyer, SIAM Rev. 17, 443 (1975)).  W_s is block-triangular in the
+strongly connected classes of its jump graph
+(``TiltedGenerator.classes``), so each class block is solved on its own
+and theta is the largest class top.  Where classes tie (every closed class
+at s = 0), the tied class with the largest activity -theta' is reported,
+with its theta'': theta's slope just below the tie.  A single s is a grid
+of one point.  A generator may stack tasks (say one per temperature and
 channel) on leading axes: ``scan`` and ``find_crossover`` solve the blocks
 of all its tasks at all s in one stack, and each task's result is the one
 its own generator gives, bit for bit.  The stack goes in slices, which are
 also the unit of parallel work: a large stack runs its slices on threads,
 as the batched eigensolver releases the interpreter lock.  The top right
 vector at s = 0 gives the stationary populations (``stationary``).  The
-mean jump rate is -theta'(0), the variance rate theta''(0), and the
-Mandel parameter Q(s) = -theta''(s)/theta'(s) - 1 flags sub- (Q<0) versus
+mean jump rate is -theta'(0), the variance rate theta''(0), and the Mandel
+parameter Q(s) = -theta''(s)/theta'(s) - 1 flags sub- (Q<0) versus
 super-Poissonian (Q>0) trajectory ensembles.  The rate function phi(k) is
 the Legendre transform of theta.
 
@@ -179,19 +183,10 @@ def _single(generator: TiltedGenerator) -> TiltedGenerator:
     return generator
 
 
-def _live_excitons(blocks: np.ndarray, derivatives: np.ndarray) -> np.ndarray:
-    """Mask of the excitons with a rate in or out: a nonzero entry in their
-    row or column of a block or of its derivative, given at one s for every
-    task.  The others are isolated, at every s.  ValueError where the tasks
-    of a stacked generator differ in which excitons are isolated."""
-    nonzero = (blocks != 0.0) | (derivatives != 0.0)
-    live = nonzero.any(axis=-2) | nonzero.any(axis=-1)
-    if len(live) > 1 and (live[1:] != live[0]).any():
-        raise ValueError(
-            "the tasks of a stacked generator differ in which excitons are isolated; "
-            "solve them as separate generators"
-        )
-    return live[0]
+def _class_block(stack: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The diagonal block of the class ``c`` in every matrix of ``stack``;
+    the stack itself, not a copy, for a class of every exciton."""
+    return stack if c.size == stack.shape[-1] else stack[:, c[:, None], c]
 
 
 def _inverted(solver, m: np.ndarray, s: np.ndarray, *rhs) -> np.ndarray:
@@ -206,17 +201,13 @@ def _inverted(solver, m: np.ndarray, s: np.ndarray, *rhs) -> np.ndarray:
         ) from None
 
 
-def _top_eigenpairs(blocks: np.ndarray, s: np.ndarray, live: np.ndarray):
+def _top_eigenpairs(blocks: np.ndarray, s: np.ndarray):
     """The top eigenpair of each tilted block of the stack ``blocks``, the
     block at s[k] being blocks[k], from one eigenvalues-only solve and
     bordered systems.
 
-    The excitons outside the mask ``live`` (no rate in or out) are set
-    aside: each adds the eigenvalue 0 with zero derivatives, and loses a
-    tie with the top eigenvalue of the other ("live") excitons.  A tie is
-    within 1e-12 times the larger of 1 and the live block's largest entry,
-    the scale of the top's rounding (at s = 0 that top is 0 exactly).  On the live block
-    W_s, theta is the eigenvalue with the largest real part.  The bordered matrix
+    On the block W_s (of one class), theta is the eigenvalue with the
+    largest real part.  The bordered matrix
     M = [[W_s - theta, b], [b^T, 0]] with b = 1 gives the right and left
     vectors normalized by 1.r = 1 and l.1 = 1 (its last column and row),
     and so the exciton k with the largest |l_k r_k|.  The inverse of M with
@@ -224,17 +215,14 @@ def _top_eigenpairs(blocks: np.ndarray, s: np.ndarray, live: np.ndarray):
     in its top-left block, the generalized inverse S of W_s - theta with
     S e_k = 0 and e_k^T S = 0.
 
-    Returns (theta, l, r, S, l.r, gap, wins): gap is the distance from the
-    top to the nearest other eigenvalue, and wins marks the points where
-    the live block's top eigenvalue is theta.  Where an isolated exciton's
-    0 is theta instead, the pair is that of an identity block, and gap is
-    infinite.
+    Returns (theta, l, r, S, l.r, gap): gap is the distance from the top
+    to the nearest other eigenvalue.
 
     SpectralError, with the failing s, where a block is not finite, where
     several eigenvalues with nonzero imaginary parts share the top real part
     within 1e-12 ("ambiguous"), where the top has an imaginary part above
     1e-9, and "defective" where the top is not a simple eigenvalue: another
-    real eigenvalue within 1e-12 (a reducible rate matrix), a singular M, or
+    real eigenvalue within 1e-12, a singular M, or
     |sum l_i r_i| <= 1e-12 sum |l_i r_i|, a test that diagonal similarity
     (rescaling the excitons) leaves unchanged.
     """
@@ -242,24 +230,14 @@ def _top_eigenpairs(blocks: np.ndarray, s: np.ndarray, live: np.ndarray):
         ~np.isfinite(blocks).all(axis=(-2, -1)),
         lambda k: f"tilted block overflows at s={s[k]}",
     )
-    if not live.all():
-        blocks = blocks[:, live][:, :, live]
     n = blocks.shape[-1]
-    if n == 0:
-        zero, none = np.zeros(s.size), np.zeros((s.size, 0))
-        empty = np.zeros((s.size, 0, 0))
-        return zero, none, none, empty, zero + 1.0, zero + np.inf, zero > 0
     w = np.linalg.eigvals(blocks)
     rows = np.arange(s.size)
     i = np.argmax(w.real, axis=-1)
     top = w[rows, i]
     th = top.real
-    # an isolated exciton's eigenvalue 0 is theta where it beats the live top
-    wins = np.ones(s.size, dtype=bool)
-    if n < live.size:
-        wins = th >= -1e-12 * np.maximum(1.0, np.abs(blocks).max(axis=(-2, -1)))
     near = np.abs(w.real - th[:, None]) < 1e-12
-    ties = wins & (near.sum(axis=-1) > 1)
+    ties = near.sum(axis=-1) > 1
     if np.iscomplexobj(w):  # numpy returns real eigenvalues when all of them are
         _raise_first(
             ties & (near & (np.abs(w.imag) > 1e-9)).any(axis=-1),
@@ -267,21 +245,18 @@ def _top_eigenpairs(blocks: np.ndarray, s: np.ndarray, live: np.ndarray):
             f"real part {th[k]:.6g} with nonzero imaginary parts at s={s[k]}",
         )
         _raise_first(
-            wins & (np.abs(top.imag) > 1e-9),
+            np.abs(top.imag) > 1e-9,
             lambda k: f"top eigenvalue has imaginary part {top[k].imag:.3e} at s={s[k]}",
         )
     _raise_first(
         ties,
         lambda k: f"defective top eigenpair at s={s[k]}: {near[k].sum()} eigenvalues "
-        f"tie at the top {th[k]:.6g}, so the rate matrix is reducible",
+        f"tie at the top {th[k]:.6g} of one strongly connected class",
     )
     m = np.zeros((s.size, n + 1, n + 1), dtype=np.result_type(blocks, float))
     m[:, :n, :n] = blocks
     diag = np.arange(n)
     m[:, diag, diag] -= th[:, None]
-    if n < live.size:
-        th = np.where(wins, th, 0.0)
-        m[~wins, :n, :n] = np.eye(n)  # no pair is needed there
     m[:, :n, n] = m[:, n, :n] = 1.0
     last = np.zeros((n + 1, 1))
     last[n] = 1.0
@@ -304,8 +279,7 @@ def _top_eigenpairs(blocks: np.ndarray, s: np.ndarray, live: np.ndarray):
     )
     gap = np.abs(w - top[:, None])
     gap[rows, i] = np.inf
-    gap = np.where(wins, gap.min(axis=-1), np.inf)
-    return th, l, r, inv_s, overlap, gap, wins
+    return th, l, r, inv_s, overlap, gap.min(axis=-1)
 
 
 def _check_real(values: np.ndarray, name: str, s: np.ndarray) -> None:
@@ -314,11 +288,6 @@ def _check_real(values: np.ndarray, name: str, s: np.ndarray) -> None:
             np.abs(values.imag) > 1e-9 * np.maximum(1.0, np.abs(values)),
             lambda k: f"{name}({s[k]}) came out complex: {values[k]}",
         )
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two stacks of vectors."""
-    return (a * b).sum(axis=-1)
 
 
 @_quiet_overflow
@@ -336,9 +305,25 @@ def _stack(generator: TiltedGenerator, s: np.ndarray):
 
 
 @_quiet_overflow
-def _stack_spectra(s: np.ndarray, blocks, dw, live: np.ndarray) -> np.ndarray:
+def _stack_spectra(s: np.ndarray, blocks, dw, classes) -> np.ndarray:
     """Rows theta, theta' and theta'' of the stack of tilted blocks
-    ``blocks`` with derivatives ``dw``, the block at s[k] being blocks[k].
+    ``blocks`` with derivatives ``dw``, the block at s[k] being blocks[k]:
+    those of the class with the top theta, or of the tied class (within
+    1e-12 times the larger of 1 and the block's largest entry) with the
+    largest activity -theta'.
+    """
+    parts = [_class_spectra(s, _class_block(blocks, c), _class_block(dw, c)) for c in classes]
+    if len(parts) == 1:
+        return parts[0]
+    parts = np.stack(parts)
+    th = parts[:, 0]
+    tied = th >= th.max(axis=0) - 1e-12 * np.maximum(1.0, np.abs(blocks).max(axis=(-2, -1)))
+    best = np.argmin(np.where(tied, parts[:, 1], np.inf), axis=0)
+    return parts[best, :, np.arange(s.size)].T + 0.0  # +0, not -0: the slope without counting
+
+
+def _class_spectra(s: np.ndarray, blocks, dw) -> np.ndarray:
+    """``_stack_spectra`` for the blocks of one class.
 
     With dW = dW/ds and the top pair of ``_top_eigenpairs``,
     theta' = l.dW.r / l.r.  The derivative of r (normalized by r_k = 1) is
@@ -351,15 +336,13 @@ def _stack_spectra(s: np.ndarray, blocks, dw, live: np.ndarray) -> np.ndarray:
     ("crowds": that eigenvalue's pole carries gap * |v.S.u| > 1e-6 |v||u|
     of v.S.u).
     """
-    th, l, r, inv_s, overlap, gap, wins = _top_eigenpairs(blocks, s, live)
-    if not live.all():
-        dw = dw[:, live][:, :, live]
+    th, l, r, inv_s, overlap, gap = _top_eigenpairs(blocks, s)
     dw_r = (dw @ r[..., None])[..., 0]
-    d1 = _dot(l, dw_r) / overlap
+    d1 = (l * dw_r).sum(axis=-1) / overlap
     _check_real(d1, "theta'", s)
     u = dw_r - d1[:, None] * r
     v = (l[:, None, :] @ dw)[:, 0] - d1[:, None] * l
-    vsu = _dot(v, (inv_s @ u[..., None])[..., 0])
+    vsu = (v * (inv_s @ u[..., None])[..., 0]).sum(axis=-1)
     close = gap < 1e-9
     if close.any():
         coupling = gap * np.abs(vsu)
@@ -371,7 +354,7 @@ def _stack_spectra(s: np.ndarray, blocks, dw, live: np.ndarray) -> np.ndarray:
         )
     d2 = -d1 - 2.0 * vsu / overlap
     _check_real(d2, "theta''", s)
-    return np.where(wins, (th, d1.real, d2.real), 0.0)
+    return np.array((th, d1.real, d2.real))
 
 
 def _spectra(generator: TiltedGenerator, s_values, workers: int = 1) -> np.ndarray:
@@ -400,11 +383,10 @@ def _spectra(generator: TiltedGenerator, s_values, workers: int = 1) -> np.ndarr
     if threaded:
         step = min(step, -(-s.size // workers))
     slices = [s[lo : lo + step] for lo in range(0, s.size, step)]
-    first = _stack(generator, slices[0])
-    live = _live_excitons(first[1][:tasks], first[2][:tasks])  # the blocks at s[0]
+    classes = generator.classes
 
     def solve(i: int) -> np.ndarray:
-        return _stack_spectra(*(first if i == 0 else _stack(generator, slices[i])), live)
+        return _stack_spectra(*_stack(generator, slices[i]), classes)
 
     try:
         if threaded and len(slices) > 1:
@@ -450,20 +432,26 @@ def _mandel_grid(generator: TiltedGenerator, s: np.ndarray, workers: int = 1) ->
 @_quiet_overflow
 def stationary(generator: TiltedGenerator) -> np.ndarray:
     """The stationary exciton populations: the top right vector r of the
-    s = 0 block, as r / sum(r).
-
-    Isolated excitons get weight 0, and a model without any rate the
-    uniform vector.  A reducible chain, whose stationary state is not
-    unique, is a defective SpectralError.
-    """
+    s = 0 block of the one closed class (no rate out) that carries rates,
+    as r / sum(r), and 0 elsewhere; uniform for a model without rates.
+    Several such classes (no unique stationary state) are a defective
+    SpectralError."""
     s = np.zeros(1)
     blocks = _single(generator).population_block(s)
-    live = _live_excitons(blocks, generator.population_block_derivative(s))
-    r = _top_eigenpairs(blocks, s, live)[2]
-    if not live.any():
-        return np.full(live.size, 1.0 / live.size)
-    pi = np.zeros(live.size)
-    pi[live] = r[0] / r[0].sum()
+    w, n = blocks[0], generator.n_excitons
+    closed = [
+        c for c in generator.classes if w[c].any() and not np.delete(w[:, c], c, axis=0).any()
+    ]
+    if len(closed) > 1:
+        raise SpectralError(
+            f"defective top eigenpair at s=0.0: {len(closed)} closed classes carry "
+            "rates, so the rate matrix is reducible"
+        )
+    if not closed:
+        return np.full(n, 1.0 / n)
+    r = _top_eigenpairs(_class_block(blocks, closed[0]), s)[2][0]
+    pi = np.zeros(n)
+    pi[closed[0]] = r / r.sum()
     return pi
 
 
@@ -472,14 +460,12 @@ def theta(generator: TiltedGenerator, s: float) -> float:
     """theta(s): largest real eigenvalue of the tilted population block."""
     s = _s_array([s])
     blocks = _single(generator).population_block(s)
-    live = _live_excitons(blocks, generator.population_block_derivative(s))
-    return float(_top_eigenpairs(blocks, s, live)[0][0])
+    return max(float(_top_eigenpairs(_class_block(blocks, c), s)[0][0]) for c in generator.classes)
 
 
 def theta_derivatives(generator: TiltedGenerator, s: float) -> tuple[float, float, float]:
     """(theta, theta', theta'') at the given s, from one eigensolve."""
-    th, d1, d2 = _spectra(_single(generator), [s])[:, 0].tolist()
-    return th, d1, d2
+    return tuple(_spectra(_single(generator), [s])[:, 0].tolist())
 
 
 def mandel(generator: TiltedGenerator, s: float) -> float:
@@ -501,11 +487,6 @@ def scan(generator: TiltedGenerator, s_values, workers: int = 1) -> ScanResult:
     return ScanResult(s=s, theta=th, activity=-d1, mandel=_mandel(d1, d2))
 
 
-def _check_convexity(s: np.ndarray, th: np.ndarray, tol: float = 1e-9) -> bool:
-    second = th[2:] - 2.0 * th[1:-1] + th[:-2]
-    return bool(second.size == 0 or second.min() >= -tol)
-
-
 def rate_function(result: ScanResult) -> tuple[np.ndarray, np.ndarray]:
     """Legendre transform of a theta scan: the columns k and phi(k) on the
     scanned activity range, in ascending k, via phi(k(s)) = -theta(s) - s*k(s).
@@ -517,7 +498,8 @@ def rate_function(result: ScanResult) -> tuple[np.ndarray, np.ndarray]:
     """
     by_s = np.argsort(result.s, kind="stable")
     s, th, k = result.s[by_s], result.theta[by_s], result.activity[by_s]
-    convex = _check_convexity(s, th)
+    second = th[2:] - 2.0 * th[1:-1] + th[:-2]
+    convex = bool(second.size == 0 or second.min() >= -1e-9)
     if not convex:
         warnings.warn(
             "theta(s) is not numerically convex; rate function may be unreliable",
@@ -527,7 +509,7 @@ def rate_function(result: ScanResult) -> tuple[np.ndarray, np.ndarray]:
     phi = -th - s * k
     # Direct transform on the same grid; equals the parametric value when
     # theta is convex (the touching point is a grid point).
-    direct = -(th[None, :] + np.outer(k, s)).min(axis=1)
+    direct = -_lower_envelope(th, k, s)
     mismatch = float(np.max(np.abs(direct - phi)))
     if convex and mismatch > 1e-9 * max(1.0, float(np.max(np.abs(th)))):
         warnings.warn(
@@ -544,8 +526,19 @@ def legendre_reconstruct(rate, s_values) -> np.ndarray:
     """Rebuild theta_hat(s) = -min_k [phi(k) + k*s] from the (k, phi)
     columns of ``rate_function``."""
     k, phi = rate
-    s = np.asarray(s_values, dtype=float)
-    return -(phi[None, :] + np.outer(s, k)).min(axis=1)
+    return -_lower_envelope(phi, np.asarray(s_values, dtype=float).ravel(), k)
+
+
+def _lower_envelope(f: np.ndarray, x, y: np.ndarray) -> np.ndarray:
+    """min_j [f(j) + x(i) y(j)] for every x(i), in row blocks of at most
+    _SLICE_ENTRIES entries (bounded memory; a minimum is exact, so no bit
+    changes)."""
+    step = max(1, _SLICE_ENTRIES // max(1, y.size))
+    out, block = np.empty(x.size), np.empty((min(step, x.size), y.size))
+    for lo in range(0, x.size, step):
+        part = np.multiply.outer(x[lo : lo + step], y, out=block[: x.size - lo])
+        np.add(part, f, out=part).min(axis=1, out=out[lo : lo + step])
+    return out
 
 
 def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, tol: float = 1e-6) -> float:

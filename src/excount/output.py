@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import html
 import json
+import re
 
 import numpy as np
 
@@ -48,14 +49,9 @@ def _csv_rows(table: np.ndarray) -> list[str]:
 
 
 def channel_slug(selector: str) -> str:
-    """Filesystem-safe tag for a channel selector."""
-    out = []
-    for c in selector:
-        out.append(c if c.isalnum() else "_")
-    slug = "".join(out)
-    while "__" in slug:
-        slug = slug.replace("__", "_")
-    return slug.strip("_")
+    """Filesystem-safe tag for a channel selector: each run of characters
+    that are not alphanumeric (``str.isalnum``) becomes one underscore."""
+    return re.sub(r"[\W_]+", "_", selector).strip("_")
 
 
 def format_temperature(t: float) -> str:

@@ -17,11 +17,6 @@ def beta_cm(temperature_K: float) -> float:
     return 1.0 / (KB_CM1_PER_K * temperature_K)
 
 
-def rate_cm1_to_ps1(rate_cm1: float) -> float:
-    """Convert a rate quoted in cm^-1 to ps^-1."""
-    return rate_cm1 * CM1_TO_PS1
-
-
 def time_ps_to_cm(t_ps: float) -> float:
     """Convert a time in picoseconds to internal units (1/cm^-1)."""
     return t_ps * CM1_TO_PS1

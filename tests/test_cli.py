@@ -388,20 +388,6 @@ def test_oracle_check_zero_coupling_trivial_pass(runner, tmp_path):
     assert entry["spectral"]["mandel"] is None
 
 
-def test_oracle_check_mismatched_channel_sets(runner, tmp_path):
-    result = runner.invoke(
-        main,
-        [
-            "oracle-check", "--preset", "fmo2", "--channel", "down:a2->a1",
-            "--traj-channel", "up:a1->a2", "--out", str(tmp_path),
-        ],
-    )
-    assert result.exit_code == 2
-    err = json.loads(result.stderr.strip().splitlines()[-1])
-    assert "counted set" in err["error"]
-    assert not (tmp_path / "oracle_check.json").exists()
-
-
 def test_oracle_check_explicit_window(runner, tmp_path):
     result = invoke(
         runner,
@@ -425,6 +411,19 @@ def test_unknown_format_rejected(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "pdf" in result.stderr
+
+
+def test_json_format_rejected(runner, tmp_path):
+    # no command writes JSON because of --format, so it is an unknown format
+    result = runner.invoke(
+        main,
+        ["theta-scan", "--preset", "fmo2", "--channel", "down:a2->a1",
+         "--format", "json", "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert "unknown formats ['json']" in err["error"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_invalid_config_machine_readable_error(runner, tmp_path):

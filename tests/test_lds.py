@@ -1,11 +1,15 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from excount.bath import BathSpec
-from excount.generator import TiltedGenerator, tilted_generator, transport_rates
+from excount.generator import TiltedGenerator, strong_classes, tilted_generator, transport_rates
 from excount import lds
 from excount.lds import (
     NonConvexThetaWarning,
@@ -146,7 +150,8 @@ def test_exact_and_fd_second_derivatives_agree(name):
 
 class FakeGenerator:
     """Duck-typed generator with fixed blocks, W_s = mat and dW/ds = dmat,
-    broadcast over an array of s like the real blocks."""
+    broadcast over an array of s like the real blocks; its classes are
+    those of the support of mat and dmat."""
 
     batch_shape = ()
 
@@ -154,6 +159,7 @@ class FakeGenerator:
         self.mat = np.asarray(mat)
         self.dmat = np.zeros_like(self.mat) if dmat is None else np.asarray(dmat)
         self.n_excitons = self.mat.shape[-1]
+        self.classes = strong_classes((self.mat != 0) | (self.dmat != 0))
 
     def population_block(self, s):
         return np.broadcast_to(self.mat, np.shape(s) + self.mat.shape)
@@ -167,7 +173,7 @@ class FakeGenerator:
     [
         (FakeGenerator([[0.0, -1.0], [1.0, 0.0]]), "ambiguous"),  # eigenvalues +-i
         (FakeGenerator(np.diag([2.0j, -1.0])), "imaginary part"),
-        (FakeGenerator([[0.0, 1.0], [0.0, 0.0]]), "defective"),  # Jordan block
+        (FakeGenerator([[1.0, 1.0], [-1.0, -1.0]]), "defective"),  # irreducible Jordan block
     ],
 )
 def test_bad_top_eigenpair_raises_for_both_methods(gen, message):
@@ -283,7 +289,8 @@ def test_isolated_exciton_is_set_aside():
 
 def test_two_closed_classes_tie_at_zero():
     """Two uncoupled dimers, both counted: theta is the larger of the two
-    dimers' thetas, and at s = 0, where both are 0, the top is double."""
+    dimers' thetas, and at s = 0, where both are 0, the more active
+    dimer's, with its derivatives."""
     bath = BathSpec(35.0, 150.0, 300.0)
 
     def dimers(energies, couplings):
@@ -294,14 +301,21 @@ def test_two_closed_classes_tie_at_zero():
 
     gen = dimers([0.0, 150.0, 300.0, 500.0], {(0, 1): 60.0, (2, 3): 70.0})
     alone = [dimers([0.0, 150.0], {(0, 1): 60.0}), dimers([300.0, 500.0], {(0, 1): 70.0})]
-    with pytest.raises(SpectralError, match=r"defective top eigenpair at s=0\.0.*reducible"):
-        theta_derivatives(gen, 0.0)
-    with pytest.raises(SpectralError, match=r"defective top eigenpair at s=0\.0"):
-        scan(gen, [-1.0, -0.5, 0.0, 1.0])
     for s in (-1.0, 1.0):
         expected = max(theta_derivatives(d, s) for d in alone)
         assert theta_derivatives(gen, s) == pytest.approx(expected, rel=1e-12)
     assert theta_derivatives(alone[0], -1.0)[0] != theta_derivatives(alone[1], -1.0)[0]
+    at_zero = [theta_derivatives(d, 0.0) for d in alone]
+    assert at_zero[0][1] != at_zero[1][1]
+    active = min(at_zero, key=lambda values: values[1])  # the largest activity -theta'
+    assert theta_derivatives(gen, 0.0) == pytest.approx(active, rel=1e-12, abs=1e-15)
+    grid = default_s_grid()
+    result = scan(gen, grid)
+    first, second = (scan(d, grid) for d in alone)
+    off = grid != 0.0
+    top = np.where(first.theta >= second.theta, first.theta, second.theta)
+    np.testing.assert_allclose(result.theta[off], top[off], rtol=1e-12, atol=0.0)
+    assert result.activity[~off] == pytest.approx(-active[1], rel=1e-12)
 
 
 def test_scan_is_one_eigensolve_per_point(monkeypatch):
@@ -453,27 +467,24 @@ def test_stacked_scan_with_an_isolated_exciton():
 
 def test_stacked_tasks_must_share_their_isolated_excitons():
     gen = stacked([one_uncoupled_site_generator(), make_generator("fmo3")], (2,))
-    with pytest.raises(ValueError, match="isolated"):
+    with pytest.raises(ValueError, match="differ in their jump graphs"):
         scan(gen, [0.0, 1.0])
 
 
 def test_stacked_error_is_that_of_the_first_failing_task(monkeypatch):
-    # two uncoupled dimers tie at s = 0; fmo4 with huge rates overflows at
-    # s = -300, the first point of the grid, so the stacked solve meets its
-    # error first, but the dimers come first in task order
-    j = np.zeros((4, 4))
-    j[0, 1] = j[1, 0] = 60.0
-    j[2, 3] = j[3, 2] = 70.0
-    basis = diagonalize(SiteModel(energies=[0.0, 150.0, 300.0, 500.0], couplings=j))
-    dimers = tilted_generator(basis, BathSpec(35.0, 150.0, 300.0), ["all-down"])
+    # fmo4 with tiny rates has its eigenvalues within the absolute 1e-12 of
+    # the tie check near s = 0, and fails at s = -2; fmo4 with huge rates
+    # overflows at s = -300, the first point of the grid, so the stacked
+    # solve meets its error first, but the tiny rates come first in task order
     fmo4 = make_generator("fmo4")
+    tiny = TiltedGenerator(fmo4.rates * 1e-15, fmo4.counted)
     huge = TiltedGenerator(fmo4.rates * 1e200, fmo4.counted)
-    gen = stacked([dimers, huge], (2,))
+    gen = stacked([tiny, huge], (2,))
     grid = np.append(-300.0, np.linspace(-2.0, 2.0, 41))
     with pytest.raises(SpectralError, match=r"overflows at s=-300\.0"):
         scan(huge, grid)
-    with pytest.raises(SpectralError, match=r"at s=0\.0.*reducible") as alone:
-        scan(dimers, grid)
+    with pytest.raises(SpectralError, match=r"at s=-2\.0: 4 eigenvalues tie") as alone:
+        scan(tiny, grid)
     for workers in (1, 2):
         with pytest.raises(SpectralError) as both:
             scan(gen, grid, workers=workers)
@@ -525,6 +536,108 @@ def test_isolated_exciton_loses_to_a_large_rate_scale_top(scale):
         np.testing.assert_allclose(pi[:8], stationary_eig(rates[:8, :8]), rtol=1e-12, atol=0.0)
         result = scan(gen, [0.0])
         assert result.activity[0] == pytest.approx(rates[0, 1] * pi[1], rel=1e-10)
+
+
+def test_stationary_of_absorbing_excitons():
+    # exciton 1 is absorbing and fed by exciton 0: a closed class that
+    # carries rates; fed from exciton 0, excitons 1 and 2 are two of them
+    one = TiltedGenerator([[0.0, 0.0], [1.0, 0.0]], [[False, False], [True, False]])
+    assert lds.stationary(one).tolist() == [0.0, 1.0]
+    rates = np.zeros((3, 3))
+    rates[1:, 0] = 1.0
+    two = TiltedGenerator(rates, rates > 0.0)
+    with pytest.raises(SpectralError, match="defective .* 2 closed classes .* reducible"):
+        lds.stationary(two)
+    none = TiltedGenerator(np.zeros((3, 3)), rates > 0.0)
+    assert lds.stationary(none).tolist() == [1.0 / 3.0] * 3
+
+
+@st.composite
+def reducible_chains(draw):
+    """(rates, counted, closed, classes) of a reducible chain in a random
+    exciton order: 0-2 isolated excitons, 1-3 closed classes of 2-3
+    excitons, and a transient class of 1-3 excitons that feeds one closed
+    class; classes lists the excitons of each class, the closed ones
+    first, and closed counts them."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    transient = draw(st.integers(1, 3))
+    isolated = draw(st.integers(0, 2))
+    n = sum(sizes) + transient + isolated
+    order = np.array(draw(st.permutations(range(n))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bounds = np.cumsum([0, *sizes, transient])
+    classes = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    rates = np.zeros((n, n))
+    for c in classes:
+        rates[c[:, None], c] = rng.uniform(0.1, 10.0, (c.size, c.size))
+    fed = classes[draw(st.integers(0, len(sizes) - 1))]
+    rates[fed[:, None], classes[-1]] = rng.uniform(0.1, 10.0, (fed.size, transient))
+    np.fill_diagonal(rates, 0.0)
+    counted = (rates > 0.0) & (rng.random((n, n)) < 0.5)
+    counted.flat[rng.choice(np.flatnonzero(rates))] = True
+    return rates, counted, len(sizes), classes + [order[i : i + 1] for i in range(n - isolated, n)]
+
+
+class ClassView:
+    """The diagonal block of the class ``c`` of ``generator``, as a
+    single-class generator."""
+
+    batch_shape = ()
+
+    def __init__(self, generator, c):
+        self.generator, self.c = generator, c
+        self.n_excitons = c.size
+        self.classes = (np.arange(c.size),)
+
+    def population_block(self, s):
+        return self.generator.population_block(s)[..., self.c[:, None], self.c]
+
+    def population_block_derivative(self, s):
+        return self.generator.population_block_derivative(s)[..., self.c[:, None], self.c]
+
+
+CLASS_GRID = np.array([-1.5, -0.5, 0.0, 0.5, 2.0])
+
+
+@given(reducible_chains())
+def test_reducible_scan_is_the_class_maximum(chain):
+    rates, counted, _, classes = chain
+    gen = TiltedGenerator(rates, counted)
+    assert sorted(map(tuple, gen.classes)) == sorted(tuple(np.sort(c)) for c in classes)
+    # each class alone, then the top theta, and among tied classes the
+    # largest activity
+    parts = np.stack([lds._spectra(ClassView(gen, c), CLASS_GRID) for c in gen.classes])
+    scale = np.abs(gen.population_block(CLASS_GRID)).max(axis=(-2, -1))
+    tied = parts[:, 0] >= parts[:, 0].max(axis=0) - 1e-12 * np.maximum(1.0, scale)
+    best = np.argmax(np.where(tied, -parts[:, 1], -np.inf), axis=0)
+    expected = parts[best, :, np.arange(CLASS_GRID.size)].T
+    np.testing.assert_array_equal(lds._spectra(gen, CLASS_GRID), expected)
+    top = np.linalg.eigvals(gen.population_block(CLASS_GRID)).real.max(axis=-1)
+    np.testing.assert_allclose(expected[0], top, rtol=0.0, atol=1e-12 * scale.max())
+
+
+@given(reducible_chains(), st.integers(0, 2**32 - 1))
+def test_reducible_stacked_scan_equals_the_task_scans(chain, seed):
+    rates, counted, _, _ = chain
+    scaled = rates * np.random.default_rng(seed).uniform(0.5, 2.0, rates.shape)
+    singles = [TiltedGenerator(rates, counted), TiltedGenerator(scaled, rates > 0.0)]
+    result = scan(stacked(singles, (2,)), CLASS_GRID)
+    for part, single in zip(result.tasks(), singles):
+        assert_same_scan(part, scan(single, CLASS_GRID))
+
+
+@given(reducible_chains())
+def test_reducible_stationary_is_that_of_the_closed_class(chain):
+    rates, counted, closed, classes = chain
+    gen = TiltedGenerator(rates, counted)
+    if closed > 1:
+        with pytest.raises(SpectralError, match="defective .* reducible"):
+            lds.stationary(gen)
+        return
+    c = classes[0]
+    pi = lds.stationary(gen)
+    np.testing.assert_allclose(pi[c], stationary_eig(rates[c[:, None], c]), rtol=1e-12, atol=0.0)
+    assert not np.delete(pi, c).any()
 
 
 def test_mandel_two_state_values():
@@ -616,6 +729,47 @@ def test_rate_function_flags_nonconvex_input():
     )
     with pytest.warns(NonConvexThetaWarning):
         rate_function(fake)
+
+
+def test_legendre_row_blocks_change_no_bit(monkeypatch):
+    """The direct Legendre minima run in row blocks of at most
+    _SLICE_ENTRIES entries; a minimum is exact, so blocks of 7 rows (the
+    last one short) give the one-block result bit for bit, warnings too."""
+    s = np.linspace(-2.0, 12.0, 281)
+    results = [
+        ScanResult(s=s, theta=np.expm1(-s), activity=a * np.exp(-s), mandel=np.zeros_like(s))
+        for a in (1.0, 1.1)  # the second activity is not -theta': the transforms disagree
+    ]
+
+    def transforms():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rates = [rate_function(r) for r in results]
+        columns = [c for rate in rates for c in (*rate, legendre_reconstruct(rate, s))]
+        return columns, [str(w.message) for w in caught]
+
+    whole, messages = transforms()
+    assert len(messages) == 1 and "disagree" in messages[0]
+    monkeypatch.setattr(lds, "_SLICE_ENTRIES", 7 * s.size)
+    blocked, blocked_messages = transforms()
+    assert blocked_messages == messages
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, whole))
+
+
+def test_rate_function_memory_is_bounded_on_a_long_grid():
+    # theta(s) = e^-s - 1 is the Poisson process of unit rate, with
+    # phi(k) = k ln k - k + 1; one 20001 x 20001 array of the direct
+    # minimum would take 3.2 GB
+    s = np.linspace(-2.0, 12.0, 20001)
+    result = ScanResult(s=s, theta=np.expm1(-s), activity=np.exp(-s), mandel=np.zeros_like(s))
+    tracemalloc.start()
+    try:
+        k, phi = rate_function(result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    np.testing.assert_allclose(phi, k * np.log(k) - k + 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_crossover_fmo2_absent():
