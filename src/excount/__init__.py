@@ -29,7 +29,6 @@ from .model import (
     SiteModel,
     diagonalize,
     dominant_exciton,
-    intensity_factor,
     load_model,
     preset,
     preset_names,

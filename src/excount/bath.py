@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import beta_cm
+from .units import KB_CM1_PER_K
 
 __all__ = ["BathSpec", "spectral_density", "occupation", "gamma"]
 
@@ -41,8 +41,8 @@ class BathSpec:
 
     @property
     def beta(self) -> float:
-        """Inverse temperature in cm."""
-        return beta_cm(self.temperature)
+        """Inverse temperature 1/(kB*T) in cm (the reciprocal of cm^-1)."""
+        return 1.0 / (KB_CM1_PER_K * self.temperature)
 
 
 def _like(omega, value):

@@ -197,9 +197,20 @@ class TiltedGenerator:
         ]
 
     @functools.cached_property
-    def classes(self) -> tuple[np.ndarray, ...]:
-        """``strong_classes`` of the jump graph (nonzero rates), one for all tasks."""
-        return strong_classes(self.rates != 0.0)
+    def graphs(self) -> tuple[tuple[np.ndarray, tuple[np.ndarray, ...]], ...]:
+        """The tasks grouped by jump graph (nonzero rates): per distinct
+        graph, in order of its first task, the flat indices of its tasks (C
+        order of the task axes) and its ``strong_classes``.  Tasks at very
+        low temperature can lose upward rates to underflow, so the tasks of
+        one stack need not share a graph."""
+        n = self.n_excitons
+        support = (self.rates != 0.0).reshape(-1, n, n)
+        left, groups = np.arange(len(support)), []
+        while left.size:
+            same = (support[left] == support[left[0]]).all(axis=(-2, -1))
+            groups.append((left[same], strong_classes(support[left[0]])))
+            left = left[~same]
+        return tuple(groups)
 
     def population_block(self, s) -> np.ndarray:
         """Classical tilted rate matrix over exciton populations (real).
@@ -216,16 +227,12 @@ class TiltedGenerator:
 
 
 def strong_classes(support) -> tuple[np.ndarray, ...]:
-    """The strongly connected classes of the graph with an edge a -> b
-    wherever ``support[..., b, a]`` is true, each as the ascending array of
-    its excitons, ordered by their first exciton; reachability squares a 0/1
-    matrix until it stops growing.  ValueError where the leading (task)
-    axes hold different graphs."""
+    """The strongly connected classes of the N x N graph with an edge
+    a -> b wherever ``support[b, a]`` is true, each as the ascending array
+    of its excitons, ordered by their first exciton; reachability squares a
+    0/1 matrix until it stops growing."""
     support = np.asarray(support, dtype=bool)
-    support = support.reshape(-1, *support.shape[-2:])
-    if (support[1:] != support[0]).any():
-        raise ValueError("the tasks of a stacked generator differ in their jump graphs")
-    reach, grown = None, support[0] | np.eye(support.shape[-1], dtype=bool)
+    reach, grown = None, support | np.eye(support.shape[-1], dtype=bool)
     while not np.array_equal(reach, grown):
         reach = grown
         one = reach.astype(float)
@@ -235,8 +242,12 @@ def strong_classes(support) -> tuple[np.ndarray, ...]:
 
 
 def _tilt(s) -> np.ndarray:
-    """The counting factor e^{-s}, shaped to broadcast against N x N blocks."""
-    return np.exp(-np.asarray(s, dtype=float))[..., None, None]
+    """The counting factor e^{-s}, shaped to broadcast against N x N blocks;
+    ValueError for a complex s, whose imaginary part a cast would drop."""
+    s = np.asarray(s)
+    if np.iscomplexobj(s):
+        raise ValueError(f"s must be real, got {s.dtype} values")
+    return np.exp(-s.astype(float, copy=False))[..., None, None]
 
 
 def tilted_generator(basis: ExcitonBasis, bath: BathSpec, counted) -> TiltedGenerator:

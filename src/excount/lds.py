@@ -10,16 +10,19 @@ the top right and left vectors and, in the inverse, the generalized
 inverse of W_s - theta, from which theta' and theta'' follow in closed
 form (Meyer, SIAM Rev. 17, 443 (1975)).  W_s is block-triangular in the
 strongly connected classes of its jump graph
-(``TiltedGenerator.classes``), so each class block is solved on its own
+(``TiltedGenerator.graphs``), so each class block is solved on its own
 and theta is the largest class top.  Where classes tie (every closed class
 at s = 0), the tied class with the largest activity -theta' is reported,
 with its theta'': theta's slope just below the tie.  A single s is a grid
 of one point.  A generator may stack tasks (say one per temperature and
 channel) on leading axes: ``scan`` and ``find_crossover`` solve the blocks
 of all its tasks at all s in one stack, and each task's result is the one
-its own generator gives, bit for bit.  The stack goes in slices, which are
-also the unit of parallel work: a large stack runs its slices on threads,
-as the batched eigensolver releases the interpreter lock.  The top right
+its own generator gives, bit for bit.  Tasks may differ in their jump
+graphs (at very low temperature an upward rate can underflow to 0): the
+rows of each graph are then solved with its own classes.  The stack goes
+in slices, which are also the unit of parallel work: a large stack runs
+its slices on threads, as the batched eigensolver releases the
+interpreter lock.  The top right
 vector at s = 0 gives the stationary populations (``stationary``).  The
 mean jump rate is -theta'(0), the variance rate theta''(0), and the Mandel
 parameter Q(s) = -theta''(s)/theta'(s) - 1 flags sub- (Q<0) versus
@@ -151,8 +154,12 @@ def default_s_grid(
 
 def _s_array(s_values) -> np.ndarray:
     """The s values as a float array; ValueError, before any block is built,
-    at the first s where e^{-s} overflows (or that is NaN)."""
-    s = np.asarray(s_values, dtype=float)
+    for complex values (a cast would drop their imaginary parts) and at the
+    first s where e^{-s} overflows (or that is NaN)."""
+    s = np.asarray(s_values)
+    if np.iscomplexobj(s):
+        raise ValueError(f"s must be real, got {s.dtype} values")
+    s = s.astype(float, copy=False)
     bad = ~(s >= _S_LOWEST)
     if bad.any():
         raise ValueError(
@@ -362,8 +369,8 @@ def _spectra(generator: TiltedGenerator, s_values, workers: int = 1) -> np.ndarr
     ``generator``, shaped (3, *generator.batch_shape, number of s).
 
     The blocks of all tasks at all s form one stack, solved by
-    ``_stack_spectra`` in slices of at most _SLICE_ENTRIES entries (or one s
-    of every task).  A stack of more than _THREAD_ENTRIES entries is cut
+    ``_stack_spectra`` (the rows of each jump graph with its classes) in
+    slices of at most _SLICE_ENTRIES entries (or one s of every task).  A stack of more than _THREAD_ENTRIES entries is cut
     into at least ``workers`` slices, which run on up to ``workers``
     threads.  Every block is solved on its own, so neither stacking nor
     slicing changes a bit of any result.
@@ -383,10 +390,18 @@ def _spectra(generator: TiltedGenerator, s_values, workers: int = 1) -> np.ndarr
     if threaded:
         step = min(step, -(-s.size // workers))
     slices = [s[lo : lo + step] for lo in range(0, s.size, step)]
-    classes = generator.classes
+    graphs = generator.graphs
 
     def solve(i: int) -> np.ndarray:
-        return _stack_spectra(*_stack(generator, slices[i]), classes)
+        stack = _stack(generator, slices[i])
+        if len(graphs) == 1:
+            return _stack_spectra(*stack, graphs[0][1])
+        # each jump graph's rows of the stack on their own, put back in place
+        out = np.empty((3, stack[0].size))
+        for idx, classes in graphs:
+            rows = (np.arange(slices[i].size)[:, None] * tasks + idx).ravel()
+            out[:, rows] = _stack_spectra(*(part[rows] for part in stack), classes)
+        return out
 
     try:
         if threaded and len(slices) > 1:
@@ -440,7 +455,7 @@ def stationary(generator: TiltedGenerator) -> np.ndarray:
     blocks = _single(generator).population_block(s)
     w, n = blocks[0], generator.n_excitons
     closed = [
-        c for c in generator.classes if w[c].any() and not np.delete(w[:, c], c, axis=0).any()
+        c for c in generator.graphs[0][1] if w[c].any() and not np.delete(w[:, c], c, axis=0).any()
     ]
     if len(closed) > 1:
         raise SpectralError(
@@ -460,7 +475,8 @@ def theta(generator: TiltedGenerator, s: float) -> float:
     """theta(s): largest real eigenvalue of the tilted population block."""
     s = _s_array([s])
     blocks = _single(generator).population_block(s)
-    return max(float(_top_eigenpairs(_class_block(blocks, c), s)[0][0]) for c in generator.classes)
+    classes = generator.graphs[0][1]
+    return max(float(_top_eigenpairs(_class_block(blocks, c), s)[0][0]) for c in classes)
 
 
 def theta_derivatives(generator: TiltedGenerator, s: float) -> tuple[float, float, float]:
@@ -470,7 +486,7 @@ def theta_derivatives(generator: TiltedGenerator, s: float) -> tuple[float, floa
 
 def mandel(generator: TiltedGenerator, s: float) -> float:
     """Q(s) = -theta''(s)/theta'(s) - 1."""
-    return float(_mandel_grid(_single(generator), np.array([s], dtype=float))[0])
+    return float(_mandel_grid(_single(generator), _s_array([s]))[0])
 
 
 def scan(generator: TiltedGenerator, s_values, workers: int = 1) -> ScanResult:
@@ -481,7 +497,7 @@ def scan(generator: TiltedGenerator, s_values, workers: int = 1) -> ScanResult:
     repeated per task), so ``len`` counts every point of every task, and
     ``ScanResult.tasks`` splits the result by task.
     """
-    s = np.array(s_values, dtype=float)
+    s = _s_array(s_values)
     th, d1, d2 = _spectra(generator, s, workers)
     s = np.array(np.broadcast_to(s, th.shape))
     return ScanResult(s=s, theta=th, activity=-d1, mandel=_mandel(d1, d2))
@@ -584,7 +600,7 @@ def find_crossover(generator: TiltedGenerator, s_grid, workers: int = 1):
     ``TiltedGenerator.tasks``: every task's grid is in the one stacked
     solve, and the refinement runs task by task.
     """
-    s = np.asarray(s_grid, dtype=float)
+    s = _s_array(s_grid)
     if s.size < 32:
         raise ValueError(f"s grid needs at least 32 points, got {s.size}")
     if not np.all(np.isfinite(s)):

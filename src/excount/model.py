@@ -4,41 +4,35 @@ Site energies and electronic couplings are given in cm^-1.  The single
 excitation Hamiltonian carries the couplings with a minus sign on the
 off-diagonal, H[m, n] = eps_m * delta_mn - J_mn * (1 - delta_mn), so a
 positive J lowers the symmetric combination.
+
+A model may have degenerate exciton energies; the one place that rejects
+them is ``generator.transport_rates`` (``DegenerateGapError``), since a
+transition at zero frequency has no rate.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ModelError",
-    "DegenerateSpectrumError",
     "SiteModel",
     "ExcitonBasis",
     "site_hamiltonian",
     "diagonalize",
-    "intensity_factor",
     "dominant_exciton",
     "preset",
     "preset_names",
     "load_model",
 ]
 
-# Eigenvalues closer than this (cm^-1) are treated as degenerate.
-DEGENERACY_TOL = 1e-9
-
 
 class ModelError(ValueError):
     """Invalid site model (shape, symmetry or diagonal violations)."""
-
-
-class DegenerateSpectrumError(ModelError):
-    """Exciton spectrum carries (near-)degenerate eigenvalues."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,14 +43,10 @@ class SiteModel:
     ----------
     energies : array of site energies eps_m (cm^-1), length >= 2
     couplings : symmetric coupling matrix J (cm^-1) with zero diagonal
-    labels : optional site names
-    preset_name : set by :func:`preset`; tightens the degeneracy policy
     """
 
     energies: np.ndarray
     couplings: np.ndarray
-    labels: tuple[str, ...] | None = None
-    preset_name: str | None = field(default=None)
 
     def __post_init__(self):
         energies = np.asarray(self.energies, dtype=float)
@@ -72,8 +62,6 @@ class SiteModel:
             raise ModelError("coupling matrix must be symmetric")
         if np.any(np.diag(couplings) != 0.0):
             raise ModelError("coupling matrix must have zero diagonal")
-        if self.labels is not None and len(self.labels) != n:
-            raise ModelError("labels length must match number of sites")
         energies.setflags(write=False)
         couplings.setflags(write=False)
         object.__setattr__(self, "energies", energies)
@@ -112,10 +100,6 @@ class ExcitonBasis:
         """Matrix of pairwise differences; gaps[a, b] = eps_b - eps_a."""
         return self.energies[None, :] - self.energies[:, None]
 
-    def gap(self, a: int, b: int) -> float:
-        """Energy change of a jump from exciton a to exciton b."""
-        return float(self.energies[b] - self.energies[a])
-
     @functools.cached_property
     def intensity_factors(self) -> np.ndarray:
         """Intensity factors, [a, b] = sum_m |c_m(a)|^2 |c_m(b)|^2, in [0, 1].
@@ -147,14 +131,8 @@ def diagonalize(model: SiteModel) -> ExcitonBasis:
 
     Eigenvalues come back ascending.  Each eigenvector's phase is fixed so
     its largest-magnitude component is positive, which makes the amplitudes
-    deterministic across eigensolver implementations.
-
-    Raises
-    ------
-    DegenerateSpectrumError
-        When two exciton energies coincide within 1e-9 cm^-1 and the model
-        is a shipped preset.  User models only get a warning here;
-        ``generator.transport_rates`` then rejects them.
+    deterministic across eigensolver implementations.  Degenerate energies
+    are accepted here; ``generator.transport_rates`` rejects them.
     """
     h = site_hamiltonian(model)
     energies, vecs = np.linalg.eigh(h)
@@ -162,30 +140,7 @@ def diagonalize(model: SiteModel) -> ExcitonBasis:
         pivot = np.argmax(np.abs(vecs[:, col]))
         if vecs[pivot, col] < 0:
             vecs[:, col] = -vecs[:, col]
-    gaps = np.diff(energies)
-    if gaps.size and np.min(gaps) < DEGENERACY_TOL:
-        where = int(np.argmin(gaps))
-        msg = (
-            f"degenerate exciton energies: levels {where} and {where + 1} "
-            f"differ by {gaps[where]:.3e} cm^-1"
-        )
-        if model.preset_name is not None:
-            raise DegenerateSpectrumError(msg)
-        warnings.warn(msg, stacklevel=2)
     return ExcitonBasis(energies=energies, amplitudes=vecs)
-
-
-def intensity_factor(basis: ExcitonBasis, alpha: int, alpha_prime: int) -> float:
-    """Electronic contribution to the alpha <-> alpha' transfer rate.
-
-    One entry of ``basis.intensity_factors``.
-    """
-    n = basis.n_excitons
-    if not (0 <= alpha < n and 0 <= alpha_prime < n):
-        raise IndexError(
-            f"exciton index out of range: ({alpha}, {alpha_prime}) for {n} excitons"
-        )
-    return float(basis.intensity_factors[alpha, alpha_prime])
 
 
 def dominant_exciton(basis: ExcitonBasis, site: int) -> int:
@@ -238,21 +193,15 @@ def preset(name: str) -> SiteModel:
         raise ModelError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         ) from None
-    energies = np.array(params["energies"])
-    return SiteModel(
-        energies=energies,
-        couplings=np.array(params["couplings"]),
-        labels=tuple(f"site{i + 1}" for i in range(energies.size)),
-        preset_name=name,
-    )
+    return SiteModel(**params)
 
 
 def load_model(path) -> SiteModel:
     """Read a site model from a JSON file.
 
-    Expected document: ``{"energies": [..], "couplings": [[..]],
-    "labels": [..]}`` with all values in cm^-1.  An optional "bath"
-    section is ignored here; the command line reads it.
+    Expected document: ``{"energies": [..], "couplings": [[..]]}`` with
+    all values in cm^-1.  An optional "labels" key is accepted and ignored;
+    an optional "bath" section is ignored here, the command line reads it.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -261,5 +210,4 @@ def load_model(path) -> SiteModel:
         couplings = np.array(doc["couplings"], dtype=float)
     except KeyError as exc:
         raise ModelError(f"model file missing key: {exc}") from None
-    labels = tuple(doc["labels"]) if "labels" in doc else None
-    return SiteModel(energies=energies, couplings=couplings, labels=labels)
+    return SiteModel(energies=energies, couplings=couplings)

@@ -1,4 +1,8 @@
-"""Spectroscopic unit constants (energies and rates in cm^-1, hbar = 1)."""
+"""Spectroscopic unit constants (energies and rates in cm^-1, hbar = 1).
+
+The inverse temperature 1/(kB*T) in cm is ``bath.BathSpec.beta``, next to
+the one check that the temperature is positive.
+"""
 
 import math
 
@@ -8,13 +12,6 @@ KB_CM1_PER_K = 0.6950348
 # Speed of light in cm/ps; a rate of 1 cm^-1 equals 2*pi*c ps^-1.
 C_CM_PER_PS = 0.0299792458
 CM1_TO_PS1 = 2.0 * math.pi * C_CM_PER_PS
-
-
-def beta_cm(temperature_K: float) -> float:
-    """Inverse temperature 1/(kB*T) in cm (the reciprocal of cm^-1)."""
-    if temperature_K <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature_K}")
-    return 1.0 / (KB_CM1_PER_K * temperature_K)
 
 
 def time_ps_to_cm(t_ps: float) -> float:

@@ -66,7 +66,7 @@ def lindblad_direct(basis, bath):
         for b in range(n):
             if a == b:
                 continue
-            g = gamma(bath, basis.gap(a, b))
+            g = gamma(bath, basis.gaps[a, b])
             for m in range(basis.n_sites):
                 op = np.zeros((n, n))
                 op[b, a] = basis.amplitudes[m, b] * basis.amplitudes[m, a]
@@ -252,7 +252,7 @@ def scalar_rates(basis, bath):
                 ca = basis.amplitudes[:, a]
                 cb = basis.amplitudes[:, b]
                 factor = float(np.sum(ca * ca * cb * cb))
-                rates[b, a] = scalar_gamma(bath, basis.gap(a, b)) * factor
+                rates[b, a] = scalar_gamma(bath, basis.gaps[a, b]) * factor
     return rates
 
 
@@ -286,7 +286,7 @@ class ClassicalTwoState:
         if np.shape(rates) != (2, 2):
             raise ValueError("expected exactly one exciton pair")
         up, down = float(rates[1, 0]), float(rates[0, 1])
-        expected = up * math.exp(bath.beta * basis.gap(0, 1))
+        expected = up * math.exp(bath.beta * basis.gaps[0, 1])
         if not math.isclose(down, expected, rel_tol=1e-10):
             raise ValueError("channel rates violate detailed balance")
         return cls(kappa=up, Gamma=down)

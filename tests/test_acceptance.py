@@ -105,7 +105,7 @@ def test_criterion_3_steady_state_physics():
             pairs = np.argwhere(~np.eye(n, dtype=bool))
             rate = {(int(a), int(b)): gen.rates[b, a] for a, b in pairs}
             for (a, b), r in rate.items():
-                expected = rate[(b, a)] * math.exp(-bath.beta * basis.gap(a, b))
+                expected = rate[(b, a)] * math.exp(-bath.beta * basis.gaps[a, b])
                 worst_db = max(worst_db, abs(r - expected) / expected)
                 flux_ab = boltz[a] * r
                 flux_ba = boltz[b] * rate[(b, a)]

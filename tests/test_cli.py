@@ -256,6 +256,20 @@ def test_threaded_slices_do_not_change_output(runner, tmp_path, monkeypatch):
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_temperatures_with_different_jump_graphs_stack(runner, tmp_path):
+    # at 0.5 K an upward fmo4 rate underflows to exactly 0, so the tasks of
+    # the two temperatures differ in their jump graphs
+    args = ["theta-scan", "--preset", "fmo4", "--channel", "all-down"]
+    for temps in ("0.5,300", "0.5", "300"):
+        result = invoke(runner, args + ["--temps", temps, "--out", str(tmp_path / temps)])
+        assert result.exit_code == 0
+    both = sorted((tmp_path / "0.5,300").iterdir())
+    alone = sorted([*(tmp_path / "0.5").iterdir(), *(tmp_path / "300").iterdir()])
+    assert [p.name for p in both] == [p.name for p in alone]
+    for a, b in zip(both, alone):
+        assert a.read_bytes() == b.read_bytes()
+
+
 def test_negative_worker_count_rejected(runner, tmp_path):
     result = runner.invoke(
         main,

@@ -150,8 +150,8 @@ def test_exact_and_fd_second_derivatives_agree(name):
 
 class FakeGenerator:
     """Duck-typed generator with fixed blocks, W_s = mat and dW/ds = dmat,
-    broadcast over an array of s like the real blocks; its classes are
-    those of the support of mat and dmat."""
+    broadcast over an array of s like the real blocks; its one jump graph
+    is the support of mat and dmat."""
 
     batch_shape = ()
 
@@ -159,7 +159,7 @@ class FakeGenerator:
         self.mat = np.asarray(mat)
         self.dmat = np.zeros_like(self.mat) if dmat is None else np.asarray(dmat)
         self.n_excitons = self.mat.shape[-1]
-        self.classes = strong_classes((self.mat != 0) | (self.dmat != 0))
+        self.graphs = ((np.arange(1), strong_classes((self.mat != 0) | (self.dmat != 0))),)
 
     def population_block(self, s):
         return np.broadcast_to(self.mat, np.shape(s) + self.mat.shape)
@@ -465,10 +465,34 @@ def test_stacked_scan_with_an_isolated_exciton():
         assert_same_scan(part, scan(single, grid))
 
 
-def test_stacked_tasks_must_share_their_isolated_excitons():
-    gen = stacked([one_uncoupled_site_generator(), make_generator("fmo3")], (2,))
-    with pytest.raises(ValueError, match="differ in their jump graphs"):
-        scan(gen, [0.0, 1.0])
+def test_stacked_tasks_may_differ_in_their_isolated_excitons():
+    singles = [one_uncoupled_site_generator(), make_generator("fmo3")]
+    gen = stacked(singles, (2,))
+    assert [idx.tolist() for idx, _ in gen.graphs] == [[0], [1]]
+    grid = default_s_grid()
+    for part, single in zip(scan(gen, grid).tasks(), singles):
+        assert_same_scan(part, scan(single, grid))
+
+
+def test_mixed_graph_stack_equals_the_per_task_calls(monkeypatch):
+    # fmo3 with its a1 -> a3 rate cut keeps one class, on another jump
+    # graph than the full fmo3 tasks that come before and after it
+    full = make_generator("fmo3", 300.0, "pair:a1<->a2")
+    rates = full.rates.copy()
+    rates[2, 0] = 0.0
+    cold = make_generator("fmo3", 150.0, "pair:a1<->a2")
+    singles = [full, TiltedGenerator(rates, full.counted), cold]
+    gen = stacked(singles, (3,))
+    assert [idx.tolist() for idx, _ in gen.graphs] == [[0, 2], [1]]
+    grid = default_s_grid()
+    result = scan(gen, grid)
+    for part, single in zip(result.tasks(), singles):
+        assert_same_scan(part, scan(single, grid))
+    assert find_crossover(gen, grid) == [find_crossover(single, grid) for single in singles]
+    # slices on threads: two s points of every task per slice
+    monkeypatch.setattr(lds, "_SLICE_ENTRIES", 2 * 3 * 9)
+    monkeypatch.setattr(lds, "_THREAD_ENTRIES", 0)
+    assert_same_scan(scan(gen, grid, workers=3), result)
 
 
 def test_stacked_error_is_that_of_the_first_failing_task(monkeypatch):
@@ -587,7 +611,7 @@ class ClassView:
     def __init__(self, generator, c):
         self.generator, self.c = generator, c
         self.n_excitons = c.size
-        self.classes = (np.arange(c.size),)
+        self.graphs = ((np.arange(1), (np.arange(c.size),)),)
 
     def population_block(self, s):
         return self.generator.population_block(s)[..., self.c[:, None], self.c]
@@ -603,10 +627,12 @@ CLASS_GRID = np.array([-1.5, -0.5, 0.0, 0.5, 2.0])
 def test_reducible_scan_is_the_class_maximum(chain):
     rates, counted, _, classes = chain
     gen = TiltedGenerator(rates, counted)
-    assert sorted(map(tuple, gen.classes)) == sorted(tuple(np.sort(c)) for c in classes)
+    (task, found), = gen.graphs
+    assert task.tolist() == [0]
+    assert sorted(map(tuple, found)) == sorted(tuple(np.sort(c)) for c in classes)
     # each class alone, then the top theta, and among tied classes the
     # largest activity
-    parts = np.stack([lds._spectra(ClassView(gen, c), CLASS_GRID) for c in gen.classes])
+    parts = np.stack([lds._spectra(ClassView(gen, c), CLASS_GRID) for c in found])
     scale = np.abs(gen.population_block(CLASS_GRID)).max(axis=(-2, -1))
     tied = parts[:, 0] >= parts[:, 0].max(axis=0) - 1e-12 * np.maximum(1.0, scale)
     best = np.argmax(np.where(tied, -parts[:, 1], -np.inf), axis=0)
@@ -638,6 +664,33 @@ def test_reducible_stationary_is_that_of_the_closed_class(chain):
     pi = lds.stationary(gen)
     np.testing.assert_allclose(pi[c], stationary_eig(rates[c[:, None], c]), rtol=1e-12, atol=0.0)
     assert not np.delete(pi, c).any()
+
+
+@st.composite
+def site_models(draw):
+    """(basis, bath) of a random site model: 2-8 sites, energies 0-500
+    cm^-1, couplings |J| <= 150 cm^-1, and a Drude-Lorentz bath with
+    reorganization energy 1-200 cm^-1, cutoff 10-500 cm^-1 and a
+    temperature log-uniform on 1-1000 K."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    j = np.triu(rng.uniform(-150.0, 150.0, (n, n)), 1)
+    model = SiteModel(energies=rng.uniform(0.0, 500.0, n), couplings=j + j.T)
+    temp = 10.0 ** rng.uniform(0.0, 3.0)
+    return diagonalize(model), BathSpec(rng.uniform(1.0, 200.0), rng.uniform(10.0, 500.0), temp)
+
+
+@given(site_models())
+def test_site_model_invariants(case):
+    basis, bath = case
+    gen = tilted_generator(basis, bath, ["all-down"])
+    scale = gen.rates.max()
+    boltzmann = np.exp(-bath.beta * (basis.energies - basis.energies[0]))
+    assert np.abs(lds.stationary(gen) - boltzmann / boltzmann.sum()).max() <= 1e-12
+    assert abs(theta(gen, 0.0)) <= 1e-12 * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NonConvexThetaWarning)
+        rate_function(scan(gen, default_s_grid(n_points=41)))
 
 
 def test_mandel_two_state_values():
@@ -897,6 +950,24 @@ def test_scan_rejects_overflowing_tilt_before_building_blocks(monkeypatch):
     # the lowest accepted s is the last one where e^-s is finite
     assert lds._s_array([lds._S_LOWEST]).tolist() == [lds._S_LOWEST]
     assert np.isfinite(np.exp(-lds._S_LOWEST))
+
+
+COMPLEX_S_CALLS = {
+    "population_block": lambda gen, s: gen.population_block(s),
+    "population_block_derivative": lambda gen, s: gen.population_block_derivative(s),
+    "scan": lambda gen, s: scan(gen, [0.0, s]),
+    "theta": theta,
+    "theta_derivatives": theta_derivatives,
+    "mandel": mandel,
+    "find_crossover": lambda gen, s: find_crossover(gen, np.append(default_s_grid(), s)),
+}
+
+
+@pytest.mark.parametrize("name", COMPLEX_S_CALLS)
+def test_complex_s_refused(name):
+    # a cast to float would drop the imaginary part with only a ComplexWarning
+    with pytest.raises(ValueError, match="s must be real, got complex128"):
+        COMPLEX_S_CALLS[name](make_generator("fmo2"), np.complex128(0.1 + 0.5j))
 
 
 def test_overflowing_tilt_is_a_spectral_error():
