@@ -32,12 +32,10 @@ class BathSpec:
     temperature: float
 
     def __post_init__(self):
-        if self.reorg_energy <= 0:
-            raise ValueError(f"reorg_energy must be positive, got {self.reorg_energy}")
-        if self.cutoff <= 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        for name in ("reorg_energy", "cutoff", "temperature"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def beta(self) -> float:

@@ -64,10 +64,14 @@ class RunConfig:
             raise ConfigError(f"unknown formats {sorted(bad)}; allowed: {FORMATS}")
         if self.s_points < 2:
             raise ConfigError("s grid needs at least 2 points")
+        if not np.isfinite([self.s_min, self.s_max]).all():
+            raise ConfigError(f"s grid bounds must be finite, got [{self.s_min}, {self.s_max}]")
         if not self.s_min < self.s_max:
             raise ConfigError("need s_min < s_max")
         if self.traj < 1:
             raise ConfigError("need at least one trajectory")
+        if self.t_max_ps is not None and not 0 < self.t_max_ps < np.inf:
+            raise ConfigError(f"--t-max-ps must be positive and finite, got {self.t_max_ps}")
         if self.workers < 0:
             raise ConfigError(f"need workers >= 0 (0: all processors), got {self.workers}")
         return self

@@ -154,9 +154,12 @@ def default_s_grid(
 
 def _s_array(s_values) -> np.ndarray:
     """The s values as a float array; ValueError, before any block is built,
-    for complex values (a cast would drop their imaginary parts) and at the
-    first s where e^{-s} overflows (or that is NaN)."""
+    for a grid that is not 1-D, for complex values (a cast would drop their
+    imaginary parts) and at the first s where e^{-s} overflows (or that is
+    NaN)."""
     s = np.asarray(s_values)
+    if s.ndim != 1:
+        raise ValueError(f"the s grid must be 1-D, got shape {s.shape}")
     if np.iscomplexobj(s):
         raise ValueError(f"s must be real, got {s.dtype} values")
     s = s.astype(float, copy=False)
@@ -370,10 +373,11 @@ def _spectra(generator: TiltedGenerator, s_values, workers: int = 1) -> np.ndarr
 
     The blocks of all tasks at all s form one stack, solved by
     ``_stack_spectra`` (the rows of each jump graph with its classes) in
-    slices of at most _SLICE_ENTRIES entries (or one s of every task).  A stack of more than _THREAD_ENTRIES entries is cut
-    into at least ``workers`` slices, which run on up to ``workers``
-    threads.  Every block is solved on its own, so neither stacking nor
-    slicing changes a bit of any result.
+    slices of at most _SLICE_ENTRIES entries (or one s of every task).  A
+    stack of more than _THREAD_ENTRIES entries is cut into at least
+    ``workers`` slices, which run on up to ``workers`` threads.  Every
+    block is solved on its own, so neither stacking nor slicing changes a
+    bit of any result.
 
     SpectralError where theta, theta' or theta'' is not finite, and as
     ``_stack_spectra`` raises it.  The error is always the one that the
@@ -510,8 +514,13 @@ def rate_function(result: ScanResult) -> tuple[np.ndarray, np.ndarray]:
     The parametric values are cross-checked against the direct grid
     minimum -min_s[theta(s) + k s]; a convexity violation of the numerical
     theta triggers a NonConvexThetaWarning and the result is still
-    returned.
+    returned.  A stacked scan is refused: split it with ``ScanResult.tasks``.
     """
+    if result.s.ndim != 1:
+        raise ValueError(
+            f"rate_function takes a single-task scan, got columns of shape {result.s.shape}; "
+            "split a stacked scan with ScanResult.tasks()"
+        )
     by_s = np.argsort(result.s, kind="stable")
     s, th, k = result.s[by_s], result.theta[by_s], result.activity[by_s]
     second = th[2:] - 2.0 * th[1:-1] + th[:-2]

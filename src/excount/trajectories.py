@@ -3,10 +3,12 @@
 Under the secular generator the populations close on a classical Markov
 chain, the same rate matrix whose tilted form gives theta(s): ``simulate``
 reads the rates and the counted mask of the ``TiltedGenerator`` itself,
-and takes its stationary start from the spectral kernel
-(``lds.stationary``).  The counted-jump statistics at s=0 are therefore
-sampled exactly by a Gillespie walk (Gillespie, J. Phys. Chem. 81, 2340
-(1977)) over exciton indices; no wavefunction unraveling is needed.
+and starts every trajectory from the stationary populations of the
+spectral kernel (``lds.stationary``).  theta(s), the activity and Q(0)
+are properties of the stationary process, so there is no relaxation to
+discard, and the counted-jump statistics at s=0 are sampled exactly by a
+Gillespie walk (Gillespie, J. Phys. Chem. 81, 2340 (1977)) over exciton
+indices; no wavefunction unraveling is needed.
 
 The jump chain and the holding times are drawn apart.  A path table holds
 every L-jump path without self-jumps from each exciton, so one uniform and
@@ -14,7 +16,7 @@ one guided table search pick the next L destinations at once.  The walk
 advances a block of jumps by such lookups.  It then draws the time the
 block spends in each exciton as one Gamma variate per trajectory and
 exciton, and needs single holding times only in the block where a
-trajectory crosses the burn-in or t_max.
+trajectory crosses t_max.
 
 Trajectories run in fixed chunks of ``_CHUNK``.  Chunk c draws from its
 own stream, spawned from ``SeedSequence(seed)`` by chunk index, so the
@@ -50,17 +52,13 @@ _RUNAWAY_JUMPS = 1e9
 class TrajectoryConfig:
     """Simulation window and ensemble controls.
 
-    Times are in internal units (1/cm^-1).  ``burn_in=None`` resolves to 0
-    for a stationary start and to 10 / (smallest nonzero escape rate) when
-    starting from a fixed exciton.  ``initial_state`` is "stationary" or an
-    exciton index.
+    Times are in internal units (1/cm^-1); every trajectory is observed
+    over [0, t_max) from a stationary start.
     """
 
     t_max: float
     n_trajectories: int = 10_000
-    burn_in: float | None = None
     seed: int = 0
-    initial_state: int | str = "stationary"
 
     def __post_init__(self):
         if not 0 < self.t_max < math.inf:
@@ -69,8 +67,6 @@ class TrajectoryConfig:
             value = getattr(self, name)
             if _index(value) is None or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.burn_in is not None and not 0 <= self.burn_in < self.t_max:
-            raise ValueError("need t_max > burn_in >= 0")
 
 
 def _index(value) -> int | None:
@@ -85,24 +81,20 @@ def _index(value) -> int | None:
 
 @dataclass(frozen=True)
 class CountStatistics:
-    """Counted-jump estimators over the observation window.
+    """Counted-jump estimators over the window [0, t_max).
 
     ``histogram`` maps the per-trajectory count K to its frequency;
     frequencies sum to ``n_trajectories``.  Standard errors come from the
-    across-trajectory scatter (jackknife for the variance and Mandel
-    estimators).  ``occupation`` holds the fraction of window time spent
-    in each exciton.
+    across-trajectory scatter (jackknife for the Mandel estimator).
+    ``occupation`` holds the fraction of window time spent in each exciton.
     """
 
     mean_rate: float
     se_mean: float
-    variance_rate: float
-    se_variance: float
     mandel_estimate: float | None
     se_mandel: float | None
     histogram: dict[int, int]
     n_trajectories: int
-    window: float
     occupation: np.ndarray
     warning: str | None = None
 
@@ -213,17 +205,17 @@ def _lookup(table, a, u):
     return p
 
 
-def _walk(rng, state, esc, table, counted, t_max, burn_in):
+def _walk(rng, state, esc, table, counted, t_max):
     """Move one chunk of trajectories a block of jumps at a time.
 
     ``state`` holds the start excitons.  A block draws its jump chain by
     one path lookup per L jumps, each with one uniform.  Its time is not
     drawn jump by jump: the c_a holds in exciton a sum to Gamma(c_a) /
-    esc_a, one draw per trajectory and exciton.  A block that lies inside
-    [burn_in, t_max) adds those sums to the occupation and its path totals
-    to the counts.  Only a block that straddles burn_in or t_max needs its
-    single holds: given their sum G_a, the holds in a are G_a times a flat
-    Dirichlet split, E_j / sum(E) with E_j ~ Exp(1), which is their exact
+    esc_a, one draw per trajectory and exciton.  A block that ends before
+    t_max adds those sums to the occupation and its path totals to the
+    counts.  Only a block that straddles t_max needs its single holds:
+    given their sum G_a, the holds in a are G_a times a flat Dirichlet
+    split, E_j / sum(E) with E_j ~ Exp(1), which is their exact
     conditional law.  Trajectories past t_max drop out after the block.
 
     A block has between ``_BLOCK`` and 4 max(``_BLOCK``, n) jumps, rounded
@@ -234,9 +226,9 @@ def _walk(rng, state, esc, table, counted, t_max, burn_in):
     depends only on the past, so the walk stays exact.
 
     An absorbing exciton (esc == 0) holds forever, so a block that enters
-    one ends at t = inf.  Returns the counted jumps per trajectory and the
-    time spent in each exciton inside [burn_in, t_max], summed over the
-    chunk.
+    one ends at t = inf; a stationary start can begin in one.  Returns the
+    counted jumps per trajectory and the time spent in each exciton inside
+    [0, t_max], summed over the chunk.
     """
     n = esc.size
     length = table.held.shape[1]
@@ -273,10 +265,10 @@ def _walk(rng, state, esc, table, counted, t_max, burn_in):
         t_end = t + spent.sum(axis=1)
         if absorbing.any():
             t_end[holds[:, absorbing].any(axis=1)] = np.inf
-        inside = (t >= burn_in) & (t_end < t_max)
+        inside = t_end < t_max
         counts[live] += np.where(inside, table.counted[paths].sum(axis=0), 0)
         occ += inside @ spent
-        edge = np.flatnonzero(~inside & (t_end >= burn_in))
+        edge = np.flatnonzero(~inside)
         if edge.size:
             h = np.take(table.held, paths[:, edge], axis=0).transpose(0, 2, 1)
             h = h.reshape(-1, edge.size)  # the exciton held before each jump
@@ -294,10 +286,10 @@ def _walk(rng, state, esc, table, counted, t_max, burn_in):
             np.copyto(dt, np.inf, where=absorbing[h])
             np.cumsum(times, axis=0, out=times)
             # time held inside the window: the segments clipped to it
-            seg = np.diff(np.clip(times, burn_in, t_max), axis=0)
+            seg = np.diff(np.minimum(times, t_max), axis=0)
             occ += np.bincount(h.ravel(), weights=seg.ravel(), minlength=n)
             t1 = times[1:]
-            hit = counted[h, dest] & (t1 < t_max) & (t1 >= burn_in)
+            hit = counted[h, dest] & (t1 < t_max)
             counts[live[edge]] += hit.sum(axis=0)
             t_end[edge] = t1[-1]
         go = t_end < t_max
@@ -310,67 +302,32 @@ def simulate(generator: TiltedGenerator, config: TrajectoryConfig) -> CountStati
     rates and counted jumps are those of ``generator``.  Counting is
     passive, so the walk itself is independent of which jumps are counted.
 
-    The stationary populations come from ``lds.stationary``.  Where they
-    are needed, for a stationary start or for the expected-count check
-    after the default burn-in, a reducible chain raises its SpectralError.
-    A UserWarning comes before any sampling when the expected jumps over
-    all trajectories exceed ``_RUNAWAY_JUMPS``.  A stacked generator (with
-    task axes) is refused: the walk reads one N x N rate matrix.
+    Every trajectory starts from the stationary populations of
+    ``lds.stationary``, so a reducible chain raises its SpectralError.  A
+    UserWarning comes before any sampling when the expected jumps over all
+    trajectories exceed ``_RUNAWAY_JUMPS``.  A stacked generator (with task
+    axes) is refused: the walk reads one N x N rate matrix.
     """
     rates, n = generator.rates, generator.n_excitons
     if rates.ndim != 2:
         raise ValueError(
             f"the sampler takes one N x N rate matrix, got rates of shape {rates.shape}"
         )
-    start = config.initial_state
-    if isinstance(start, str) and start == "stationary":
-        start = None
-    else:
-        index = _index(start)
-        if index is None:
-            raise ValueError(
-                f"initial_state must be 'stationary' or an exciton index, got {start!r}"
-            )
-        if not 0 <= index < n:
-            raise ValueError(f"initial exciton {index} out of range [0, {n})")
-        start = index
     if n < 2:
         raise ValueError("the sampler needs at least two excitons")
     esc = rates.sum(axis=0)
-    if not esc.any() and start is not None:
-        raise ValueError("all rates vanish; only a stationary start is meaningful")
-
-    if config.burn_in is not None:
-        burn_in = config.burn_in
-    elif start is None:
-        burn_in = 0.0
-    else:
-        burn_in = 10.0 / esc[esc > 0].min()
-        if burn_in >= config.t_max:
-            raise ValueError(
-                f"default burn_in {burn_in:.3g} exceeds t_max {config.t_max:.3g}"
-            )
-    window = config.t_max - burn_in
 
     warning = None
-    # The stationary expectation holds only for a walk that is stationary
-    # over the window: a stationary start, or a fixed start relaxed by the
-    # default burn-in.  After an explicit burn-in nothing is predicted, and
-    # the largest escape rate bounds the jump rate.
-    if start is None or config.burn_in is None:
-        pi = stationary(generator)
-        cum_pi = np.cumsum(pi)
-        expected = float((rates * pi[None, :])[generator.counted].sum()) * window
-        if expected < 1.0:
-            warning = (
-                f"expected counted jumps per trajectory is {expected:.3g} < 1; "
-                "estimates will be noisy"
-            )
-            warnings.warn(warning, stacklevel=2)
-        jump_rate = float(pi @ esc)
-    else:
-        jump_rate = float(esc.max())
-    total_jumps = jump_rate * config.t_max * config.n_trajectories
+    pi = stationary(generator)
+    cum_pi = np.cumsum(pi)
+    expected = float((rates * pi[None, :])[generator.counted].sum()) * config.t_max
+    if expected < 1.0:
+        warning = (
+            f"expected counted jumps per trajectory is {expected:.3g} < 1; "
+            "estimates will be noisy"
+        )
+        warnings.warn(warning, stacklevel=2)
+    total_jumps = float(pi @ esc) * config.t_max * config.n_trajectories
     if total_jumps > _RUNAWAY_JUMPS:
         warnings.warn(
             f"expected {total_jumps:.3g} jumps over all trajectories, which may take "
@@ -389,15 +346,11 @@ def simulate(generator: TiltedGenerator, config: TrajectoryConfig) -> CountStati
         rng = np.random.default_rng(stream)
         chunk = slice(c * _CHUNK, min((c + 1) * _CHUNK, n_traj))
         size = chunk.stop - chunk.start
-        if start is None:
-            state = np.searchsorted(cum_pi, rng.random(size), side="right")
-            state = np.minimum(state, n - 1)
-        else:
-            state = np.full(size, start)
-        counts[chunk], occ = _walk(rng, state, esc, table, counted, config.t_max, burn_in)
+        state = np.minimum(np.searchsorted(cum_pi, rng.random(size), side="right"), n - 1)
+        counts[chunk], occ = _walk(rng, state, esc, table, counted, config.t_max)
         occupation += occ
 
-    return _statistics(counts, occupation, window, warning)
+    return _statistics(counts, occupation, config.t_max, warning)
 
 
 def _statistics(counts, occupation, window, warning) -> CountStatistics:
@@ -410,19 +363,15 @@ def _statistics(counts, occupation, window, warning) -> CountStatistics:
     else:
         var_k = 0.0
         se_mean = 0.0
-    variance_rate = var_k / window
 
     mandel = float(var_k / mean_k - 1.0) if (mean_k > 0 and n > 1) else None
     se_mandel = None
-    se_variance = 0.0
     if n > 2:
-        # jackknife over trajectories for the variance and Mandel estimators
+        # jackknife over trajectories for the Mandel estimator
         s1 = counts.sum(dtype=np.float64)
         s2 = (counts.astype(np.float64) ** 2).sum()
         m_i = (s1 - counts) / (n - 1)
         v_i = (s2 - counts.astype(np.float64) ** 2 - (n - 1) * m_i**2) / (n - 2)
-        v_jack = v_i / window
-        se_variance = math.sqrt((n - 1) / n * ((v_jack - v_jack.mean()) ** 2).sum())
         if mandel is not None and np.all(m_i > 0):
             q_i = v_i / m_i - 1.0
             se_mandel = math.sqrt((n - 1) / n * ((q_i - q_i.mean()) ** 2).sum())
@@ -434,13 +383,10 @@ def _statistics(counts, occupation, window, warning) -> CountStatistics:
     return CountStatistics(
         mean_rate=float(mean_rate),
         se_mean=float(se_mean),
-        variance_rate=float(variance_rate),
-        se_variance=float(se_variance),
         mandel_estimate=mandel,
         se_mandel=se_mandel,
         histogram=histogram,
         n_trajectories=int(n),
-        window=float(window),
         occupation=occ,
         warning=warning,
     )

@@ -15,13 +15,13 @@ def bath300():
 
 
 def test_parameter_validation():
-    for bad in (
-        dict(reorg_energy=-1.0, cutoff=150.0, temperature=300.0),
-        dict(reorg_energy=35.0, cutoff=0.0, temperature=300.0),
-        dict(reorg_energy=35.0, cutoff=150.0, temperature=-5.0),
-    ):
-        with pytest.raises(ValueError):
-            BathSpec(**bad)
+    good = dict(reorg_energy=35.0, cutoff=150.0, temperature=300.0)
+    # non-finite values are refused here, not later as a division by zero
+    # or as non-finite rates
+    non_finite = [(name, bad) for name in good for bad in (math.nan, math.inf, -math.inf)]
+    for name, bad in [("reorg_energy", -1.0), ("cutoff", 0.0), ("temperature", -5.0), *non_finite]:
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {bad}"):
+            BathSpec(**{**good, name: bad})
 
 
 def test_beta(bath300):

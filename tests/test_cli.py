@@ -282,6 +282,46 @@ def test_negative_worker_count_rejected(runner, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--temps", "inf"], "ValueError: temperature must be positive and finite, got inf"),
+        (["--temps", "nan"], "ValueError: temperature must be positive and finite, got nan"),
+        (["--reorg-cm1", "nan"], "ValueError: reorg_energy must be positive and finite"),
+        (["--cutoff-cm1", "inf"], "ValueError: cutoff must be positive and finite"),
+        (["--s-max", "inf"], "ConfigError: s grid bounds must be finite"),
+        (["--s-min", "nan"], "ConfigError: s grid bounds must be finite"),
+    ],
+    ids=["temp-inf", "temp-nan", "reorg-nan", "cutoff-inf", "s-max-inf", "s-min-nan"],
+)
+def test_non_finite_inputs_rejected(runner, tmp_path, flags, message):
+    result = runner.invoke(
+        main,
+        ["theta-scan", "--preset", "fmo2", "--channel", "down:a2->a1", *flags,
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2
+    lines = [l for l in result.stderr.splitlines() if l.strip()]
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith(message)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("t_max_ps", ["-1", "0", "inf", "nan"])
+def test_bad_observation_time_rejected(runner, tmp_path, t_max_ps):
+    # refused in picoseconds as given, not in internal units
+    result = runner.invoke(
+        main,
+        ["oracle-check", "--preset", "fmo2", "--channel", "down:a2->a1", "--traj", "10",
+         f"--t-max-ps={t_max_ps}", "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+    assert err == f"ConfigError: --t-max-ps must be positive and finite, got {float(t_max_ps)}"
+    assert not list(tmp_path.iterdir())
+
+
 def test_crossover_map(runner, tmp_path):
     result = invoke(
         runner,

@@ -784,6 +784,16 @@ def test_rate_function_flags_nonconvex_input():
         rate_function(fake)
 
 
+def test_rate_function_refuses_a_stacked_scan():
+    singles = [make_generator("fmo2", t) for t in (77.0, 300.0)]
+    result = scan(stacked(singles, (2,)), default_s_grid())
+    with pytest.raises(ValueError, match=r"shape \(2, 281\); .*ScanResult\.tasks\(\)"):
+        rate_function(result)
+    for part, single in zip(result.tasks(), singles):
+        for got, want in zip(rate_function(part), rate_function(scan(single, default_s_grid()))):
+            assert np.array_equal(got, want)
+
+
 def test_legendre_row_blocks_change_no_bit(monkeypatch):
     """The direct Legendre minima run in row blocks of at most
     _SLICE_ENTRIES entries; a minimum is exact, so blocks of 7 rows (the
@@ -968,6 +978,19 @@ def test_complex_s_refused(name):
     # a cast to float would drop the imaginary part with only a ComplexWarning
     with pytest.raises(ValueError, match="s must be real, got complex128"):
         COMPLEX_S_CALLS[name](make_generator("fmo2"), np.complex128(0.1 + 0.5j))
+
+
+NOT_1D_CALLS = {"scan": scan, "find_crossover": find_crossover, "_spectra": lds._spectra}
+
+
+@pytest.mark.parametrize("name", NOT_1D_CALLS)
+@pytest.mark.parametrize(
+    "grid, shape", [(0.0, r"\(\)"), (np.zeros((2, 40)), r"\(2, 40\)")], ids=["scalar", "2-D"]
+)
+def test_grid_that_is_not_1d_refused(name, grid, shape):
+    # refused by name, not as numpy's IndexError or axis error deep inside
+    with pytest.raises(ValueError, match=f"s grid must be 1-D, got shape {shape}"):
+        NOT_1D_CALLS[name](make_generator("fmo2"), grid)
 
 
 def test_overflowing_tilt_is_a_spectral_error():

@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.stats import chi2, poisson
 
 from excount import lds, trajectories
@@ -45,8 +44,6 @@ def test_config_validation():
             TrajectoryConfig(t_max=t_max)
     with pytest.raises(ValueError):
         TrajectoryConfig(t_max=1.0, n_trajectories=0)
-    with pytest.raises(ValueError):
-        TrajectoryConfig(t_max=1.0, burn_in=2.0)
     # non-integers are refused here, not deep inside numpy's sampler
     for bad in (10.0, 2.5, True, "10"):
         with pytest.raises(ValueError, match=f"n_trajectories .* got {bad!r}"):
@@ -71,10 +68,16 @@ def test_zero_rates_stationary_start():
     assert stats.warning is not None
 
 
-def test_zero_rates_fixed_start_rejected():
-    gen = zero_rate_generator()
-    with pytest.raises(ValueError, match="stationary"):
-        simulate(gen, TrajectoryConfig(t_max=5.0, n_trajectories=8, initial_state=0))
+def test_stationary_start_in_an_absorbing_exciton():
+    # exciton 1 feeds exciton 0, which has no escape: the stationary state
+    # sits in exciton 0, so every trajectory holds there and counts nothing
+    gen = TiltedGenerator([[0.0, 5.0], [0.0, 0.0]], [[False, True], [False, False]])
+    assert np.array_equal(lds.stationary(gen), [1.0, 0.0])
+    with pytest.warns(UserWarning, match="expected counted jumps"):
+        stats = simulate(gen, TrajectoryConfig(t_max=2.0, n_trajectories=64, seed=1))
+    assert stats.histogram == {0: 64}
+    assert np.array_equal(stats.occupation, [1.0, 0.0])
+    assert stats.warning is not None
 
 
 @pytest.mark.parametrize("bad_rate", [-1.0, math.inf, math.nan], ids=["negative", "inf", "nan"])
@@ -88,7 +91,7 @@ def test_bad_channel_rate_rejected(bad_rate):
         with pytest.raises(ValueError, match="finite and non-negative"):
             simulate(
                 TiltedGenerator(rates, counted),
-                TrajectoryConfig(t_max=5.0, n_trajectories=8, burn_in=0.0),
+                TrajectoryConfig(t_max=5.0, n_trajectories=8),
             )
         with pytest.raises(ValueError, match="finite and non-negative"):
             lds.scan(TiltedGenerator(rates, counted), [-1.0, 0.0])
@@ -162,65 +165,6 @@ def test_bit_reproducibility():
         assert a.occupation.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "initial_state, message",
-    [
-        (2, r"initial exciton 2 out of range \[0, 2\)"),
-        (-1, r"initial exciton -1 out of range \[0, 2\)"),
-        ("upper", r"'stationary' or an exciton index, got 'upper'"),
-        (1.0, r"'stationary' or an exciton index, got 1\.0"),
-        (1.5, r"'stationary' or an exciton index, got 1\.5"),
-        (True, r"'stationary' or an exciton index, got True"),
-    ],
-    ids=["above", "below", "string", "float", "fraction", "bool"],
-)
-def test_initial_state_validated(initial_state, message):
-    _, _, gen, _, _ = fmo_setup("fmo2", "down:a2->a1")
-    cfg = TrajectoryConfig(t_max=1.0, n_trajectories=8, initial_state=initial_state)
-    with pytest.raises(ValueError, match=message):
-        simulate(gen, cfg)
-
-
-def test_numpy_integer_initial_state_accepted():
-    _, _, gen, activity, _ = fmo_setup("fmo2", "down:a2->a1")
-    runs = [
-        simulate(
-            gen,
-            TrajectoryConfig(
-                t_max=20.0 / activity, n_trajectories=64, seed=4, initial_state=start
-            ),
-        )
-        for start in (1, np.int64(1))
-    ]
-    assert runs[0].histogram == runs[1].histogram
-    assert np.array_equal(runs[0].occupation, runs[1].occupation)
-
-
-def test_absorbing_state_reached_mid_trajectory():
-    # from exciton 1 the counted downward jump leads into exciton 0, which
-    # has no escape: K is 0 or 1, and exciton 1 is held for min(T, t_max)
-    gamma_down, t_max, n_traj = 5.0, 0.2, 4000
-    gen = TiltedGenerator([[0.0, gamma_down], [0.0, 0.0]], [[False, True], [False, False]])
-    cfg = TrajectoryConfig(
-        t_max=t_max, n_trajectories=n_traj, burn_in=0.0, seed=5, initial_state=1
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        stats = simulate(gen, cfg)
-    assert stats.warning is None
-    assert set(stats.histogram) <= {0, 1}
-    x = gamma_down * t_max
-    p_jump = 1.0 - math.exp(-x)
-    se_jump = math.sqrt(p_jump * (1.0 - p_jump) / n_traj)
-    assert abs(stats.histogram.get(1, 0) / n_traj - p_jump) < 3.0 * se_jump
-    # held time min(T, t_max) / t_max: mean and second moment are exact
-    mean_held = p_jump / x
-    second = 2.0 * (1.0 - math.exp(-x) * (1.0 + x)) / x**2
-    se_held = math.sqrt((second - mean_held**2) / n_traj)
-    assert abs(stats.occupation[1] - mean_held) < 3.0 * se_held
-    assert stats.occupation.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_seed_changes_the_sample():
     _, _, gen, activity, _ = fmo_setup("fmo2", "down:a2->a1")
     a = simulate(gen, TrajectoryConfig(t_max=50.0 / activity, n_trajectories=200, seed=1))
@@ -254,18 +198,6 @@ def test_standard_error_scaling():
         )
         ratios.append(small.se_mean / big.se_mean)
     assert 1.25 <= np.mean(ratios) <= 1.6
-
-
-def test_burn_in_discards_early_relaxation():
-    # start in the upper exciton: without burn-in the early downhill bias
-    # inflates the counted rate; the default burn-in removes it
-    basis, bath, gen, activity, _ = fmo_setup("fmo2", "down:a2->a1")
-    cfg = TrajectoryConfig(
-        t_max=200.0 / activity, n_trajectories=4000, seed=3, initial_state=1
-    )
-    stats = simulate(gen, cfg)
-    assert stats.window < cfg.t_max  # default burn-in was applied
-    assert abs(stats.mean_rate - activity) < 4.0 * stats.se_mean
 
 
 def random_rates(n, seed, absorbing=()):
@@ -407,42 +339,28 @@ def chi_square_p(histogram, probs, n_traj):
     return float(chi2.sf(stat, pooled_o.size - 1))
 
 
-# (preset, temperature, counted channel, initial state, burn-in in units
-# of t_max, seed); t_max = 200 / activity, so Lambda t is about 754 for
-# fmo2 and 2000 for fmo3 (L = 6 there: paths span block boundaries)
+# (preset, temperature, counted channel, seed); t_max = 200 / activity, so
+# Lambda t is about 754 for fmo2 and 2000 for fmo3 (L = 6 there: paths
+# span block boundaries)
 EXACT_CASES = {
-    "fmo2-300K": ("fmo2", 300.0, "down:a2->a1", "stationary", None, 31),
-    "fmo3-300K": ("fmo3", 300.0, "down:a3->a2", "stationary", None, 32),
-    "fmo3-300K-burn-in": ("fmo3", 300.0, "down:a3->a2", 2, 0.002, 33),
+    "fmo2-300K": ("fmo2", 300.0, "down:a2->a1", 31),
+    "fmo3-300K": ("fmo3", 300.0, "down:a3->a2", 32),
 }
 
 
 @pytest.mark.parametrize("block", [None, 1], ids=["default-block", "block-1"])
 @pytest.mark.parametrize("case", sorted(EXACT_CASES))
 def test_histogram_matches_exact_counting_distribution(case, block, monkeypatch):
-    name, temp, selector, start, burn_frac, seed = EXACT_CASES[case]
+    name, temp, selector, seed = EXACT_CASES[case]
     if block is not None:
         monkeypatch.setattr(trajectories, "_BLOCK", block)
     basis, bath, gen, activity, _ = fmo_setup(name, selector, temp)
     t_max = 200.0 / activity
-    burn_in = None if burn_frac is None else burn_frac * t_max
     n_traj = 4000
-    stats = simulate(
-        gen,
-        TrajectoryConfig(
-            t_max=t_max, n_trajectories=n_traj, burn_in=burn_in, seed=seed,
-            initial_state=start,
-        ),
-    )
+    stats = simulate(gen, TrajectoryConfig(t_max=t_max, n_trajectories=n_traj, seed=seed))
     rates, counted = gen.rates, gen.counted
-    if start == "stationary":
-        p0 = stationary_eig(rates)
-    else:
-        # relax the fixed start through the burn-in before counting
-        p0 = scipy.linalg.expm((rates - np.diag(rates.sum(axis=0))) * burn_in)[:, start]
-        assert p0[start] > 0.05  # the burn-in leaves the start visible
     k_max = 2 * max(stats.histogram) + 10
-    probs = counting_distribution(rates, counted, p0, stats.window, k_max)
+    probs = counting_distribution(rates, counted, stationary_eig(rates), t_max, k_max)
     assert probs.sum() == pytest.approx(1.0, abs=1e-10)
     assert sum(stats.histogram.values()) == n_traj
     assert chi_square_p(stats.histogram, probs, n_traj) > 1e-3
@@ -461,12 +379,6 @@ def test_runaway_run_warns_before_sampling(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(UserWarning, match=r"expected 1\.6\de\+10 jumps .*--traj, --t-max-ps"):
             simulate(gen, TrajectoryConfig(t_max=200.0 / activity))
-        # without the stationary state, the largest escape rate bounds the count
-        with pytest.raises(UserWarning, match=r"expected \d\.\d+e\+\d+ jumps"):
-            simulate(
-                gen,
-                TrajectoryConfig(t_max=200.0 / activity, burn_in=0.0, initial_state=0),
-            )
 
 
 def test_self_jump_rates_rejected():
@@ -497,59 +409,39 @@ def occupation_se(rates, pi, window, n_traj):
     return np.sqrt(2.0 * pi * np.diag(dev) / (window * n_traj))
 
 
-# (n, absorbing excitons, initial state, burn-in in units of t_max, jumps
-# per trajectory in units of the mean escape rate, seed).  The rates into an
-# absorbing exciton are cut 20-fold, so that most trajectories enter it
-# after many blocks that lie inside the window.  With 3 jumps per
-# trajectory against blocks of at least 16, the edge-heavy case takes nearly
-# every hold from the Dirichlet split of a block that straddles both the
-# burn-in and t_max.
+# (n, jumps per trajectory in units of the mean escape rate, seed).  With 6
+# jumps per trajectory against blocks of at least 16, the edge-heavy case
+# takes nearly every hold from the Dirichlet split of a block that
+# straddles t_max.
 RANDOM_CASES = {
-    "n2": (2, (), "stationary", None, 40.0, 51),
-    "n3": (3, (), "stationary", None, 40.0, 52),
-    "n4": (4, (), "stationary", None, 40.0, 53),
-    "n5": (5, (), "stationary", None, 40.0, 54),
-    "n6": (6, (), "stationary", None, 40.0, 55),
-    "n4-absorbing-mid-trajectory": (4, (0,), 3, 0.0, 150.0, 56),
-    "n5-fixed-start-burn-in": (5, (), 2, 0.2, 40.0, 57),
-    "n6-edge-heavy": (6, (), 1, 0.3, 3.0, 58),
+    "n2": (2, 40.0, 51),
+    "n3": (3, 40.0, 52),
+    "n4": (4, 40.0, 53),
+    "n5": (5, 40.0, 54),
+    "n6": (6, 40.0, 55),
+    "n6-edge-heavy": (6, 6.0, 58),
 }
 
 
 @pytest.mark.parametrize("case", list(RANDOM_CASES))
 def test_random_chain_matches_exact_counting_distribution(case):
-    n, absorbing, start, burn_frac, jumps, seed = RANDOM_CASES[case]
-    rates = random_rates(n, seed, absorbing)
-    rates[list(absorbing)] /= 20.0
+    n, jumps, seed = RANDOM_CASES[case]
+    rates = random_rates(n, seed)
     counted = np.random.default_rng(seed).random((n, n)) < 0.5
     np.fill_diagonal(counted, False)
-    counted[0, n - 1] = True  # the jump n - 1 -> 0, into any absorbing exciton
+    counted[0, n - 1] = True  # the jump n - 1 -> 0, so that one jump is counted
     gen = TiltedGenerator(rates, counted)
-    esc = rates.sum(axis=0)
-    t_max = jumps / esc.mean()
-    burn_in = None if burn_frac is None else burn_frac * t_max
+    t_max = jumps / rates.sum(axis=0).mean()
     n_traj = 4000
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stats = simulate(
-            gen,
-            TrajectoryConfig(
-                t_max=t_max, n_trajectories=n_traj, burn_in=burn_in, seed=seed,
-                initial_state=start,
-            ),
-        )
-    if start == "stationary":
-        p0 = stationary_eig(rates)
-    else:
-        # relax the fixed start through the burn-in before counting
-        p0 = scipy.linalg.expm((rates - np.diag(esc)) * burn_in)[:, start]
+        stats = simulate(gen, TrajectoryConfig(t_max=t_max, n_trajectories=n_traj, seed=seed))
     k_max = 2 * max(stats.histogram) + 10
-    probs = counting_distribution(rates, counted, p0, stats.window, k_max)
+    probs = counting_distribution(rates, counted, stationary_eig(rates), t_max, k_max)
     assert probs.sum() == pytest.approx(1.0, abs=1e-10)
     assert sum(stats.histogram.values()) == n_traj
     assert chi_square_p(stats.histogram, probs, n_traj) > 1e-3
     assert stats.occupation.sum() == pytest.approx(1.0, abs=1e-12)
-    if start == "stationary":
-        pi = lds.stationary(gen)
-        se = occupation_se(rates, pi, stats.window, n_traj)
-        assert np.all(np.abs(stats.occupation - pi) < 4.0 * se)
+    pi = lds.stationary(gen)
+    se = occupation_se(rates, pi, t_max, n_traj)
+    assert np.all(np.abs(stats.occupation - pi) < 4.0 * se)
