@@ -12,7 +12,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
@@ -77,34 +77,63 @@ class RunConfig:
         return self
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+# The JSON type of each config-file value, by RunConfig field: float takes
+# any number, int an integer, str a string, and [t] a list of t.  A bool is
+# never a number.
+_CONFIG_TYPES = {
+    "preset": str, "model_file": str, "out": str,
+    "reorg_cm1": float, "cutoff_cm1": float, "s_min": float, "s_max": float,
+    "t_max_ps": float, "s_points": int, "seed": int, "traj": int, "workers": int,
+    "temps": [float], "channels": [str], "formats": [str],
+}
+_TYPE_NAMES = {float: "number", int: "integer", str: "string"}
 
 
-def _bath_values(bathsec: dict | None) -> dict:
+def _is(val, kind) -> bool:
+    return isinstance(val, (int, float) if kind is float else kind) and not isinstance(val, bool)
+
+
+def _checked(key: str, val, kind):
+    """``val`` if its JSON type is ``kind`` (a list becomes a tuple), else a
+    ConfigError that names the key and the value."""
+    if isinstance(kind, list):
+        if isinstance(val, list) and all(_is(v, kind[0]) for v in val):
+            return tuple(val)
+        raise ConfigError(
+            f"config key {key!r} takes a list of {_TYPE_NAMES[kind[0]]}s, got {val!r}"
+        )
+    if _is(val, kind):
+        return val
+    raise ConfigError(f"config key {key!r} takes one {_TYPE_NAMES[kind]}, got {val!r}")
+
+
+def _bath_values(bathsec) -> dict:
     """RunConfig values from a JSON bath section (any subset of its keys)."""
-    values: dict = {}
-    if bathsec:
-        if "reorg_energy_cm1" in bathsec:
-            values["reorg_cm1"] = float(bathsec["reorg_energy_cm1"])
-        if "cutoff_cm1" in bathsec:
-            values["cutoff_cm1"] = float(bathsec["cutoff_cm1"])
-        if "temperature_K" in bathsec:
-            values["temps"] = (float(bathsec["temperature_K"]),)
+    if bathsec is None:
+        return {}
+    if not isinstance(bathsec, dict):
+        raise ConfigError(f"the bath section must be a JSON object, got {bathsec!r}")
+    values = {}
+    for key, field in (("reorg_energy_cm1", "reorg_cm1"), ("cutoff_cm1", "cutoff_cm1"),
+                       ("temperature_K", "temps")):
+        if key in bathsec:
+            values[field] = float(_checked(f"bath.{key}", bathsec[key], float))
+    if "temps" in values:
+        values["temps"] = (values["temps"],)
     return values
 
 
 def _load_config_file(path: str) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     values = _bath_values(doc.pop("bath", None))
-    if "model" in doc:
-        doc["model_file"] = doc.pop("model")
     for key, val in doc.items():
-        if key not in _CONFIG_KEYS:
+        field = "model_file" if key == "model" else key
+        if field not in _CONFIG_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in ("temps", "channels", "formats"):
-            val = tuple(val)
-        values[key] = val
+        values[field] = _checked(key, val, _CONFIG_TYPES[field])
     return values
 
 
@@ -197,8 +226,6 @@ def _common_options(fn):
                            '"pair:a1<->a2", "all-down". Repeatable.')(fn)
     fn = click.option("--out", default=None, type=click.Path(),
                       help="Output directory.")(fn)
-    fn = click.option("--format", "formats", callback=_parse_formats, default=None,
-                      help="Comma-separated output formats (csv,svg).")(fn)
     fn = click.option("--workers", type=int, default=None,
                       help="Worker pool size (default or 0: number of processors).")(fn)
     return fn
@@ -230,7 +257,18 @@ def presets_cmd():
 
 def _tasks(cfg: RunConfig, basis):
     """The (temperature, channel) tasks, and one generator that stacks
-    them on its task axes (temperature, channel), in the same order."""
+    them on its task axes (temperature, channel), in the same order.
+
+    ConfigError when two tasks would give the same output: two temperatures
+    that print alike (``output.format_temperature``), or a channel selector
+    given twice (alike up to ``output.channel_slug``).
+    """
+    for what, items, name in (("temperature", cfg.temps, output.format_temperature),
+                              ("channel selector", cfg.channels, output.channel_slug)):
+        names = [name(item) for item in items]
+        for i, item in enumerate(items):
+            if names[i] in names[:i]:
+                raise ConfigError(f"repeated {what} {item!r}: two tasks would give the same output")
     rates = np.stack([transport_rates(basis, _bath(cfg, t)) for t in cfg.temps])
     counted = np.stack([resolve_counted(basis.n_excitons, [ch]) for ch in cfg.channels])
     tasks = [(t, ch) for t in cfg.temps for ch in cfg.channels]
@@ -259,6 +297,8 @@ def _write(path: Path, text: str) -> None:
 @main.command("theta-scan")
 @_common_options
 @_grid_options
+@click.option("--format", "formats", callback=_parse_formats, default=None,
+              help="Comma-separated output formats (csv,svg).")
 @_guarded
 def theta_scan_cmd(config_file, preset_name, **flags):
     """Scan theta(s), activity and Mandel Q; one CSV per (temperature, channel)."""

@@ -91,21 +91,16 @@ def _parse_label(text: str, value: str, n: int) -> int:
 
 def resolve_counted(n: int, selectors) -> np.ndarray:
     """The N x N counted mask of n excitons: counted[b, a] flags the jump
-    a -> b as named by the selectors (syntax in ``tilted_generator``).
+    a -> b as named by the selector strings (syntax in ``tilted_generator``).
 
-    Raises SelectorError for a malformed selector, an exciton out of range,
-    a selector naming a single exciton, and an empty counted set.
+    Raises SelectorError for a selector that is not a string, a malformed
+    selector, an exciton out of range, a selector naming a single exciton,
+    and an empty counted set.
     """
     counted = np.zeros((n, n), dtype=bool)
     for sel in selectors:
-        if isinstance(sel, tuple):
-            frm, to = sel
-            if not (0 <= frm < n and 0 <= to < n):
-                raise SelectorError(f"selector {sel}: exciton index out of range")
-            if frm == to:
-                raise SelectorError(f"selector {sel} names a single exciton")
-            counted[to, frm] = True
-            continue
+        if not isinstance(sel, str):
+            raise SelectorError(f"channel selector {sel!r} is not a string")
         text = sel.strip()
         if text == "all-down":
             counted[np.triu_indices(n, 1)] = True  # to < from: labels ascend in energy
@@ -257,7 +252,6 @@ def tilted_generator(basis: ExcitonBasis, bath: BathSpec, counted) -> TiltedGene
     Selector syntax (1-based, ascending-energy exciton labels):
     ``down:a2->a1`` one downward channel, ``up:a1->a2`` one upward channel,
     ``pair:a1<->a2`` both directions, ``all-down`` every downward channel.
-    Ordered (from, to) index tuples are accepted programmatically.
     """
     rates = transport_rates(basis, bath)
     return TiltedGenerator(rates, resolve_counted(basis.n_excitons, counted))

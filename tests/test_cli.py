@@ -21,6 +21,7 @@ FMO2_JSON = {
     "labels": ["site1", "site2"],
     "bath": {"reorg_energy_cm1": 35.0, "cutoff_cm1": 150.0, "temperature_K": 300.0},
 }
+FMO2_RUN = {"preset": "fmo2", "channels": ["down:a2->a1"]}
 
 
 @pytest.fixture
@@ -477,6 +478,158 @@ def test_json_format_rejected(runner, tmp_path):
     assert result.exit_code == 2
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert "unknown formats ['json']" in err["error"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["rate-function", "crossover-map", "oracle-check"])
+def test_format_only_on_theta_scan(runner, tmp_path, command):
+    # only theta-scan has a choice of formats; the others refuse the flag
+    result = runner.invoke(
+        main,
+        [command, "--preset", "fmo2", "--temps", "150,300", "--channel", "down:a2->a1",
+         "--format", "svg", "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2
+    assert "No such option '--format'" in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def single_error(result):
+    """The error of a refused command: exit 2 and one JSON line on stderr."""
+    assert result.exit_code == 2
+    lines = [line for line in result.stderr.splitlines() if line.strip()]
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"s_points": 2.5}, "config key 's_points' takes one integer, got 2.5"),
+        ({"temps": ["300"]}, "config key 'temps' takes a list of numbers, got ['300']"),
+        ({"channels": "down:a2->a1"},
+         "config key 'channels' takes a list of strings, got 'down:a2->a1'"),
+        ({"workers": True}, "config key 'workers' takes one integer, got True"),
+        ({"bath": {"temperature_K": "hot"}},
+         "config key 'bath.temperature_K' takes one number, got 'hot'"),
+        ({"bath": {"temperature_K": True}},
+         "config key 'bath.temperature_K' takes one number, got True"),
+        ({"bath": 300}, "the bath section must be a JSON object, got 300"),
+    ],
+    ids=["float-s-points", "string-temps", "string-channels", "bool-workers",
+         "string-temperature", "bool-temperature", "number-bath"],
+)
+def test_config_value_types_checked(runner, tmp_path, doc, message):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**FMO2_RUN, **doc}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["theta-scan", "--config", str(cfg_path), "--out", str(out)])
+    assert single_error(result) == f"ConfigError: {message}"
+    assert not out.exists()
+
+
+def test_config_document_must_be_an_object(runner, tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps([FMO2_RUN]))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["theta-scan", "--config", str(cfg_path), "--out", str(out)])
+    assert single_error(result) == f"ConfigError: config file {cfg_path} must hold a JSON object"
+    assert not out.exists()
+
+
+def test_model_file_bath_types_checked(runner, tmp_path):
+    model_path = tmp_path / "dimer.json"
+    model_path.write_text(json.dumps({**FMO2_JSON, "bath": {"cutoff_cm1": [150.0]}}))
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["theta-scan", "--model", str(model_path), "--channel", "down:a2->a1", "--out", str(out)],
+    )
+    assert single_error(result) == (
+        "ConfigError: config key 'bath.cutoff_cm1' takes one number, got [150.0]"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["theta-scan", "--temps", "300,300", "--channel", "down:a2->a1",
+          "--channel", "down:a2->a1"], "repeated temperature 300.0"),
+        (["theta-scan", "--temps", "300,300.0000001", "--channel", "down:a2->a1"],
+         "repeated temperature 300.0000001"),
+        (["theta-scan", "--channel", "down:a2->a1", "--channel", " down:a2->a1"],
+         "repeated channel selector ' down:a2->a1'"),
+        (["rate-function", "--channel", "down:a2->a1", "--channel", "down:a2->a1"],
+         "repeated channel selector 'down:a2->a1'"),
+        (["crossover-map", "--temps", "300,300", "--channel", "down:a2->a1"],
+         "repeated temperature 300.0"),
+    ],
+    ids=["scan-both", "scan-temps-print-alike", "scan-channel-spaced", "rate-function",
+         "crossover-map"],
+)
+def test_repeated_tasks_rejected(runner, tmp_path, args, message):
+    result = runner.invoke(main, [*args, "--preset", "fmo2", "--out", str(tmp_path)])
+    assert single_error(result) == (
+        f"ConfigError: {message}: two tasks would give the same output"
+    )
+    assert not list(tmp_path.iterdir())
+
+
+def test_oracle_check_samples_a_repeated_temperature_twice(runner, tmp_path):
+    result = invoke(
+        runner,
+        ["oracle-check", "--preset", "fmo2", "--temps", "300,300", "--channel", "down:a2->a1",
+         "--traj", "200", "--seed", "4", "--out", str(tmp_path)],
+    )
+    assert result.exit_code in (0, 1)
+    doc = json.loads((tmp_path / "oracle_check.json").read_text())
+    assert [entry["seed"] for entry in doc["results"]] == [4, 5]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"channels": ["down:a2->a1"]}, "need a model: --preset NAME or --model FILE"),
+        ({**FMO2_RUN, "temps": []}, "temperature list is empty"),
+        ({**FMO2_RUN, "channels": []}, "no channel selectors given (--channel)"),
+        ({**FMO2_RUN, "s_points": 1}, "s grid needs at least 2 points"),
+        ({**FMO2_RUN, "s_min": 2.0, "s_max": 2.0}, "need s_min < s_max"),
+        ({**FMO2_RUN, "traj": 0}, "need at least one trajectory"),
+    ],
+    ids=["no-model", "no-temps", "no-channels", "one-point", "empty-interval", "no-traj"],
+)
+def test_run_config_refusals(runner, tmp_path, doc, message):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["oracle-check", "--config", str(cfg_path), "--out", str(out)])
+    assert single_error(result) == f"ConfigError: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "{"], ids=["missing", "malformed"])
+def test_unreadable_model_file_rejected(runner, tmp_path, text):
+    model_path = tmp_path / "model.json"
+    if text is not None:
+        model_path.write_text(text)
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["theta-scan", "--model", str(model_path), "--channel", "all-down", "--out", str(out)],
+    )
+    assert single_error(result).startswith(f"ConfigError: cannot read model file {model_path}: ")
+    assert not out.exists()
+
+
+def test_unparsable_temperature_list_rejected(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["theta-scan", "--preset", "fmo2", "--temps", "abc", "--channel", "down:a2->a1",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2
+    assert "cannot parse temperature list 'abc'" in result.stderr
     assert not list(tmp_path.iterdir())
 
 

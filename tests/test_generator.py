@@ -140,8 +140,8 @@ def test_counted_mask_matches_selector_pairs(seed):
         ([f"up:a{lo + 1}->a{hi + 1}"], {(lo, hi)}),
         ([f"pair:a{lo + 1}<->a{hi + 1}"], {(lo, hi), (hi, lo)}),
         (["all-down"], downward),
-        ([(lo, hi)], {(lo, hi)}),
-        ([(hi, lo), f"up:a{lo + 1}->a{hi + 1}"], {(hi, lo), (lo, hi)}),
+        ([f"up:a{lo + 1}->a{hi + 1}"], {(lo, hi)}),
+        ([f"down:a{hi + 1}->a{lo + 1}", f"up:a{lo + 1}->a{hi + 1}"], {(hi, lo), (lo, hi)}),
     ]
     for selectors, pairs in cases:
         gen = tilted_generator(basis, bath, selectors)
@@ -416,7 +416,9 @@ def test_selector_forms():
     assert counted_pairs(resolve_counted(n, ["up:a1->a3"])) == {(0, 2)}
     assert counted_pairs(resolve_counted(n, ["pair:a1<->a2"])) == {(0, 1), (1, 0)}
     assert counted_pairs(resolve_counted(n, ["all-down"])) == {(1, 0), (2, 0), (2, 1)}
-    assert counted_pairs(resolve_counted(n, [(2, 0)])) == {(2, 0)}
+    # selectors are strings only: an index tuple is refused, not resolved
+    with pytest.raises(SelectorError, match=r"\(2, 0\) is not a string"):
+        resolve_counted(n, [(2, 0)])
 
 
 @pytest.mark.parametrize(
@@ -427,7 +429,7 @@ def test_selector_forms():
         "pair:a2<->a2",         # single exciton
         "down:a9->a1",          # out of range
         "sideways:a1->a2",      # unknown form
-        (0, 0),                 # not a channel
+        (0, 0),                 # not a string
     ],
 )
 def test_selector_rejections(selector):

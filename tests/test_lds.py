@@ -680,10 +680,24 @@ def site_models(draw):
     return diagonalize(model), BathSpec(rng.uniform(1.0, 200.0), rng.uniform(10.0, 500.0), temp)
 
 
-@given(site_models())
-def test_site_model_invariants(case):
+@st.composite
+def selectors(draw, n):
+    """A counted selector on n excitons: ``all-down``, or a ``down:``,
+    ``up:`` or ``pair:`` selector on two random labels."""
+    kind = draw(st.sampled_from(["all-down", "down", "up", "pair"]))
+    lo, hi = sorted(draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)))
+    return {
+        "all-down": "all-down",
+        "down": f"down:a{hi}->a{lo}",
+        "up": f"up:a{lo}->a{hi}",
+        "pair": f"pair:a{lo}<->a{hi}",
+    }[kind]
+
+
+@given(site_models(), st.data())
+def test_site_model_invariants(case, data):
     basis, bath = case
-    gen = tilted_generator(basis, bath, ["all-down"])
+    gen = tilted_generator(basis, bath, [data.draw(selectors(basis.n_excitons))])
     scale = gen.rates.max()
     boltzmann = np.exp(-bath.beta * (basis.energies - basis.energies[0]))
     assert np.abs(lds.stationary(gen) - boltzmann / boltzmann.sum()).max() <= 1e-12
@@ -782,6 +796,21 @@ def test_rate_function_flags_nonconvex_input():
     )
     with pytest.warns(NonConvexThetaWarning):
         rate_function(fake)
+
+
+@pytest.mark.parametrize("point_call", [theta, theta_derivatives, mandel])
+def test_point_calls_refuse_a_stacked_generator(point_call):
+    gen = stacked([make_generator("fmo2", t) for t in (77.0, 300.0)], (2,))
+    with pytest.raises(ValueError, match=r"^needs a single-task generator, got task axes \(2,\)$"):
+        point_call(gen, 0.0)
+
+
+def test_empty_grid_scans_to_empty_columns():
+    gen = make_generator("fmo2")
+    result = scan(gen, [])
+    assert len(result) == 0
+    assert all(getattr(result, name).shape == (0,) for name in ("s", "theta", "activity", "mandel"))
+    assert scan(stacked([gen, gen], (2,)), []).s.shape == (2, 0)
 
 
 def test_rate_function_refuses_a_stacked_scan():

@@ -159,6 +159,8 @@ def test_model_validation():
     j = np.array([[1.0, 0.5], [0.5, 0.0]])
     with pytest.raises(ModelError, match="diagonal"):
         SiteModel(energies=[0.0, 1.0], couplings=j)
+    with pytest.raises(ModelError, match=r"^couplings must be 3x3, got \(2, 2\)$"):
+        SiteModel(energies=[0.0, 1.0, 2.0], couplings=np.zeros((2, 2)))
 
 
 def test_degenerate_spectrum_policy():
@@ -178,6 +180,9 @@ def test_dominant_exciton_assignments():
     assert dominant_exciton(basis, 2) == 0
     assert dominant_exciton(basis, 0) == 1
     assert dominant_exciton(basis, 1) == 2
+    for site in (-1, 3):
+        with pytest.raises(IndexError, match=f"^site index out of range: {site}$"):
+            dominant_exciton(basis, site)
 
 
 def test_load_model_roundtrip(tmp_path):

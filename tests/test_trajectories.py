@@ -398,6 +398,12 @@ def test_stacked_generator_rejected():
         simulate(gen, TrajectoryConfig(t_max=5.0, n_trajectories=8))
 
 
+def test_one_exciton_rejected():
+    gen = TiltedGenerator([[0.0]], [[True]])
+    with pytest.raises(ValueError, match="^the sampler needs at least two excitons$"):
+        simulate(gen, TrajectoryConfig(t_max=5.0, n_trajectories=8))
+
+
 def occupation_se(rates, pi, window, n_traj):
     """Standard errors of the occupation fractions of ``n_traj`` stationary
     trajectories over ``window``: the time spent in exciton a has the
