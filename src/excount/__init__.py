@@ -19,7 +19,6 @@ from .lds import (
     mandel,
     rate_function,
     scan,
-    scan_mandel_vs_parameter,
     theta,
     theta_derivatives,
 )

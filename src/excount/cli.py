@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lds, output
 from .bath import BathSpec
-from .generator import TiltedGenerator, resolve_counted, tilted_generator, transport_rates
+from .generator import TiltedGenerator, resolve_counted, transport_rates
 from .model import diagonalize, load_model, preset, preset_names
 from .trajectories import TrajectoryConfig, simulate
 from .units import time_ps_to_cm
@@ -77,11 +77,11 @@ class RunConfig:
         return self
 
 
-# The JSON type of each config-file value, by RunConfig field: float takes
-# any number, int an integer, str a string, and [t] a list of t.  A bool is
-# never a number.
+# The JSON type of each config-file value, by key (each names the RunConfig
+# field, but ``model`` names ``model_file``): float takes any number, int an
+# integer, str a string, and [t] a list of t.  A bool is never a number.
 _CONFIG_TYPES = {
-    "preset": str, "model_file": str, "out": str,
+    "preset": str, "model": str, "out": str,
     "reorg_cm1": float, "cutoff_cm1": float, "s_min": float, "s_max": float,
     "t_max_ps": float, "s_points": int, "seed": int, "traj": int, "workers": int,
     "temps": [float], "channels": [str], "formats": [str],
@@ -107,17 +107,23 @@ def _checked(key: str, val, kind):
     raise ConfigError(f"config key {key!r} takes one {_TYPE_NAMES[kind]}, got {val!r}")
 
 
+# The RunConfig field of each bath-section key.
+_BATH_FIELDS = {"reorg_energy_cm1": "reorg_cm1", "cutoff_cm1": "cutoff_cm1",
+                "temperature_K": "temps"}
+
+
 def _bath_values(bathsec) -> dict:
-    """RunConfig values from a JSON bath section (any subset of its keys)."""
+    """RunConfig values from a JSON bath section (any subset of its keys);
+    a ConfigError names an unknown key."""
     if bathsec is None:
         return {}
     if not isinstance(bathsec, dict):
         raise ConfigError(f"the bath section must be a JSON object, got {bathsec!r}")
     values = {}
-    for key, field in (("reorg_energy_cm1", "reorg_cm1"), ("cutoff_cm1", "cutoff_cm1"),
-                       ("temperature_K", "temps")):
-        if key in bathsec:
-            values[field] = float(_checked(f"bath.{key}", bathsec[key], float))
+    for key, val in bathsec.items():
+        if key not in _BATH_FIELDS:
+            raise ConfigError(f"unknown config key 'bath.{key}'")
+        values[_BATH_FIELDS[key]] = float(_checked(f"bath.{key}", val, float))
     if "temps" in values:
         values["temps"] = (values["temps"],)
     return values
@@ -130,10 +136,9 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} must hold a JSON object")
     values = _bath_values(doc.pop("bath", None))
     for key, val in doc.items():
-        field = "model_file" if key == "model" else key
-        if field not in _CONFIG_TYPES:
+        if key not in _CONFIG_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        values[field] = _checked(key, val, _CONFIG_TYPES[field])
+        values["model_file" if key == "model" else key] = _checked(key, val, _CONFIG_TYPES[key])
     return values
 
 
@@ -392,16 +397,16 @@ def crossover_map_cmd(config_file, preset_name, **flags):
                    "(default: expected 200 counted jumps).")
 @_guarded
 def oracle_check_cmd(config_file, preset_name, **flags):
-    """Cross-validate spectral rate and Q(0) against stochastic trajectories."""
+    """Cross-validate spectral rate and Q(0) against stochastic trajectories,
+    per (temperature, channel); task i samples with seed + i."""
     cfg = _assemble_config(config_file, preset=preset_name, **flags)
-    basis = _basis(cfg)
+    tasks, gen = _tasks(cfg, _basis(cfg))
+    at_zero = lds.scan(gen, [0.0], workers=cfg.workers).tasks()
     entries = []
     overall = True
-    for i, temp in enumerate(cfg.temps):
-        gen = tilted_generator(basis, _bath(cfg, temp), cfg.channels)
-        at_zero = lds.scan(gen, [0.0])
-        activity = float(at_zero.activity[0])
-        q_spectral = None if np.isnan(at_zero.mandel[0]) else float(at_zero.mandel[0])
+    for i, ((temp, ch), task, ref) in enumerate(zip(tasks, gen.tasks(), at_zero)):
+        activity = float(ref.activity[0])
+        q_spectral = None if np.isnan(ref.mandel[0]) else float(ref.mandel[0])
         if cfg.t_max_ps is not None:
             t_max = time_ps_to_cm(cfg.t_max_ps)
         elif activity > 0:
@@ -409,7 +414,7 @@ def oracle_check_cmd(config_file, preset_name, **flags):
         else:
             t_max = 1.0
         stats = simulate(
-            gen,
+            task,
             TrajectoryConfig(t_max=t_max, n_trajectories=cfg.traj, seed=cfg.seed + i),
         )
         z_rate, rate_ok = _z(stats.mean_rate, activity, stats.se_mean)
@@ -419,7 +424,7 @@ def oracle_check_cmd(config_file, preset_name, **flags):
         entries.append(
             {
                 "temperature_K": temp,
-                "channel": list(cfg.channels),
+                "channel": ch,
                 "seed": cfg.seed + i,
                 "t_max_cm": t_max,
                 "n_trajectories": cfg.traj,

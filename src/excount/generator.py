@@ -93,10 +93,12 @@ def resolve_counted(n: int, selectors) -> np.ndarray:
     """The N x N counted mask of n excitons: counted[b, a] flags the jump
     a -> b as named by the selector strings (syntax in ``tilted_generator``).
 
-    Raises SelectorError for a selector that is not a string, a malformed
-    selector, an exciton out of range, a selector naming a single exciton,
-    and an empty counted set.
+    Raises SelectorError for a bare string in place of the list, a
+    selector that is not a string, a malformed selector, an exciton out of
+    range, a selector naming a single exciton, and an empty counted set.
     """
+    if isinstance(selectors, str):
+        raise SelectorError(f"expected a list of selector strings, got the string {selectors!r}")
     counted = np.zeros((n, n), dtype=bool)
     for sel in selectors:
         if not isinstance(sel, str):

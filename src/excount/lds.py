@@ -53,7 +53,6 @@ __all__ = [
     "NonConvexThetaWarning",
     "ScanResult",
     "CrossoverReport",
-    "ParameterScan",
     "theta",
     "theta_derivatives",
     "mandel",
@@ -62,7 +61,6 @@ __all__ = [
     "rate_function",
     "legendre_reconstruct",
     "find_crossover",
-    "scan_mandel_vs_parameter",
     "default_s_grid",
 ]
 
@@ -134,14 +132,6 @@ class CrossoverReport:
     s_star: float | None
     q_at_zero: float
     local_max: tuple[float, float] | None
-
-
-@dataclass(frozen=True)
-class ParameterScan:
-    """Q(0) versus an external parameter, with grid-local maxima."""
-
-    points: tuple[tuple[float, float], ...]
-    local_maxima: tuple[tuple[float, float], ...]
 
 
 def default_s_grid(
@@ -646,19 +636,3 @@ def _crossover(generator: TiltedGenerator, s: np.ndarray, q: np.ndarray) -> Cros
         local_max = (float(x), float(qx))
 
     return CrossoverReport(s_star=s_star, q_at_zero=float(q_at_zero), local_max=local_max)
-
-
-def scan_mandel_vs_parameter(family, values) -> ParameterScan:
-    """Q at s=0 across a family of generators indexed by a control parameter.
-
-    ``family`` maps a parameter value to a TiltedGenerator; grid-local
-    maxima of Q(0) are reported as phase-coexistence candidates.
-    """
-    points = tuple((float(v), mandel(family(v), 0.0)) for v in values)
-    q = [p[1] for p in points]
-    maxima = tuple(
-        points[i]
-        for i in range(1, len(points) - 1)
-        if q[i] > q[i - 1] and q[i] >= q[i + 1]
-    )
-    return ParameterScan(points=points, local_maxima=maxima)

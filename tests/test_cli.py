@@ -458,6 +458,32 @@ def test_oracle_check_explicit_window(runner, tmp_path):
     assert doc["results"][0]["t_max_cm"] == pytest.approx(120.0 * CM1_TO_PS1, rel=1e-14)
 
 
+def test_oracle_check_one_entry_per_task(runner, tmp_path):
+    # one entry per (temperature, channel), each checking what theta-scan prints
+    channels = ["--channel", "down:a3->a2", "--channel", "down:a2->a1"]
+    result = invoke(
+        runner,
+        ["oracle-check", "--preset", "fmo3", "--temps", "300", *channels, "--traj", "100",
+         "--seed", "5", "--out", str(tmp_path / "oracle")],
+    )
+    assert result.exit_code in (0, 1)
+    doc = json.loads((tmp_path / "oracle" / "oracle_check.json").read_text())
+    assert [(e["channel"], e["seed"]) for e in doc["results"]] == [
+        ("down:a3->a2", 5), ("down:a2->a1", 6)
+    ]
+    invoke(
+        runner,
+        ["theta-scan", "--preset", "fmo3", "--temps", "300", *channels, "--s-min", "-1",
+         "--s-max", "1", "--s-points", "3", "--out", str(tmp_path / "scan")],
+    )
+    for entry, slug in zip(doc["results"], ("down_a3_a2", "down_a2_a1")):
+        path = tmp_path / "scan" / f"theta_scan__fmo3__T300K__{slug}.csv"
+        row = next(line for line in path.read_text().splitlines() if line.startswith("0,"))
+        spectral = entry["spectral"]
+        _, _, activity, _, q = row.split(",")
+        assert (activity, q) == (f"{spectral['activity_cm1']:.12g}", f"{spectral['mandel']:.12g}")
+
+
 def test_unknown_format_rejected(runner, tmp_path):
     result = runner.invoke(
         main,
@@ -515,9 +541,12 @@ def single_error(result):
         ({"bath": {"temperature_K": True}},
          "config key 'bath.temperature_K' takes one number, got True"),
         ({"bath": 300}, "the bath section must be a JSON object, got 300"),
+        ({"bath": {"temperature": 77}}, "unknown config key 'bath.temperature'"),
+        ({"model_file": "dimer.json"}, "unknown config key 'model_file'"),
     ],
     ids=["float-s-points", "string-temps", "string-channels", "bool-workers",
-         "string-temperature", "bool-temperature", "number-bath"],
+         "string-temperature", "bool-temperature", "number-bath", "unknown-bath-key",
+         "model-file-key"],
 )
 def test_config_value_types_checked(runner, tmp_path, doc, message):
     cfg_path = tmp_path / "run.json"
@@ -534,6 +563,18 @@ def test_config_document_must_be_an_object(runner, tmp_path):
     out = tmp_path / "out"
     result = runner.invoke(main, ["theta-scan", "--config", str(cfg_path), "--out", str(out)])
     assert single_error(result) == f"ConfigError: config file {cfg_path} must hold a JSON object"
+    assert not out.exists()
+
+
+def test_model_file_unknown_bath_key_rejected(runner, tmp_path):
+    model_path = tmp_path / "dimer.json"
+    model_path.write_text(json.dumps({**FMO2_JSON, "bath": {"temperature": 77.0}}))
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["theta-scan", "--model", str(model_path), "--channel", "down:a2->a1", "--out", str(out)],
+    )
+    assert single_error(result) == "ConfigError: unknown config key 'bath.temperature'"
     assert not out.exists()
 
 
@@ -564,9 +605,11 @@ def test_model_file_bath_types_checked(runner, tmp_path):
          "repeated channel selector 'down:a2->a1'"),
         (["crossover-map", "--temps", "300,300", "--channel", "down:a2->a1"],
          "repeated temperature 300.0"),
+        (["oracle-check", "--temps", "300,300", "--channel", "down:a2->a1", "--traj", "10"],
+         "repeated temperature 300.0"),
     ],
     ids=["scan-both", "scan-temps-print-alike", "scan-channel-spaced", "rate-function",
-         "crossover-map"],
+         "crossover-map", "oracle-check"],
 )
 def test_repeated_tasks_rejected(runner, tmp_path, args, message):
     result = runner.invoke(main, [*args, "--preset", "fmo2", "--out", str(tmp_path)])
@@ -574,17 +617,6 @@ def test_repeated_tasks_rejected(runner, tmp_path, args, message):
         f"ConfigError: {message}: two tasks would give the same output"
     )
     assert not list(tmp_path.iterdir())
-
-
-def test_oracle_check_samples_a_repeated_temperature_twice(runner, tmp_path):
-    result = invoke(
-        runner,
-        ["oracle-check", "--preset", "fmo2", "--temps", "300,300", "--channel", "down:a2->a1",
-         "--traj", "200", "--seed", "4", "--out", str(tmp_path)],
-    )
-    assert result.exit_code in (0, 1)
-    doc = json.loads((tmp_path / "oracle_check.json").read_text())
-    assert [entry["seed"] for entry in doc["results"]] == [4, 5]
 
 
 @pytest.mark.parametrize(
@@ -732,10 +764,12 @@ def test_zero_coupling_scan_omits_undefined_mandel(runner, tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
+    # importing the CLI adds only stdlib, numpy, click and excount modules
     src = str(Path(excount.__file__).resolve().parents[1])
     code = (
-        "import sys, excount.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys; before = set(sys.modules); import excount.cli; "
+        "allowed = set(sys.stdlib_module_names) | {'numpy', 'click', 'excount'}; "
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] not in allowed))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(

@@ -419,6 +419,11 @@ def test_selector_forms():
     # selectors are strings only: an index tuple is refused, not resolved
     with pytest.raises(SelectorError, match=r"\(2, 0\) is not a string"):
         resolve_counted(n, [(2, 0)])
+    # ... and a bare string is not a list of them
+    with pytest.raises(SelectorError, match="list of selector strings, got the string 'all-down'"):
+        resolve_counted(n, "all-down")
+    with pytest.raises(SelectorError, match="expected a list of selector strings"):
+        tilted_generator(*make("fmo3"), "all-down")
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from excount.lds import (
     mandel,
     rate_function,
     scan,
-    scan_mandel_vs_parameter,
     theta,
     theta_derivatives,
 )
@@ -707,6 +706,24 @@ def test_site_model_invariants(case, data):
         rate_function(scan(gen, default_s_grid(n_points=41)))
 
 
+@given(site_models(), st.data())
+def test_time_reversed_counting_gives_the_same_statistics(case, data):
+    # detailed balance: with pi the stationary state, diag(pi) carries the
+    # tilted block of the counted mask c into the transpose of the block of
+    # c^T, so the two share theta(s) and with it the activity and Q
+    basis, bath = case
+    gen = tilted_generator(basis, bath, [data.draw(selectors(basis.n_excitons))])
+    grid = default_s_grid(n_points=41)
+    fwd, rev = scan(gen, grid), scan(TiltedGenerator(gen.rates, gen.counted.T), grid)
+    scale = gen.rates.max()
+    assert np.abs(rev.theta - fwd.theta).max() <= 1e-12 * scale
+    assert np.abs(rev.activity - fwd.activity).max() <= 1e-12 * scale
+    undefined = np.isnan(fwd.mandel)
+    assert np.array_equal(np.isnan(rev.mandel), undefined)
+    q, q_rev = fwd.mandel[~undefined], rev.mandel[~undefined]
+    assert np.all(np.abs(q_rev - q) <= 1e-9 * np.maximum(1.0, np.abs(q)))
+
+
 def test_mandel_two_state_values():
     basis = diagonalize(preset("fmo2"))
     bath = BathSpec(35.0, 150.0, 300.0)
@@ -1052,32 +1069,29 @@ def test_poisson_limit(name, temp):
     assert abs(mandel(gen, 12.0)) < 0.05
 
 
+def grid_maxima(q):
+    """The indices of the grid-local maxima of the column q."""
+    return (np.flatnonzero((q[1:-1] > q[:-2]) & (q[1:-1] >= q[2:])) + 1).tolist()
+
+
 def test_parameter_scan_temperature_family():
-    basis = diagonalize(preset("fmo4"))
-
-    def family(temp):
-        return tilted_generator(basis, BathSpec(35.0, 150.0, temp), ["down:a4->a2"])
-
-    result = scan_mandel_vs_parameter(family, (77.0, 150.0, 300.0))
-    qs = dict(result.points)
-    assert qs[77.0] > 0.0 and qs[150.0] > 0.0 and qs[300.0] < 0.0
-    assert result.local_maxima == ((150.0, qs[150.0]),)
+    # Q(0) along a control parameter: one task per value, one stacked scan
+    family = [make_generator("fmo4", temp) for temp in TEMPS]
+    q = scan(stacked(family, (3,)), [0.0]).mandel[:, 0]
+    assert q.tolist() == [mandel(gen, 0.0) for gen in family]
+    assert q[0] > 0.0 and q[1] > 0.0 and q[2] < 0.0
+    assert grid_maxima(q) == [1]
 
 
 def test_parameter_scan_fmo2_stays_negative():
-    basis = diagonalize(preset("fmo2"))
-
-    def family(temp):
-        return tilted_generator(basis, BathSpec(35.0, 150.0, temp), ["down:a2->a1"])
-
-    result = scan_mandel_vs_parameter(family, (77.0, 150.0, 300.0, 600.0))
-    assert all(q < 0.0 for _, q in result.points)
+    family = [make_generator("fmo2", temp) for temp in (77.0, 150.0, 300.0, 600.0)]
+    q = scan(stacked(family, (4,)), [0.0]).mandel[:, 0]
+    assert q.tolist() == [mandel(gen, 0.0) for gen in family]
+    assert np.all(q < 0.0)
 
 
 def test_parameter_scan_constant_family():
     gen = make_generator("fmo3")
-    result = scan_mandel_vs_parameter(lambda _f: gen, (1.0, 2.0, 3.0))
-    qs = [q for _, q in result.points]
-    assert qs[0] == pytest.approx(qs[1], rel=1e-12)
-    assert qs[1] == pytest.approx(qs[2], rel=1e-12)
-    assert result.local_maxima == ()
+    q = scan(stacked([gen] * 3, (3,)), [0.0]).mandel[:, 0]
+    assert q.tolist() == [mandel(gen, 0.0)] * 3
+    assert grid_maxima(q) == []
