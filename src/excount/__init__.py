@@ -19,7 +19,6 @@ from .lds import (
     mandel,
     rate_function,
     scan,
-    theta,
     theta_derivatives,
 )
 from .model import (

@@ -7,27 +7,25 @@ top eigenpair: one batched eigenvalues-only solve of the stacked blocks
 gives theta over a whole s grid (a long grid goes in slices of bounded
 memory), and batched bordered systems [[W_s - theta, b], [b^T, 0]] give
 the top right and left vectors and, in the inverse, the generalized
-inverse of W_s - theta, from which theta' and theta'' follow in closed
-form (Meyer, SIAM Rev. 17, 443 (1975)).  W_s is block-triangular in the
-strongly connected classes of its jump graph
-(``TiltedGenerator.graphs``), so each class block is solved on its own
-and theta is the largest class top.  Where classes tie (every closed class
-at s = 0), the tied class with the largest activity -theta' is reported,
-with its theta'': theta's slope just below the tie.  A single s is a grid
-of one point.  A generator may stack tasks (say one per temperature and
-channel) on leading axes: ``scan`` and ``find_crossover`` solve the blocks
-of all its tasks at all s in one stack, and each task's result is the one
-its own generator gives, bit for bit.  Tasks may differ in their jump
-graphs (at very low temperature an upward rate can underflow to 0): the
-rows of each graph are then solved with its own classes.  The stack goes
-in slices, which are also the unit of parallel work: a large stack runs
-its slices on threads, as the batched eigensolver releases the
-interpreter lock.  The top right
-vector at s = 0 gives the stationary populations (``stationary``).  The
-mean jump rate is -theta'(0), the variance rate theta''(0), and the Mandel
-parameter Q(s) = -theta''(s)/theta'(s) - 1 flags sub- (Q<0) versus
-super-Poissonian (Q>0) trajectory ensembles.  The rate function phi(k) is
-the Legendre transform of theta.
+inverse of W_s - theta, from which theta', theta'' and (for crossover
+refinement only) theta''' follow in closed form (Meyer, SIAM Rev. 17, 443
+(1975)).  W_s is block-triangular in the strongly connected classes of its
+jump graph (``TiltedGenerator.graphs``), so each class block is solved on
+its own and theta is the largest class top.  Where classes tie (every
+closed class at s = 0), the tied class with the largest activity -theta'
+is reported, with its higher derivatives: theta's slope just below the
+tie.  A generator may stack tasks (say one per temperature and channel) on
+leading axes: ``scan`` and ``find_crossover`` solve the blocks of all its
+tasks at all s in one stack (one grid, or one s per task), in slices that
+may run on threads (``_spectra``), and each task's result is the one its
+own generator gives, bit for bit.  The top right vector at s = 0 gives the
+stationary populations (``stationary``).  The mean jump rate is
+-theta'(0), the variance rate theta''(0), and the Mandel parameter
+Q(s) = -theta''(s)/theta'(s) - 1 flags sub- (Q<0) versus super-Poissonian
+(Q>0) trajectory ensembles.  ``find_crossover`` refines the sign change of
+Q, and its maximum as a root of the analytic Q', with one batched root
+finder for all tasks.  The rate function phi(k) is the Legendre transform
+of theta.
 
 Results are numpy columns, never per-point objects: ``scan`` returns one
 ``ScanResult`` (s, theta, activity, and Q with NaN where the activity
@@ -53,7 +51,6 @@ __all__ = [
     "NonConvexThetaWarning",
     "ScanResult",
     "CrossoverReport",
-    "theta",
     "theta_derivatives",
     "mandel",
     "stationary",
@@ -82,7 +79,9 @@ _SLICE_ENTRIES = 2**18
 # entries) gained nothing and its process grew by 1 MB.
 _THREAD_ENTRIES = 2**16
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Crossover refinement: the root-finding tolerance in s, and the round cap.
+_S_TOL = 1e-8
+_ROUNDS = 60
 
 # The tilt e^{-s} overflows a double below this s.
 _S_LOWEST = -math.log(np.finfo(float).max)
@@ -142,13 +141,13 @@ def default_s_grid(
     return np.linspace(s_min, s_max, n_points)
 
 
-def _s_array(s_values) -> np.ndarray:
+def _s_array(s_values, batch=()) -> np.ndarray:
     """The s values as a float array; ValueError, before any block is built,
-    for a grid that is not 1-D, for complex values (a cast would drop their
-    imaginary parts) and at the first s where e^{-s} overflows (or that is
-    NaN)."""
+    for a grid that is neither 1-D nor (points, *batch) for task axes
+    ``batch``, for complex values (a cast would drop their imaginary parts)
+    and at the first s where e^{-s} overflows (or that is NaN)."""
     s = np.asarray(s_values)
-    if s.ndim != 1:
+    if s.ndim != 1 and not (batch and s.shape[1:] == batch):
         raise ValueError(f"the s grid must be 1-D, got shape {s.shape}")
     if np.iscomplexobj(s):
         raise ValueError(f"s must be real, got {s.dtype} values")
@@ -177,9 +176,7 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 def _single(generator: TiltedGenerator) -> TiltedGenerator:
     if generator.batch_shape:
-        raise ValueError(
-            f"needs a single-task generator, got task axes {generator.batch_shape}"
-        )
+        raise ValueError(f"needs a single-task generator, got task axes {generator.batch_shape}")
     return generator
 
 
@@ -290,29 +287,16 @@ def _check_real(values: np.ndarray, name: str, s: np.ndarray) -> None:
         )
 
 
-@_quiet_overflow
-def _stack(generator: TiltedGenerator, s: np.ndarray):
-    """(s, blocks, dW/ds) of every task at the s values, s by s: the stack
-    holds the block of each task at s[0], then at s[1], and so on, and its
-    s values come out in the same order."""
-    batch, n = generator.batch_shape, generator.n_excitons
-    part = s.reshape((-1,) + (1,) * len(batch))  # s in front of the task axes
-    return (
-        np.repeat(s, math.prod(batch)),
-        generator.population_block(part).reshape(-1, n, n),
-        generator.population_block_derivative(part).reshape(-1, n, n),
-    )
-
-
-@_quiet_overflow
-def _stack_spectra(s: np.ndarray, blocks, dw, classes) -> np.ndarray:
-    """Rows theta, theta' and theta'' of the stack of tilted blocks
-    ``blocks`` with derivatives ``dw``, the block at s[k] being blocks[k]:
-    those of the class with the top theta, or of the tied class (within
-    1e-12 times the larger of 1 and the block's largest entry) with the
-    largest activity -theta'.
+def _stack_spectra(s: np.ndarray, blocks, dw, classes, third=False) -> np.ndarray:
+    """Rows theta, theta' and theta'' (and with ``third`` theta''') of the
+    stack of tilted blocks ``blocks`` with derivatives ``dw``, the block at
+    s[k] being blocks[k]: those of the class with the top theta, or of the
+    tied class (within 1e-12 times the larger of 1 and the block's largest
+    entry) with the largest activity -theta'.
     """
-    parts = [_class_spectra(s, _class_block(blocks, c), _class_block(dw, c)) for c in classes]
+    parts = [
+        _class_spectra(s, _class_block(blocks, c), _class_block(dw, c), third) for c in classes
+    ]
     if len(parts) == 1:
         return parts[0]
     parts = np.stack(parts)
@@ -322,14 +306,16 @@ def _stack_spectra(s: np.ndarray, blocks, dw, classes) -> np.ndarray:
     return parts[best, :, np.arange(s.size)].T + 0.0  # +0, not -0: the slope without counting
 
 
-def _class_spectra(s: np.ndarray, blocks, dw) -> np.ndarray:
+def _class_spectra(s: np.ndarray, blocks, dw, third=False) -> np.ndarray:
     """``_stack_spectra`` for the blocks of one class.
 
     With dW = dW/ds and the top pair of ``_top_eigenpairs``,
     theta' = l.dW.r / l.r.  The derivative of r (normalized by r_k = 1) is
     r' = -S u with u = (dW - theta') r, and as d2W/ds2 = -dW,
     theta'' = -theta' + 2 l.(dW - theta').r' / l.r = -theta' - 2 v.S.u / l.r
-    with v = l (dW - theta').
+    with v = l (dW - theta').  One order up, as d3W/ds3 = dW,
+    r'' = -S[2(dW - theta')r' + (-dW - theta'')r] and
+    theta''' = [l.dW.r + 3 l.(-dW - theta'').r' + 3 v.r''] / l.r.
 
     SpectralError where theta' or theta'' has an imaginary part, and where
     another eigenvalue within 1e-9 of the top couples to it through dW
@@ -341,8 +327,10 @@ def _class_spectra(s: np.ndarray, blocks, dw) -> np.ndarray:
     d1 = (l * dw_r).sum(axis=-1) / overlap
     _check_real(d1, "theta'", s)
     u = dw_r - d1[:, None] * r
-    v = (l[:, None, :] @ dw)[:, 0] - d1[:, None] * l
-    vsu = (v * (inv_s @ u[..., None])[..., 0]).sum(axis=-1)
+    l_dw = (l[:, None, :] @ dw)[:, 0]
+    v = l_dw - d1[:, None] * l
+    su = (inv_s @ u[..., None])[..., 0]  # -r'
+    vsu = (v * su).sum(axis=-1)
     close = gap < 1e-9
     if close.any():
         coupling = gap * np.abs(vsu)
@@ -354,12 +342,19 @@ def _class_spectra(s: np.ndarray, blocks, dw) -> np.ndarray:
         )
     d2 = -d1 - 2.0 * vsu / overlap
     _check_real(d2, "theta''", s)
-    return np.array((th, d1.real, d2.real))
+    if not third:
+        return np.array((th, d1.real, d2.real))
+    y = 2.0 * ((dw @ su[..., None])[..., 0] - d1[:, None] * su) + dw_r + d2[:, None] * r
+    r2 = (inv_s @ y[..., None])[..., 0]
+    d3 = (l * dw_r + 3.0 * (l_dw + d2[:, None] * l) * su + 3.0 * v * r2).sum(axis=-1) / overlap
+    _check_real(d3, "theta'''", s)
+    return np.array((th, d1.real, d2.real, d3.real))
 
 
-def _spectra(generator: TiltedGenerator, s_values, workers: int = 1) -> np.ndarray:
-    """Rows theta, theta' and theta'' over a grid of s for every task of
-    ``generator``, shaped (3, *generator.batch_shape, number of s).
+def _spectra(generator: TiltedGenerator, s_values, workers: int = 1, third=False) -> np.ndarray:
+    """Rows theta, theta' and theta'' (and with ``third`` theta''') for
+    every task of ``generator`` at s, one grid for all tasks or one column
+    per task (points, *batch_shape), shaped (rows, *batch_shape, points).
 
     The blocks of all tasks at all s form one stack, solved by
     ``_stack_spectra`` (the rows of each jump graph with its classes) in
@@ -369,32 +364,41 @@ def _spectra(generator: TiltedGenerator, s_values, workers: int = 1) -> np.ndarr
     block is solved on its own, so neither stacking nor slicing changes a
     bit of any result.
 
-    SpectralError where theta, theta' or theta'' is not finite, and as
-    ``_stack_spectra`` raises it.  The error is always the one that the
-    first failing task raises alone and serially: when the stacked or
-    threaded solve fails, the tasks are solved again one by one to find it.
+    SpectralError where a row is not finite, and as ``_stack_spectra``
+    raises it.  The error is always the one that the first failing task
+    raises alone and serially: when the stacked or threaded solve fails,
+    the tasks are solved again one by one to find it.
     """
-    s = _s_array(s_values)
     batch, n = generator.batch_shape, generator.n_excitons
-    tasks = math.prod(batch)
-    if not s.size:
-        return np.empty((3, *batch, 0))
+    tasks, rows = math.prod(batch), 4 if third else 3
+    s = _s_array(s_values, batch)
+    points = len(s)
+    if not points:
+        return np.empty((rows, *batch, 0))
+    s = np.broadcast_to(s.reshape(points, -1), (points, tasks))  # one column per task
     step = max(1, _SLICE_ENTRIES // (tasks * n * n))
-    threaded = workers > 1 and s.size * tasks * n * n > _THREAD_ENTRIES
+    threaded = workers > 1 and points * tasks * n * n > _THREAD_ENTRIES
     if threaded:
-        step = min(step, -(-s.size // workers))
-    slices = [s[lo : lo + step] for lo in range(0, s.size, step)]
+        step = min(step, -(-points // workers))
+    slices = [s[lo : lo + step] for lo in range(0, points, step)]
     graphs = generator.graphs
 
+    @_quiet_overflow
     def solve(i: int) -> np.ndarray:
-        stack = _stack(generator, slices[i])
+        # the block of every task at its first s, then at its second, and so on
+        part = slices[i].reshape(len(slices[i]), *batch)
+        stack = (
+            slices[i].ravel(),
+            generator.population_block(part).reshape(-1, n, n),
+            generator.population_block_derivative(part).reshape(-1, n, n),
+        )
         if len(graphs) == 1:
-            return _stack_spectra(*stack, graphs[0][1])
+            return _stack_spectra(*stack, graphs[0][1], third)
         # each jump graph's rows of the stack on their own, put back in place
-        out = np.empty((3, stack[0].size))
+        out = np.empty((rows, stack[0].size))
         for idx, classes in graphs:
-            rows = (np.arange(slices[i].size)[:, None] * tasks + idx).ravel()
-            out[:, rows] = _stack_spectra(*(part[rows] for part in stack), classes)
+            at = (np.arange(len(slices[i]))[:, None] * tasks + idx).ravel()
+            out[:, at] = _stack_spectra(*(part[at] for part in stack), classes, third)
         return out
 
     try:
@@ -405,37 +409,32 @@ def _spectra(generator: TiltedGenerator, s_values, workers: int = 1) -> np.ndarr
             parts = [solve(i) for i in range(len(slices))]
     except SpectralError:
         if tasks > 1 or threaded:
-            for task in generator.tasks():
-                _spectra(task, s)  # raises the error of the first failing task
+            for j, task in enumerate(generator.tasks()):
+                _spectra(task, s[:, j], third=third)  # raises the first failing task's error
         raise
-    out = np.concatenate(parts, axis=1).reshape(3, s.size, tasks)
-    out = out.transpose(0, 2, 1).reshape(3, *batch, s.size)  # task by task
-    flat = out.reshape(3, -1)
+    out = np.concatenate(parts, axis=1).reshape(rows, points, tasks)
+    out = out.transpose(0, 2, 1).reshape(rows, *batch, points)  # task by task
+    flat = out.reshape(rows, -1)
+    names = "theta, theta', theta''" + (", theta'''" if third else "")
     _raise_first(
         ~np.isfinite(flat).all(axis=0),
-        lambda k: f"non-finite theta, theta', theta'' = {flat[:, k].tolist()} "
-        f"at s={s[k % s.size]}",
+        lambda k: f"non-finite {names} = {flat[:, k].tolist()} at s={s[k % points, k // points]}",
     )
     return out
 
 
 def _mandel(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """Q = -theta''/theta' - 1, NaN where the activity vanishes."""
-    undefined = np.abs(d1) < _ACTIVITY_FLOOR
-    return np.where(undefined, np.nan, -d2 / np.where(undefined, 1.0, d1) - 1.0)
+    return -d2 / np.where(np.abs(d1) < _ACTIVITY_FLOOR, np.nan, d1) - 1.0
 
 
-def _mandel_grid(generator: TiltedGenerator, s: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Q over the grid s for every task, shaped (*batch_shape, s.size);
-    UndefinedMandelError at the first task and s where the activity
-    vanishes."""
-    q = _mandel(*_spectra(generator, s, workers)[1:])
-    undefined = np.isnan(q)
-    if undefined.any():
-        raise UndefinedMandelError(
-            f"activity vanishes at s={s[np.argmax(undefined) % s.size]}; Q undefined"
-        )
-    return q
+def _mandel_slope(generator: TiltedGenerator, s: np.ndarray, workers: int = 1):
+    """Q (NaN where the activity vanishes) and its slope
+    Q' = -(theta''' theta' - theta''^2)/theta'^2 at s (a grid, or one column
+    per task) for every task, each shaped (*batch_shape, points)."""
+    _, d1, d2, d3 = _spectra(generator, s, workers, third=True)
+    q = _mandel(d1, d2)
+    return q, -(d3 + d2 * (q + 1.0)) / d1  # theta''/theta' = -(Q + 1)
 
 
 @_quiet_overflow
@@ -464,15 +463,6 @@ def stationary(generator: TiltedGenerator) -> np.ndarray:
     return pi
 
 
-@_quiet_overflow
-def theta(generator: TiltedGenerator, s: float) -> float:
-    """theta(s): largest real eigenvalue of the tilted population block."""
-    s = _s_array([s])
-    blocks = _single(generator).population_block(s)
-    classes = generator.graphs[0][1]
-    return max(float(_top_eigenpairs(_class_block(blocks, c), s)[0][0]) for c in classes)
-
-
 def theta_derivatives(generator: TiltedGenerator, s: float) -> tuple[float, float, float]:
     """(theta, theta', theta'') at the given s, from one eigensolve."""
     return tuple(_spectra(_single(generator), [s])[:, 0].tolist())
@@ -480,7 +470,10 @@ def theta_derivatives(generator: TiltedGenerator, s: float) -> tuple[float, floa
 
 def mandel(generator: TiltedGenerator, s: float) -> float:
     """Q(s) = -theta''(s)/theta'(s) - 1."""
-    return float(_mandel_grid(_single(generator), _s_array([s]))[0])
+    q = float(scan(_single(generator), [s]).mandel[0])
+    if math.isnan(q):
+        raise UndefinedMandelError(f"activity vanishes at s={s}; Q undefined")
+    return q
 
 
 def scan(generator: TiltedGenerator, s_values, workers: int = 1) -> ScanResult:
@@ -556,48 +549,44 @@ def _lower_envelope(f: np.ndarray, x, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, tol: float = 1e-6) -> float:
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0) == (f_mid < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _golden_max(f, lo: float, hi: float, xatol: float = 1e-8) -> tuple[float, float]:
-    """(x, f(x)) at the maximum of a unimodal f on [lo, hi], by golden-section
-    search down to a bracket of width xatol."""
-    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > xatol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+@_quiet_overflow  # a == b gives 0/0 at a point that is not taken
+def _illinois(f, a: np.ndarray, b: np.ndarray, f_a: np.ndarray, f_b: np.ndarray):
+    """The roots of f in the brackets [a, b] (arrays, f_a and f_b of
+    opposite signs) by the Illinois method: the regula falsi point x
+    replaces b, and b replaces a where f(x) and f(b) differ in sign, else
+    f(a) is halved.  ``f`` maps all points to their values in one call per
+    round.  A bracket is done (a == b at the start) when narrower than
+    _S_TOL or at an exact zero, and its root is its last point, so each
+    root depends on its own values only.  SpectralError after _ROUNDS."""
+    x, done = a.copy(), np.abs(b - a) <= _S_TOL
+    for _ in range(_ROUNDS):
+        if done.all():
+            return x
+        live = ~done
+        x = np.where(live, b - f_b * (b - a) / (f_b - f_a), x)
+        fx = f(x)
+        flip = live & ((fx < 0) != (f_b < 0))
+        a, f_a = np.where(flip, b, a), np.where(flip, f_b, np.where(live, 0.5 * f_a, f_a))
+        b, f_b = np.where(live, x, b), np.where(live, fx, f_b)
+        done |= (np.abs(b - a) <= _S_TOL) | (fx == 0.0)
+    raise SpectralError(f"root finding at s={x[~done][0]} left a bracket wider than {_S_TOL} in s")
 
 
 def find_crossover(generator: TiltedGenerator, s_grid, workers: int = 1):
-    """Locate sign changes and local maxima of Q(s) on the given grid.
+    """The first sign change s* and the highest local maximum of Q(s) on
+    the grid, refined by root finding; None for an absent feature.
 
-    Q on the grid and at s = 0 comes from one batched eigensolve, on up to
-    ``workers`` threads for a large stack.  The first sign change of Q is
-    refined by bisection to 1e-6 in s; the strongest interior local maximum
-    of Q (a phase-coexistence indicator) by golden-section search to 1e-8.
-    Absent features are reported as None rather than raised.
-
-    A stacked generator gives one report per task, in the order of
-    ``TiltedGenerator.tasks``: every task's grid is in the one stacked
-    solve, and the refinement runs task by task.
+    Q and Q' on the grid and at s = 0 come from one batched eigensolve (on
+    up to ``workers`` threads for a large stack), theta''' from the same
+    generalized inverse as theta''.  s* is the root of Q in the bracket
+    [s_i, s_i+1] of the first sign change (s_i where Q(s_i) = 0).  The
+    maximum is the root of Q' next to the first highest grid-local maximum
+    s_i, in [s_i, s_i+1] if Q'(s_i) > 0 > Q'(s_i+1) or in [s_i-1, s_i] if
+    Q'(s_i-1) > 0 > Q'(s_i); with no such sign change of Q' it is the grid
+    point (s_i, Q(s_i)).  ``_illinois`` finds both roots to 1e-8 in s.  A
+    stacked generator gives one report per task, in the order of
+    ``TiltedGenerator.tasks``, each the one its own generator gives, bit for
+    bit: the grid solve and each round are one stacked call for all tasks.
     """
     s = _s_array(s_grid)
     if s.size < 32:
@@ -605,34 +594,42 @@ def find_crossover(generator: TiltedGenerator, s_grid, workers: int = 1):
     if not np.all(np.isfinite(s)):
         raise ValueError("s grid must be finite")
     s = np.sort(s)
-    q = _mandel_grid(generator, np.append(s, 0.0), workers)
-    if q.ndim == 1:
-        return _crossover(generator, s, q)
-    rows = q.reshape(-1, s.size + 1)
-    return [_crossover(task, s, row) for task, row in zip(generator.tasks(), rows)]
+    grid = np.append(s, 0.0)
+    q, dq = _mandel_slope(generator, grid, workers)
+    if np.isnan(q).any():  # Q at the roots is defined: the activity falls monotonically
+        bad = grid[np.argmax(np.isnan(q)) % grid.size]
+        raise UndefinedMandelError(f"activity vanishes at s={bad}; Q undefined")
+    q, dq, q_at_zero = q[..., :-1], dq[..., :-1], q[..., -1]
 
+    def at(column, k):
+        return np.take_along_axis(column, k[..., None], axis=-1)[..., 0]
 
-def _crossover(generator: TiltedGenerator, s: np.ndarray, q: np.ndarray) -> CrossoverReport:
-    """The report of a single-task generator from Q on the sorted grid s
-    followed by Q(0)."""
-    q, q_at_zero = q[:-1], q[-1]
-
-    s_star = None
     negative = q < 0
-    change = (q[:-1] == 0.0) | (negative[:-1] != negative[1:])
-    if change.any():
-        i = int(np.argmax(change))
-        s_star = float(
-            s[i]
-            if q[i] == 0.0
-            else _bisect_sign_change(lambda x: mandel(generator, x), s[i], s[i + 1], q[i])
-        )
+    change = (q[..., :-1] == 0.0) | (negative[..., :-1] != negative[..., 1:])
+    i = np.argmax(change, axis=-1)
+    peak = (q[..., 1:-1] > q[..., :-2]) & (q[..., 1:-1] >= q[..., 2:])
+    j = np.argmax(np.where(peak, q[..., 1:-1], -np.inf), axis=-1) + 1  # first of equal maxima
+    star = change.any(axis=-1) & (at(q, i) != 0.0)
+    below, mid, above = at(dq, j - 1), at(dq, j), at(dq, j + 1)
+    left, right = (below > 0.0) & (mid < 0.0), (mid > 0.0) & (above < 0.0)
+    q_max = at(q, j)  # then Q at the maximum points of the latest round
 
-    local_max = None
-    peaks = np.flatnonzero((q[1:-1] > q[:-2]) & (q[1:-1] >= q[2:])) + 1
-    if peaks.size:
-        i = peaks[np.argmax(q[peaks])]  # the first of equal maxima
-        x, qx = _golden_max(lambda x: mandel(generator, x), s[i - 1], s[i + 1])
-        local_max = (float(x), float(qx))
+    def values(x):  # Q at the s* points (row 0), Q' at the maximum points (row 1)
+        nonlocal q_max
+        q_x, dq_x = _mandel_slope(generator, x, workers)
+        q_max = q_x[..., 1]
+        return np.stack([q_x[..., 0], dq_x[..., 1]])
 
-    return CrossoverReport(s_star=s_star, q_at_zero=float(q_at_zero), local_max=local_max)
+    x = _illinois(
+        values,
+        np.stack([s[i], np.where(left, s[j - 1], s[j])]),
+        np.stack([np.where(star, s[i + 1], s[i]), np.where(right, s[j + 1], s[j])]),
+        np.stack([at(q, i), np.where(left, below, mid)]),
+        np.stack([at(q, i + 1), np.where(right, above, mid)]),
+    )
+    columns = (change.any(axis=-1), x[0], q_at_zero, peak.any(axis=-1), x[1], q_max)
+    reports = [
+        CrossoverReport(float(a) if hs else None, float(q0), (float(b), float(qb)) if hm else None)
+        for hs, a, q0, hm, b, qb in zip(*map(np.ravel, columns))
+    ]
+    return reports if q.ndim > 1 else reports[0]

@@ -202,9 +202,13 @@ def load_model(path) -> SiteModel:
     Expected document: ``{"energies": [..], "couplings": [[..]]}`` with
     all values in cm^-1.  An optional "labels" key is accepted and ignored;
     an optional "bath" section is ignored here, the command line reads it.
+    Any other key is a ModelError that names it.
     """
     with open(path) as fh:
         doc = json.load(fh)
+    for key in doc:
+        if key not in ("energies", "couplings", "labels", "bath"):
+            raise ModelError(f"unknown model file key {key!r}")
     try:
         energies = np.array(doc["energies"], dtype=float)
         couplings = np.array(doc["couplings"], dtype=float)

@@ -578,6 +578,19 @@ def test_model_file_unknown_bath_key_rejected(runner, tmp_path):
     assert not out.exists()
 
 
+def test_model_file_unknown_top_level_key_rejected(runner, tmp_path):
+    # without the refusal this ran at the default 300 K and exited 0
+    model_path = tmp_path / "dimer.json"
+    model_path.write_text(json.dumps({**FMO2_JSON, "temprature_K": 77}))
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["theta-scan", "--model", str(model_path), "--channel", "down:a2->a1", "--out", str(out)],
+    )
+    assert single_error(result) == "ModelError: unknown model file key 'temprature_K'"
+    assert not out.exists()
+
+
 def test_model_file_bath_types_checked(runner, tmp_path):
     model_path = tmp_path / "dimer.json"
     model_path.write_text(json.dumps({**FMO2_JSON, "bath": {"cutoff_cm1": [150.0]}}))

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from excount.lds import (
     mandel,
     rate_function,
     scan,
-    theta,
     theta_derivatives,
 )
 from excount.model import SiteModel, diagonalize, preset
@@ -64,7 +64,7 @@ def test_theta_vanishes_at_s_zero():
     for name in ("fmo2", "fmo3", "fmo4"):
         gen = make_generator(name)
         bath = BathSpec(35.0, 150.0, 300.0)
-        assert abs(theta(gen, 0.0)) < 1e-10
+        assert abs(theta_derivatives(gen, 0.0)[0]) < 1e-10
         basis = diagonalize(preset(name))
         assert abs(top_eigenvalue(superoperator(gen, basis, bath, 0.0))) < 1e-10
 
@@ -74,8 +74,8 @@ def test_equal_rate_chain_closed_form():
     gen = equal_rate_generator(kappa)
     for s in (-1.0, 0.0, 1.0, 5.0):
         expected = kappa * (math.exp(-s / 2.0) - 1.0)
-        assert theta(gen, s) == pytest.approx(expected, abs=1e-11)
         th, d1, d2 = theta_derivatives(gen, s)
+        assert th == pytest.approx(expected, abs=1e-11)
         assert d1 == pytest.approx(-(kappa / 2.0) * math.exp(-s / 2.0), rel=1e-9)
         assert d2 == pytest.approx((kappa / 4.0) * math.exp(-s / 2.0), rel=1e-9)
         assert mandel(gen, s) == pytest.approx(-0.5, abs=1e-9)
@@ -90,7 +90,7 @@ def test_fmo2_theta_matches_two_state_closed_form():
         for s in (-2.0, -0.5, 0.0, 1.0, 6.0, 12.0):
             full = top_eigenvalue(superoperator(gen, basis, bath, s))
             assert full == pytest.approx(cts.theta(s), abs=1e-10)
-            assert theta(gen, s) == pytest.approx(cts.theta(s), abs=1e-10)
+            assert theta_derivatives(gen, s)[0] == pytest.approx(cts.theta(s), abs=1e-10)
 
 
 def test_activity_at_zero_is_stationary_flux():
@@ -116,13 +116,13 @@ def test_gradient_identity_vs_finite_difference(name):
         assert abs(d1 - fd) <= 1e-7 * abs(d1)
 
 
-def fd_second_derivative(gen, s, h=1e-4):
-    """Richardson-refined central difference of theta'(s), a reference for
-    the exact perturbation sum."""
+def fd_derivative(gen, s, row, h=1e-4):
+    """Richardson-refined central difference of row ``row`` of
+    ``lds._spectra`` (theta' for row 1, theta'' for row 2) at s, a
+    reference for the exact perturbation sums."""
 
     def slope(step):
-        up = theta_derivatives(gen, s + step)[1]
-        dn = theta_derivatives(gen, s - step)[1]
+        up, dn = lds._spectra(gen, [s + step, s - step])[row]
         return (up - dn) / (2.0 * step)
 
     return (4.0 * slope(h / 2.0) - slope(h)) / 3.0
@@ -144,7 +144,25 @@ def test_exact_and_fd_second_derivatives_agree(name):
     gen = second_derivative_case(name)
     for s in (-1.0, 0.0, 2.0):
         _, _, d2 = theta_derivatives(gen, s)
-        assert fd_second_derivative(gen, s) == pytest.approx(d2, rel=1e-6)
+        assert fd_derivative(gen, s, 1) == pytest.approx(d2, rel=1e-6)
+
+
+def third_derivative(gen, s):
+    return lds._spectra(gen, [s], third=True)[3, 0]
+
+
+@pytest.mark.parametrize("selector", ["down", "pair:a1<->a2", "all-down"])
+@pytest.mark.parametrize("name", ["fmo2", "fmo3", "fmo4"])
+def test_exact_and_fd_third_derivatives_agree(name, selector):
+    gen = make_generator(name, selector=None if selector == "down" else selector)
+    for s in (-1.0, 0.0, 2.0):
+        assert fd_derivative(gen, s, 2) == pytest.approx(third_derivative(gen, s), rel=1e-6)
+
+
+def test_third_derivative_asked_for_leaves_the_other_rows_alone():
+    gen = stacked([make_generator("fmo3", t, "pair:a1<->a2") for t in TEMPS], (3,))
+    grid = default_s_grid()
+    assert np.array_equal(lds._spectra(gen, grid, third=True)[:3], lds._spectra(gen, grid))
 
 
 class FakeGenerator:
@@ -176,9 +194,9 @@ class FakeGenerator:
     ],
 )
 def test_bad_top_eigenpair_raises_for_both_methods(gen, message):
-    # both spectral entry points share the guards
+    # the grid and the one-point entry points share the guards
     with pytest.raises(SpectralError, match=message):
-        theta(gen, 0.0)
+        scan(gen, [0.0])
     with pytest.raises(SpectralError, match=message):
         theta_derivatives(gen, 0.0)
 
@@ -205,7 +223,6 @@ def test_singular_bordered_matrix_names_its_s():
 def test_derivative_guards_raise():
     crowded = FakeGenerator(np.diag([0.0, -1e-10]), [[0.0, 1.0], [1.0, 0.0]])
     complex_slope = FakeGenerator(np.diag([0.0, -1.0]), np.diag([1.0j, 0.0]))
-    assert theta(crowded, 0.0) == 0.0
     with pytest.raises(SpectralError, match="crowds"):
         theta_derivatives(crowded, 0.0)
     with pytest.raises(SpectralError, match="complex"):
@@ -286,10 +303,8 @@ def test_isolated_exciton_is_set_aside():
     assert np.all(result.theta[result.s < 0.0] > 0.0)
 
 
-def test_two_closed_classes_tie_at_zero():
-    """Two uncoupled dimers, both counted: theta is the larger of the two
-    dimers' thetas, and at s = 0, where both are 0, the more active
-    dimer's, with its derivatives."""
+def two_dimers():
+    """Two uncoupled dimers, both counted, and each dimer alone."""
     bath = BathSpec(35.0, 150.0, 300.0)
 
     def dimers(energies, couplings):
@@ -299,7 +314,14 @@ def test_two_closed_classes_tie_at_zero():
         return tilted_generator(diagonalize(SiteModel(energies=energies, couplings=j)), bath, ["all-down"])
 
     gen = dimers([0.0, 150.0, 300.0, 500.0], {(0, 1): 60.0, (2, 3): 70.0})
-    alone = [dimers([0.0, 150.0], {(0, 1): 60.0}), dimers([300.0, 500.0], {(0, 1): 70.0})]
+    return gen, [dimers([0.0, 150.0], {(0, 1): 60.0}), dimers([300.0, 500.0], {(0, 1): 70.0})]
+
+
+def test_two_closed_classes_tie_at_zero():
+    """Two uncoupled dimers, both counted: theta is the larger of the two
+    dimers' thetas, and at s = 0, where both are 0, the more active
+    dimer's, with its derivatives."""
+    gen, alone = two_dimers()
     for s in (-1.0, 1.0):
         expected = max(theta_derivatives(d, s) for d in alone)
         assert theta_derivatives(gen, s) == pytest.approx(expected, rel=1e-12)
@@ -665,6 +687,20 @@ def test_reducible_stationary_is_that_of_the_closed_class(chain):
     assert not np.delete(pi, c).any()
 
 
+def test_two_dimers_third_derivative_follows_the_tie_rule():
+    # away from the tie one dimer is the top class on both sides of s; at
+    # the tie s = 0 every row, the third derivative too, is the more
+    # active dimer's
+    gen, alone = two_dimers()
+    for s in (-1.0, 1.0):
+        assert fd_derivative(gen, s, 2) == pytest.approx(third_derivative(gen, s), rel=1e-6)
+    at_zero = [lds._spectra(d, [0.0], third=True)[:, 0] for d in alone]
+    assert at_zero[0][3] != pytest.approx(at_zero[1][3], rel=1e-3)
+    active = min(at_zero, key=lambda rows: rows[1])  # the largest activity -theta'
+    both = lds._spectra(gen, [0.0], third=True)[:, 0]
+    assert both == pytest.approx(active, rel=1e-12, abs=1e-15)
+
+
 @st.composite
 def site_models(draw):
     """(basis, bath) of a random site model: 2-8 sites, energies 0-500
@@ -700,10 +736,21 @@ def test_site_model_invariants(case, data):
     scale = gen.rates.max()
     boltzmann = np.exp(-bath.beta * (basis.energies - basis.energies[0]))
     assert np.abs(lds.stationary(gen) - boltzmann / boltzmann.sum()).max() <= 1e-12
-    assert abs(theta(gen, 0.0)) <= 1e-12 * scale
+    assert abs(theta_derivatives(gen, 0.0)[0]) <= 1e-12 * scale
     with warnings.catch_warnings():
         warnings.simplefilter("error", NonConvexThetaWarning)
         rate_function(scan(gen, default_s_grid(n_points=41)))
+
+
+@given(site_models(), st.data())
+def test_site_model_third_derivative_matches_fd(case, data):
+    # at low temperature the third derivative can underflow to 0: the
+    # absolute floor scales with the rates
+    basis, bath = case
+    gen = tilted_generator(basis, bath, [data.draw(selectors(basis.n_excitons))])
+    for s in (-1.0, 0.0, 1.0):
+        exact, floor = third_derivative(gen, s), 1e-12 * gen.rates.max()
+        assert fd_derivative(gen, s, 2) == pytest.approx(exact, rel=1e-6, abs=floor)
 
 
 @given(site_models(), st.data())
@@ -815,7 +862,7 @@ def test_rate_function_flags_nonconvex_input():
         rate_function(fake)
 
 
-@pytest.mark.parametrize("point_call", [theta, theta_derivatives, mandel])
+@pytest.mark.parametrize("point_call", [theta_derivatives, mandel])
 def test_point_calls_refuse_a_stacked_generator(point_call):
     gen = stacked([make_generator("fmo2", t) for t in (77.0, 300.0)], (2,))
     with pytest.raises(ValueError, match=r"^needs a single-task generator, got task axes \(2,\)$"):
@@ -914,43 +961,46 @@ def test_crossover_grid_validation():
         find_crossover(gen, bad)
 
 
-def loop_crossover(q, s, f, golden_max):
-    """find_crossover's grid search as a per-point loop: the first sign
-    change, and a golden-section refinement of every grid-local maximum of
-    q that beats the best one so far."""
+def loop_crossover(s, f, df):
+    """find_crossover's grid search as a per-point loop, refined by
+    scipy's brentq: the root of Q in the first sign change, and the root of
+    Q' next to every grid-local maximum of Q that beats the best one so far
+    (the grid point itself where Q' has no sign change there)."""
+    q, dq = f(s), df(s)
     s_star = None
     for i in range(s.size - 1):
         if q[i] == 0.0:
             s_star = float(s[i])
             break
         if (q[i] < 0) != (q[i + 1] < 0):
-            s_star = float(lds._bisect_sign_change(f, s[i], s[i + 1], q[i]))
+            s_star = scipy.optimize.brentq(f, s[i], s[i + 1], xtol=1e-12)
             break
     local_max, best_q, refinements = None, -np.inf, 0
     for i in range(1, s.size - 1):
         if q[i] > q[i - 1] and q[i] >= q[i + 1] and q[i] > best_q:
-            x, qx = golden_max(f, s[i - 1], s[i + 1])
-            local_max, best_q = (float(x), float(qx)), q[i]
+            x = s[i]
+            if dq[i - 1] > 0.0 > dq[i]:
+                x = scipy.optimize.brentq(df, s[i - 1], s[i], xtol=1e-12)
+            elif dq[i] > 0.0 > dq[i + 1]:
+                x = scipy.optimize.brentq(df, s[i], s[i + 1], xtol=1e-12)
+            local_max, best_q = (float(x), float(f(x))), q[i]
             refinements += 1
     return s_star, local_max, refinements
 
 
-def patch_mandel(monkeypatch, f, q=None):
-    """Make find_crossover see Q = f (or the grid values q), and record the
-    brackets it hands to _golden_max."""
+def patch_mandel(monkeypatch, f, df):
+    """Make find_crossover see Q = f and Q' = df, and record the brackets
+    ([lo of s*, lo of the maximum], [hi of s*, hi of the maximum]) that it
+    hands to _illinois."""
     brackets = []
-    golden_max = lds._golden_max
+    illinois = lds._illinois
 
     def recording(g, lo, hi, *args):
-        brackets.append((lo, hi))
-        return golden_max(g, lo, hi, *args)
+        brackets.append((lo.tolist(), hi.tolist()))
+        return illinois(g, lo, hi, *args)
 
-    # find_crossover asks for Q on the grid followed by s = 0
-    monkeypatch.setattr(
-        lds, "_mandel_grid", lambda _gen, s, _workers: f(s) if q is None else np.append(q, f(s[-1]))
-    )
-    monkeypatch.setattr(lds, "mandel", lambda _gen, x: float(f(x)))
-    monkeypatch.setattr(lds, "_golden_max", recording)
+    monkeypatch.setattr(lds, "_mandel_slope", lambda _gen, s, _workers=1: (f(s), df(s)))
+    monkeypatch.setattr(lds, "_illinois", recording)
     return brackets
 
 
@@ -958,14 +1008,19 @@ def test_crossover_refines_only_the_highest_local_maximum(monkeypatch):
     def f(s):
         return 0.1 * s + np.sin(3.0 * s) - 0.05
 
+    def df(s):
+        return 0.1 + 3.0 * np.cos(3.0 * s)
+
     grid = np.linspace(-2.0, 12.0, 141)
-    s_star, local_max, refinements = loop_crossover(f(grid), grid, f, lds._golden_max)
+    s_star, local_max, refinements = loop_crossover(grid, f, df)
     assert refinements >= 2  # several local maxima, each higher than the last
-    brackets = patch_mandel(monkeypatch, f)
+    brackets = patch_mandel(monkeypatch, f, df)
     report = find_crossover(None, grid)
-    assert len(brackets) == 1
-    assert report.local_max == local_max
-    assert report.s_star == s_star
+    ((star_lo, max_lo), (star_hi, max_hi)), = brackets
+    assert star_lo < s_star < star_hi and star_hi - star_lo == pytest.approx(0.1)
+    assert max_lo < local_max[0] < max_hi and max_hi - max_lo == pytest.approx(0.1)
+    assert report.local_max == pytest.approx(local_max, abs=1e-8)
+    assert report.s_star == pytest.approx(s_star, abs=1e-8)
     assert report.q_at_zero == f(0.0)
 
 
@@ -974,15 +1029,69 @@ def test_crossover_grid_search_ties_and_zeros(monkeypatch):
     q = np.full(40, -1.0)
     q[[10, 30]] = 1.0  # equal maxima: the first is refined
     q[20] = 0.0  # an exact zero after the first sign change
-    brackets = patch_mandel(monkeypatch, lambda s: np.interp(s, grid, q), q)
+
+    def df(s):  # the slope of the segment ending at s, or of the first one
+        return np.diff(q)[np.clip(np.searchsorted(grid, s) - 1, 0, grid.size - 2)]
+
+    brackets = patch_mandel(monkeypatch, lambda s: np.interp(s, grid, q), df)
     report = find_crossover(None, grid)
-    assert brackets == [(grid[9], grid[11])]
+    # Q' rises into s = 10 and falls after it: the maximum is in [10, 11]
+    assert brackets == [([9.0, 10.0], [10.0, 11.0])]
     assert 9.0 < report.s_star < 10.0
+    assert report.local_max[0] == pytest.approx(10.0, abs=1e-8)
     q[:5] = [0.5, 0.25, 0.0, -0.5, -1.0]  # an exact zero comes first
     assert find_crossover(None, grid).s_star == 2.0
     q[:] = 0.3  # flat: no sign change and no interior maximum
     report = find_crossover(None, grid)
     assert report.s_star is None and report.local_max is None
+
+
+def test_crossover_maximum_without_a_slope_sign_change_is_the_grid_point(monkeypatch):
+    grid = np.linspace(0.0, 39.0, 40)
+    q = -1.0 - np.abs(grid - 10.0)
+    brackets = patch_mandel(monkeypatch, lambda s: np.interp(s, grid, q), lambda s: 0.0 * s)
+    report = find_crossover(None, grid)
+    assert brackets == [([0.0, 10.0], [0.0, 10.0])]  # nothing to refine
+    assert report.s_star is None and report.local_max == (10.0, -1.0)
+
+
+def test_crossover_maximum_is_a_root_of_the_slope():
+    # golden-section search on Q placed this maximum 1.9e-7 from the root
+    # of Q': near a flat top Q cannot tell the points apart
+    gen = make_generator("fmo3", 300.0, "pair:a1<->a2")
+    x = find_crossover(gen, default_s_grid()).local_max[0]
+    below, above = lds._mandel_slope(gen, np.array([x - 1e-8, x + 1e-8]))[1]
+    assert below > 0.0 > above
+
+
+def test_stacked_crossover_is_a_few_stacked_calls(monkeypatch):
+    gen = stacked(
+        [make_generator("fmo3", t, sel) for t in TEMPS for sel in ("pair:a1<->a2", "down:a3->a2")],
+        (3, 2),
+    )
+    calls = []
+    spectra = lds._spectra
+    monkeypatch.setattr(lds, "_spectra", lambda *a, **k: calls.append(a) or spectra(*a, **k))
+    reports = find_crossover(gen, default_s_grid())
+    assert len(calls) <= 16
+    assert all(np.shape(a[1])[1:] in ((), (3, 2)) for a in calls)  # one grid or one s per task
+    assert [r.s_star is None for r in reports] == [True, False] * 3
+    assert all(r.local_max is not None for r in reports)
+
+
+def test_crossover_refinement_round_cap(monkeypatch):
+    # a slope that is NaN off the grid never narrows its bracket
+    grid = np.linspace(0.0, 39.0, 40)
+    q = np.full(40, -1.0)
+    q[10] = 1.0
+    patch_mandel(
+        monkeypatch,
+        lambda s: np.interp(s, grid, q),
+        lambda s: np.where(np.isin(s, grid), np.sign(10.5 - s), np.nan),
+    )
+    message = r"^root finding at s=nan left a bracket wider than 1e-08 in s$"
+    with pytest.raises(SpectralError, match=message):
+        find_crossover(None, grid)
 
 
 def test_scan_rejects_overflowing_tilt_before_building_blocks(monkeypatch):
@@ -999,8 +1108,6 @@ def test_scan_rejects_overflowing_tilt_before_building_blocks(monkeypatch):
         scan(gen, grid)
     for bad in (-710.0, -np.inf, np.nan):
         with pytest.raises(ValueError, match=f"s={bad}"):
-            theta(gen, bad)
-        with pytest.raises(ValueError, match=f"s={bad}"):
             theta_derivatives(gen, bad)
     assert builds == []
     # the lowest accepted s is the last one where e^-s is finite
@@ -1012,7 +1119,6 @@ COMPLEX_S_CALLS = {
     "population_block": lambda gen, s: gen.population_block(s),
     "population_block_derivative": lambda gen, s: gen.population_block_derivative(s),
     "scan": lambda gen, s: scan(gen, [0.0, s]),
-    "theta": theta,
     "theta_derivatives": theta_derivatives,
     "mandel": mandel,
     "find_crossover": lambda gen, s: find_crossover(gen, np.append(default_s_grid(), s)),

@@ -199,3 +199,15 @@ def test_load_model_roundtrip(tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"energies": [1.0, 2.0]}')
         load_model(bad)
+
+
+@pytest.mark.parametrize("key", ["temprature_K", "baht"])
+def test_load_model_refuses_an_unknown_key(tmp_path, key):
+    # a misspelt key would otherwise run with the defaults it meant to change
+    path = tmp_path / "dimer.json"
+    path.write_text(
+        '{"energies": [200.0, 320.0], "couplings": [[0.0, -87.7], [-87.7, 0.0]], '
+        f'"{key}": 77}}'
+    )
+    with pytest.raises(ModelError, match=f"^unknown model file key '{key}'$"):
+        load_model(path)
