@@ -21,7 +21,7 @@ import numpy as np
 from . import lds, output
 from .bath import BathSpec
 from .generator import TiltedGenerator, resolve_counted, transport_rates
-from .model import diagonalize, load_model, preset, preset_names
+from .model import ExcitonBasis, diagonalize, load_model, preset, preset_names
 from .trajectories import TrajectoryConfig, simulate
 from .units import time_ps_to_cm
 
@@ -57,6 +57,8 @@ class RunConfig:
             raise ConfigError("need a model: --preset NAME or --model FILE")
         if not self.temps:
             raise ConfigError("temperature list is empty")
+        if not self.formats:
+            raise ConfigError("format list is empty")
         if not self.channels:
             raise ConfigError("no channel selectors given (--channel)")
         bad = set(self.formats) - set(FORMATS)
@@ -129,9 +131,16 @@ def _bath_values(bathsec) -> dict:
     return values
 
 
+def _read(what: str, path: str, read):
+    """``read(path)``; a missing, unreadable or malformed file is a ConfigError."""
+    try:
+        return read(path)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
+
+
 def _load_config_file(path: str) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read("config", path, lambda p: json.loads(Path(p).read_text()))
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     values = _bath_values(doc.pop("bath", None))
@@ -142,37 +151,21 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _model_bath_defaults(model_file: str | None) -> dict:
-    """Bath defaults carried inside a model JSON file, if any."""
-    if not model_file:
-        return {}
-    try:
-        with open(model_file) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read model file {model_file}: {exc}") from None
-    return _bath_values(doc.get("bath"))
-
-
-def _assemble_config(config_file: str | None, **flags) -> RunConfig:
-    values: dict = {}
-    if config_file:
-        values.update(_load_config_file(config_file))
-    model_file = flags.get("model_file") or values.get("model_file")
-    for key, val in _model_bath_defaults(model_file).items():
-        values.setdefault(key, val)
-    for key, val in flags.items():
-        if val is None or val == ():
-            continue
-        values[key] = val
+def _assemble_config(config_file: str | None, **flags) -> tuple[RunConfig, str, ExcitonBasis]:
+    """The run's config, its model tag and its exciton basis: the one place
+    that resolves the model, a preset or one read of a model file, whose
+    bath section gives defaults under the config file and the flags."""
+    values = _load_config_file(config_file) if config_file else {}
+    values.update((key, val) for key, val in flags.items() if val is not None)
+    if values.get("model_file") and not values.get("preset"):
+        model, bathsec = _read("model", values["model_file"], load_model)
+        values = {**_bath_values(bathsec), **values}
     cfg = RunConfig(**values).validate()
+    if cfg.preset:
+        model = preset(cfg.preset)
     if cfg.workers == 0:
         cfg = replace(cfg, workers=os.cpu_count() or 1)
-    return cfg
-
-
-def _basis(cfg: RunConfig):
-    return diagonalize(preset(cfg.preset) if cfg.preset else load_model(cfg.model_file))
+    return cfg, cfg.preset or Path(cfg.model_file).stem, diagonalize(model)
 
 
 def _bath(cfg: RunConfig, temp: float) -> BathSpec:
@@ -213,6 +206,10 @@ def _parse_formats(_ctx, _param, value):
     return tuple(f.strip() for f in value.split(",") if f.strip())
 
 
+def _parse_channels(_ctx, _param, value):
+    return value or None  # () when absent: None, as for the other flags
+
+
 def _common_options(fn):
     fn = click.option("--config", "config_file", type=click.Path(), default=None,
                       help="JSON config file; flags override its values.")(fn)
@@ -226,7 +223,7 @@ def _common_options(fn):
                       help="Bath cutoff frequency (cm^-1).")(fn)
     fn = click.option("--temps", callback=_parse_temps, default=None,
                       help="Comma-separated temperatures in K, e.g. 77,150,300.")(fn)
-    fn = click.option("--channel", "channels", multiple=True,
+    fn = click.option("--channel", "channels", multiple=True, callback=_parse_channels,
                       help='Counted channel selector, e.g. "down:a2->a1", '
                            '"pair:a1<->a2", "all-down". Repeatable.')(fn)
     fn = click.option("--out", default=None, type=click.Path(),
@@ -287,12 +284,6 @@ def _scan_tasks(cfg: RunConfig, basis):
     return tasks, lds.scan(gen, grid, workers=cfg.workers).tasks()
 
 
-def _model_tag(cfg: RunConfig) -> str:
-    if cfg.preset:
-        return cfg.preset
-    return Path(cfg.model_file).stem
-
-
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -307,11 +298,9 @@ def _write(path: Path, text: str) -> None:
 @_guarded
 def theta_scan_cmd(config_file, preset_name, **flags):
     """Scan theta(s), activity and Mandel Q; one CSV per (temperature, channel)."""
-    cfg = _assemble_config(config_file, preset=preset_name, **flags)
-    basis = _basis(cfg)
+    cfg, tag, basis = _assemble_config(config_file, preset=preset_name, **flags)
     tasks, results = _scan_tasks(cfg, basis)
     outdir = Path(cfg.out)
-    tag = _model_tag(cfg)
     for (temp, ch), result in zip(tasks, results):
         stem = f"theta_scan__{tag}__T{output.format_temperature(temp)}K__{output.channel_slug(ch)}"
         meta = (
@@ -330,11 +319,9 @@ def theta_scan_cmd(config_file, preset_name, **flags):
 @_guarded
 def rate_function_cmd(config_file, preset_name, **flags):
     """Legendre-transform rate function phi(k) from a theta scan."""
-    cfg = _assemble_config(config_file, preset=preset_name, **flags)
-    basis = _basis(cfg)
+    cfg, tag, basis = _assemble_config(config_file, preset=preset_name, **flags)
     tasks, results = _scan_tasks(cfg, basis)
     outdir = Path(cfg.out)
-    tag = _model_tag(cfg)
     for (temp, ch), result in zip(tasks, results):
         k, phi = lds.rate_function(result)
         stem = f"rate_function__{tag}__T{output.format_temperature(temp)}K__{output.channel_slug(ch)}"
@@ -350,10 +337,9 @@ def rate_function_cmd(config_file, preset_name, **flags):
 @_guarded
 def crossover_map_cmd(config_file, preset_name, **flags):
     """Crossover report (sign change and local maximum of Q) per (T, channel)."""
-    cfg = _assemble_config(config_file, preset=preset_name, **flags)
+    cfg, tag, basis = _assemble_config(config_file, preset=preset_name, **flags)
     if len(cfg.temps) < 2:
         raise ConfigError("crossover-map needs at least two temperatures")
-    basis = _basis(cfg)
     tasks, gen = _tasks(cfg, basis)
     grid = lds.default_s_grid(cfg.s_min, cfg.s_max, cfg.s_points)
     reports = lds.find_crossover(gen, grid, workers=cfg.workers)
@@ -379,7 +365,7 @@ def crossover_map_cmd(config_file, preset_name, **flags):
             }
         )
     doc = {
-        "model": _model_tag(cfg),
+        "model": tag,
         "reorg_cm1": cfg.reorg_cm1,
         "cutoff_cm1": cfg.cutoff_cm1,
         "s_grid": {"min": cfg.s_min, "max": cfg.s_max, "points": cfg.s_points},
@@ -399,8 +385,8 @@ def crossover_map_cmd(config_file, preset_name, **flags):
 def oracle_check_cmd(config_file, preset_name, **flags):
     """Cross-validate spectral rate and Q(0) against stochastic trajectories,
     per (temperature, channel); task i samples with seed + i."""
-    cfg = _assemble_config(config_file, preset=preset_name, **flags)
-    tasks, gen = _tasks(cfg, _basis(cfg))
+    cfg, tag, basis = _assemble_config(config_file, preset=preset_name, **flags)
+    tasks, gen = _tasks(cfg, basis)
     at_zero = lds.scan(gen, [0.0], workers=cfg.workers).tasks()
     entries = []
     overall = True
@@ -441,7 +427,7 @@ def oracle_check_cmd(config_file, preset_name, **flags):
                 "pass": ok,
             }
         )
-    doc = {"model": _model_tag(cfg), "results": entries, "pass": overall}
+    doc = {"model": tag, "results": entries, "pass": overall}
     _write(Path(cfg.out) / "oracle_check.json", output.dump_json(doc))
     if not overall:
         sys.exit(1)

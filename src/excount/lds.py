@@ -506,7 +506,12 @@ def rate_function(result: ScanResult) -> tuple[np.ndarray, np.ndarray]:
         )
     by_s = np.argsort(result.s, kind="stable")
     s, th, k = result.s[by_s], result.theta[by_s], result.activity[by_s]
-    second = th[2:] - 2.0 * th[1:-1] + th[:-2]
+    # Second divided differences times the adjacent spacings h_{i-1} h_i,
+    # which on an evenly spaced grid is the plain second difference.
+    h = np.diff(s)
+    span = h[:-1] + h[1:]
+    w = np.divide(2.0 * h[:-1], span, out=np.ones_like(span), where=span > 0)
+    second = w * th[2:] - 2.0 * th[1:-1] + (2.0 - w) * th[:-2]
     convex = bool(second.size == 0 or second.min() >= -1e-9)
     if not convex:
         warnings.warn(

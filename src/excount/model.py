@@ -58,6 +58,9 @@ class SiteModel:
             raise ModelError(
                 f"couplings must be {n}x{n}, got {couplings.shape}"
             )
+        for name, values in (("site energies", energies), ("couplings", couplings)):
+            if not np.isfinite(values).all():
+                raise ModelError(f"{name} must be finite")
         if not np.array_equal(couplings, couplings.T):
             raise ModelError("coupling matrix must be symmetric")
         if np.any(np.diag(couplings) != 0.0):
@@ -196,22 +199,29 @@ def preset(name: str) -> SiteModel:
     return SiteModel(**params)
 
 
-def load_model(path) -> SiteModel:
-    """Read a site model from a JSON file.
+def load_model(path) -> tuple[SiteModel, object]:
+    """Read a site model and its "bath" section (None if absent) from a JSON file.
 
     Expected document: ``{"energies": [..], "couplings": [[..]]}`` with
     all values in cm^-1.  An optional "labels" key is accepted and ignored;
-    an optional "bath" section is ignored here, the command line reads it.
-    Any other key is a ModelError that names it.
+    the bath section is returned as it stands, the command line reads it.
+    A ModelError names any other key, and a key that does not hold numbers.
     """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ModelError(f"model file {path} must hold a JSON object")
     for key in doc:
         if key not in ("energies", "couplings", "labels", "bath"):
             raise ModelError(f"unknown model file key {key!r}")
-    try:
-        energies = np.array(doc["energies"], dtype=float)
-        couplings = np.array(doc["couplings"], dtype=float)
-    except KeyError as exc:
-        raise ModelError(f"model file missing key: {exc}") from None
-    return SiteModel(energies=energies, couplings=couplings)
+    arrays = {}
+    for key in ("energies", "couplings"):
+        if key not in doc:
+            raise ModelError(f"model file missing key: {key!r}")
+        # as objects, each JSON value stays as it is: a bool stays a bool (no
+        # number), and a ragged list becomes an array of lists
+        values = np.array(doc[key], dtype=object)
+        if not all(type(v) in (int, float) for v in values.flat):
+            raise ModelError(f"model file key {key!r} must hold numbers")
+        arrays[key] = values.astype(float)
+    return SiteModel(**arrays), doc.get("bath")

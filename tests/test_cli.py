@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -664,6 +665,86 @@ def test_unreadable_model_file_rejected(runner, tmp_path, text):
         ["theta-scan", "--model", str(model_path), "--channel", "all-down", "--out", str(out)],
     )
     assert single_error(result).startswith(f"ConfigError: cannot read model file {model_path}: ")
+    assert not out.exists()
+
+
+# The refusals of a config or a model file, by (file, fault): the file's
+# text (None: no file), and the start of the error, where {path} is the file.
+INPUT_FILE_FAULTS = {
+    ("config", "missing"): (None, "ConfigError: cannot read config file {path}: "),
+    ("config", "malformed"): ("{", "ConfigError: cannot read config file {path}: "),
+    ("config", "non-object"): ("[1, 2]", "ConfigError: config file {path} must hold a JSON object"),
+    ("config", "non-numeric"): (json.dumps({**FMO2_RUN, "s_min": "ab"}),
+                                "ConfigError: config key 's_min' takes one number, got 'ab'"),
+    ("config", "non-finite"): (json.dumps({**FMO2_RUN, "s_max": math.inf}),
+                               "ConfigError: s grid bounds must be finite"),
+    ("model", "missing"): (None, "ConfigError: cannot read model file {path}: "),
+    ("model", "malformed"): ("{", "ConfigError: cannot read model file {path}: "),
+    ("model", "non-object"): ("[1, 2]", "ModelError: model file {path} must hold a JSON object"),
+    ("model", "non-numeric"): (json.dumps({**FMO2_JSON, "energies": "ab"}),
+                               "ModelError: model file key 'energies' must hold numbers"),
+    ("model", "non-finite"): (json.dumps({**FMO2_JSON, "energies": [200.0, math.nan]}),
+                              "ModelError: site energies must be finite"),
+}
+
+
+@pytest.mark.parametrize("kind, fault", list(INPUT_FILE_FAULTS),
+                         ids=[f"{kind}-{fault}" for kind, fault in INPUT_FILE_FAULTS])
+def test_input_file_faults_rejected(runner, tmp_path, kind, fault):
+    text, message = INPUT_FILE_FAULTS[kind, fault]
+    path = tmp_path / f"{kind}.json"
+    if text is not None:
+        path.write_text(text)
+    flag = ["--config", str(path)] if kind == "config" else [
+        "--model", str(path), "--channel", "down:a2->a1"]
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["theta-scan", *flag, "--out", str(out)])
+    assert single_error(result).startswith(message.format(path=path))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("theta-scan", []), ("rate-function", []), ("crossover-map", []),
+     ("oracle-check", ["--traj", "10"])],
+    ids=["theta-scan", "rate-function", "crossover-map", "oracle-check"],
+)
+def test_model_file_read_once(runner, tmp_path, monkeypatch, command, extra):
+    model_path = tmp_path / "dimer.json"
+    model_path.write_text(json.dumps(FMO2_JSON))
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    result = invoke(runner, [command, "--model", str(model_path), "--temps", "150,300",
+                             "--channel", "down:a2->a1", *extra, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0
+    assert [Path(f) for f in opened].count(model_path) == 1
+
+
+@pytest.mark.parametrize(
+    "args, doc, message",
+    [
+        (["--temps", ""], {}, "temperature list is empty"),
+        (["--temps", " , "], {}, "temperature list is empty"),
+        (["--format", ","], {}, "format list is empty"),
+        ([], {"formats": []}, "format list is empty"),
+    ],
+    ids=["temps-flag", "blank-temps-flag", "format-flag", "formats-key"],
+)
+def test_empty_lists_rejected(runner, tmp_path, args, doc, message):
+    # an empty list is refused, never replaced by the default
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**FMO2_RUN, **doc}))
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["theta-scan", "--config", str(cfg_path), *args, "--out", str(out)]
+    )
+    assert single_error(result) == f"ConfigError: {message}"
     assert not out.exists()
 
 

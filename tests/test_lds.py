@@ -862,6 +862,24 @@ def test_rate_function_flags_nonconvex_input():
         rate_function(fake)
 
 
+def test_rate_function_convexity_on_an_uneven_grid():
+    # plain second differences read the change of spacing at s = 0 as a kink
+    gen = make_generator("fmo3", 300.0)
+    grid = np.concatenate([np.linspace(-2.0, 0.0, 5), np.linspace(0.01, 8.0, 200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NonConvexThetaWarning)
+        rate_function(scan(gen, grid))
+    # and they miss a concave kink where the spacing grows: slopes 10, then 0.15
+    fake = ScanResult(
+        s=np.array([0.0, 0.1, 10.0]),
+        theta=np.array([0.0, 1.0, 2.5]),
+        activity=np.array([-10.0, -5.0, -0.1]),
+        mandel=np.full(3, np.nan),
+    )
+    with pytest.warns(NonConvexThetaWarning, match="not numerically convex"):
+        rate_function(fake)
+
+
 @pytest.mark.parametrize("point_call", [theta_derivatives, mandel])
 def test_point_calls_refuse_a_stacked_generator(point_call):
     gen = stacked([make_generator("fmo2", t) for t in (77.0, 300.0)], (2,))

@@ -150,6 +150,22 @@ def test_unknown_preset_lists_available():
         preset("fmo7")
 
 
+@pytest.mark.parametrize(
+    "energies, couplings, message",
+    [
+        ([0.0, math.nan], [[0.0, 1.0], [1.0, 0.0]], "site energies must be finite"),
+        ([0.0, math.inf], [[0.0, 1.0], [1.0, 0.0]], "site energies must be finite"),
+        ([0.0, 1.0], [[0.0, math.nan], [math.nan, 0.0]], "couplings must be finite"),
+        ([0.0, 1.0], [[0.0, -math.inf], [-math.inf, 0.0]], "couplings must be finite"),
+    ],
+    ids=["nan-energy", "inf-energy", "nan-coupling", "inf-coupling"],
+)
+def test_non_finite_site_values_rejected(energies, couplings, message):
+    # eigh ignores a NaN on the diagonal and returns finite energies
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        SiteModel(energies=energies, couplings=couplings)
+
+
 def test_model_validation():
     with pytest.raises(ModelError):
         SiteModel(energies=[1.0], couplings=np.zeros((1, 1)))
@@ -192,7 +208,8 @@ def test_load_model_roundtrip(tmp_path):
         '"couplings": [[0.0, -87.7], [-87.7, 0.0]], '
         '"labels": ["bchl1", "bchl2"]}'
     )
-    model = load_model(path)
+    model, bath = load_model(path)
+    assert bath is None
     basis = diagonalize(model)
     assert basis.gaps[0, 1] == pytest.approx(FMO2_GAP, abs=1e-10)
     with pytest.raises(ModelError, match="missing key"):
@@ -211,3 +228,47 @@ def test_load_model_refuses_an_unknown_key(tmp_path, key):
     )
     with pytest.raises(ModelError, match=f"^unknown model file key '{key}'$"):
         load_model(path)
+
+
+def test_load_model_returns_the_bath_section_as_it_stands(tmp_path):
+    path = tmp_path / "dimer.json"
+    path.write_text(
+        '{"energies": [200, 320], "couplings": [[0, -87.7], [-87.7, 0]], '
+        '"bath": {"temperature_K": 77, "extra": "kept"}}'
+    )
+    model, bath = load_model(path)
+    assert model.energies.dtype == float and list(model.energies) == [200.0, 320.0]
+    assert bath == {"temperature_K": 77, "extra": "kept"}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "model file {path} must hold a JSON object"),
+        ('"dimer"', "model file {path} must hold a JSON object"),
+        ('{"energies": "ab", "couplings": [[0, 1], [1, 0]]}',
+         "model file key 'energies' must hold numbers"),
+        ('{"energies": ["200", "320"], "couplings": [[0, 1], [1, 0]]}',
+         "model file key 'energies' must hold numbers"),
+        ('{"energies": [0, 1], "couplings": [[0, 1], [1]]}',
+         "model file key 'couplings' must hold numbers"),
+        ('{"energies": [0, 1], "couplings": [[0, null], [null, 0]]}',
+         "model file key 'couplings' must hold numbers"),
+        ('{"energies": [true, false], "couplings": [[0, 1], [1, 0]]}',
+         "model file key 'energies' must hold numbers"),
+        ('{"energies": [200, true], "couplings": [[0, 1], [1, 0]]}',
+         "model file key 'energies' must hold numbers"),
+        ('{"energies": [0, NaN], "couplings": [[0, 1], [1, 0]]}',
+         "site energies must be finite"),
+        ('{"energies": [0, 1], "couplings": [[0, Infinity], [Infinity, 0]]}',
+         "couplings must be finite"),
+    ],
+    ids=["list", "string", "string-energies", "numeric-strings", "ragged-couplings",
+         "null-couplings", "bool-energies", "number-and-bool", "nan-energy", "inf-coupling"],
+)
+def test_load_model_names_a_malformed_document(tmp_path, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ModelError) as info:
+        load_model(path)
+    assert str(info.value) == message.format(path=path)
