@@ -72,6 +72,8 @@ class RunConfig:
             raise ConfigError("need s_min < s_max")
         if self.traj < 1:
             raise ConfigError("need at least one trajectory")
+        if self.seed < 0:
+            raise ConfigError(f"need seed >= 0, got {self.seed}")
         if self.t_max_ps is not None and not 0 < self.t_max_ps < np.inf:
             raise ConfigError(f"--t-max-ps must be positive and finite, got {self.t_max_ps}")
         if self.workers < 0:

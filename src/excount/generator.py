@@ -25,6 +25,7 @@ channels and nothing else.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 
 import numpy as np
@@ -75,9 +76,15 @@ def transport_rates(basis: ExcitonBasis, bath: BathSpec) -> np.ndarray:
     return np.where(off, gamma(bath, gaps) * basis.intensity_factors, 0.0).T
 
 
-_DOWN_RE = re.compile(r"^down:a(\d+)->a(\d+)$")
-_UP_RE = re.compile(r"^up:a(\d+)->a(\d+)$")
-_PAIR_RE = re.compile(r"^pair:a(\d+)<->a(\d+)$")
+_SELECTOR_RE = re.compile(r"^(down|up|pair):a(\d+)(<?->)a(\d+)$")
+
+# Per selector kind: its arrow, the test its (first, second) labels must
+# pass, and the refusal where they fail it.
+_SELECTOR_KINDS = {
+    "down": ("->", operator.gt, "is not downward (labels ascend in energy)"),
+    "up": ("->", operator.lt, "is not upward"),
+    "pair": ("<->", operator.ne, "names a single exciton"),
+}
 
 
 def _parse_label(text: str, value: str, n: int) -> int:
@@ -107,31 +114,19 @@ def resolve_counted(n: int, selectors) -> np.ndarray:
         if text == "all-down":
             counted[np.triu_indices(n, 1)] = True  # to < from: labels ascend in energy
             continue
-        if m := _DOWN_RE.match(text):
-            frm = _parse_label(text, m.group(1), n)
-            to = _parse_label(text, m.group(2), n)
-            if frm <= to:
-                raise SelectorError(
-                    f"selector {text!r} is not downward (labels ascend in energy)"
-                )
-            counted[to, frm] = True
-        elif m := _UP_RE.match(text):
-            frm = _parse_label(text, m.group(1), n)
-            to = _parse_label(text, m.group(2), n)
-            if frm >= to:
-                raise SelectorError(f"selector {text!r} is not upward")
-            counted[to, frm] = True
-        elif m := _PAIR_RE.match(text):
-            i = _parse_label(text, m.group(1), n)
-            j = _parse_label(text, m.group(2), n)
-            if i == j:
-                raise SelectorError(f"selector {text!r} names a single exciton")
-            counted[i, j] = counted[j, i] = True
-        else:
+        m = _SELECTOR_RE.match(text)
+        if not m or m[3] != _SELECTOR_KINDS[m[1]][0]:
             raise SelectorError(
                 f"bad channel selector {text!r}; expected down:aJ->aI, "
                 "up:aI->aJ, pair:aI<->aJ or all-down"
             )
+        _, valid, refusal = _SELECTOR_KINDS[m[1]]
+        frm, to = _parse_label(text, m[2], n), _parse_label(text, m[4], n)
+        if not valid(frm, to):
+            raise SelectorError(f"selector {text!r} {refusal}")
+        counted[to, frm] = True
+        if m[1] == "pair":
+            counted[frm, to] = True
     if not counted.any():
         raise SelectorError("empty counted set: theta(s) would be structure-free")
     return counted

@@ -37,6 +37,7 @@ theta'' is a SpectralError, so a NaN in a result can only mean "Q undefined".
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -56,7 +57,6 @@ __all__ = [
     "stationary",
     "scan",
     "rate_function",
-    "legendre_reconstruct",
     "find_crossover",
     "default_s_grid",
 ]
@@ -73,10 +73,11 @@ S_POINTS_DEFAULT = 281
 _SLICE_ENTRIES = 2**18
 
 # Stacks of more block entries than this are cut into at least ``workers``
-# slices, solved on up to that many threads.  Measured on 2 cores: two threads
-# with a fresh pool win on stacks of N = 3 and 4 blocks from about 2^14
-# entries, by 1.2-1.5x from 2^15; a 41-point scan of one N = 30 task (36900
-# entries) gained nothing and its process grew by 1 MB.
+# slices (``workers`` capped at the processor count), solved on up to that
+# many threads.  Measured on 2 cores: two threads with a fresh pool win on
+# stacks of N = 3 and 4 blocks from about 2^14 entries, by 1.2-1.5x from
+# 2^15; a 41-point scan of one N = 30 task (36900 entries) gained nothing
+# and its process grew by 1 MB.
 _THREAD_ENTRIES = 2**16
 
 # Crossover refinement: the root-finding tolerance in s, and the round cap.
@@ -213,15 +214,15 @@ def _top_eigenpairs(blocks: np.ndarray, s: np.ndarray):
     S e_k = 0 and e_k^T S = 0.
 
     Returns (theta, l, r, S, l.r, gap): gap is the distance from the top
-    to the nearest other eigenvalue.
+    to the nearest other eigenvalue.  The blocks are real, so a complex
+    eigenvalue comes with its conjugate, and a complex top ties with it.
 
     SpectralError, with the failing s, where a block is not finite, where
     several eigenvalues with nonzero imaginary parts share the top real part
-    within 1e-12 ("ambiguous"), where the top has an imaginary part above
-    1e-9, and "defective" where the top is not a simple eigenvalue: another
-    real eigenvalue within 1e-12, a singular M, or
-    |sum l_i r_i| <= 1e-12 sum |l_i r_i|, a test that diagonal similarity
-    (rescaling the excitons) leaves unchanged.
+    within 1e-12 ("ambiguous"), and "defective" where the top is not a
+    simple eigenvalue: another eigenvalue with its real part within 1e-12, a
+    singular M, or |sum l_i r_i| <= 1e-12 sum |l_i r_i|, a test that
+    diagonal similarity (rescaling the excitons) leaves unchanged.
     """
     _raise_first(
         ~np.isfinite(blocks).all(axis=(-2, -1)),
@@ -235,22 +236,17 @@ def _top_eigenpairs(blocks: np.ndarray, s: np.ndarray):
     th = top.real
     near = np.abs(w.real - th[:, None]) < 1e-12
     ties = near.sum(axis=-1) > 1
-    if np.iscomplexobj(w):  # numpy returns real eigenvalues when all of them are
-        _raise_first(
-            ties & (near & (np.abs(w.imag) > 1e-9)).any(axis=-1),
-            lambda k: f"ambiguous top eigenvalue: {near[k].sum()} eigenvalues share the "
-            f"real part {th[k]:.6g} with nonzero imaginary parts at s={s[k]}",
-        )
-        _raise_first(
-            np.abs(top.imag) > 1e-9,
-            lambda k: f"top eigenvalue has imaginary part {top[k].imag:.3e} at s={s[k]}",
-        )
+    _raise_first(
+        ties & (near & (np.abs(w.imag) > 1e-9)).any(axis=-1),
+        lambda k: f"ambiguous top eigenvalue: {near[k].sum()} eigenvalues share the "
+        f"real part {th[k]:.6g} with nonzero imaginary parts at s={s[k]}",
+    )
     _raise_first(
         ties,
         lambda k: f"defective top eigenpair at s={s[k]}: {near[k].sum()} eigenvalues "
         f"tie at the top {th[k]:.6g} of one strongly connected class",
     )
-    m = np.zeros((s.size, n + 1, n + 1), dtype=np.result_type(blocks, float))
+    m = np.zeros((s.size, n + 1, n + 1))
     m[:, :n, :n] = blocks
     diag = np.arange(n)
     m[:, diag, diag] -= th[:, None]
@@ -277,14 +273,6 @@ def _top_eigenpairs(blocks: np.ndarray, s: np.ndarray):
     gap = np.abs(w - top[:, None])
     gap[rows, i] = np.inf
     return th, l, r, inv_s, overlap, gap.min(axis=-1)
-
-
-def _check_real(values: np.ndarray, name: str, s: np.ndarray) -> None:
-    if np.iscomplexobj(values):
-        _raise_first(
-            np.abs(values.imag) > 1e-9 * np.maximum(1.0, np.abs(values)),
-            lambda k: f"{name}({s[k]}) came out complex: {values[k]}",
-        )
 
 
 def _stack_spectra(s: np.ndarray, blocks, dw, classes, third=False) -> np.ndarray:
@@ -317,15 +305,13 @@ def _class_spectra(s: np.ndarray, blocks, dw, third=False) -> np.ndarray:
     r'' = -S[2(dW - theta')r' + (-dW - theta'')r] and
     theta''' = [l.dW.r + 3 l.(-dW - theta'').r' + 3 v.r''] / l.r.
 
-    SpectralError where theta' or theta'' has an imaginary part, and where
-    another eigenvalue within 1e-9 of the top couples to it through dW
-    ("crowds": that eigenvalue's pole carries gap * |v.S.u| > 1e-6 |v||u|
-    of v.S.u).
+    SpectralError as ``_top_eigenpairs`` raises it, and where another
+    eigenvalue within 1e-9 of the top couples to it through dW ("crowds":
+    that eigenvalue's pole carries gap * |v.S.u| > 1e-6 |v||u| of v.S.u).
     """
     th, l, r, inv_s, overlap, gap = _top_eigenpairs(blocks, s)
     dw_r = (dw @ r[..., None])[..., 0]
     d1 = (l * dw_r).sum(axis=-1) / overlap
-    _check_real(d1, "theta'", s)
     u = dw_r - d1[:, None] * r
     l_dw = (l[:, None, :] @ dw)[:, 0]
     v = l_dw - d1[:, None] * l
@@ -341,14 +327,12 @@ def _class_spectra(s: np.ndarray, blocks, dw, third=False) -> np.ndarray:
             f"{th[k]:.6g} at s={s[k]}",
         )
     d2 = -d1 - 2.0 * vsu / overlap
-    _check_real(d2, "theta''", s)
     if not third:
-        return np.array((th, d1.real, d2.real))
+        return np.array((th, d1, d2))
     y = 2.0 * ((dw @ su[..., None])[..., 0] - d1[:, None] * su) + dw_r + d2[:, None] * r
     r2 = (inv_s @ y[..., None])[..., 0]
     d3 = (l * dw_r + 3.0 * (l_dw + d2[:, None] * l) * su + 3.0 * v * r2).sum(axis=-1) / overlap
-    _check_real(d3, "theta'''", s)
-    return np.array((th, d1.real, d2.real, d3.real))
+    return np.array((th, d1, d2, d3))
 
 
 def _spectra(generator: TiltedGenerator, s_values, workers: int = 1, third=False) -> np.ndarray:
@@ -360,9 +344,9 @@ def _spectra(generator: TiltedGenerator, s_values, workers: int = 1, third=False
     ``_stack_spectra`` (the rows of each jump graph with its classes) in
     slices of at most _SLICE_ENTRIES entries (or one s of every task).  A
     stack of more than _THREAD_ENTRIES entries is cut into at least
-    ``workers`` slices, which run on up to ``workers`` threads.  Every
-    block is solved on its own, so neither stacking nor slicing changes a
-    bit of any result.
+    ``workers`` slices, which run on up to ``workers`` threads; ``workers``
+    is capped at the processor count.  Every block is solved on its own,
+    so neither stacking nor slicing changes a bit of any result.
 
     SpectralError where a row is not finite, and as ``_stack_spectra``
     raises it.  The error is always the one that the first failing task
@@ -377,6 +361,7 @@ def _spectra(generator: TiltedGenerator, s_values, workers: int = 1, third=False
         return np.empty((rows, *batch, 0))
     s = np.broadcast_to(s.reshape(points, -1), (points, tasks))  # one column per task
     step = max(1, _SLICE_ENTRIES // (tasks * n * n))
+    workers = min(workers, os.cpu_count() or 1)
     threaded = workers > 1 and points * tasks * n * n > _THREAD_ENTRIES
     if threaded:
         step = min(step, -(-points // workers))
@@ -535,13 +520,6 @@ def rate_function(result: ScanResult) -> tuple[np.ndarray, np.ndarray]:
     return k[order], phi[order]
 
 
-def legendre_reconstruct(rate, s_values) -> np.ndarray:
-    """Rebuild theta_hat(s) = -min_k [phi(k) + k*s] from the (k, phi)
-    columns of ``rate_function``."""
-    k, phi = rate
-    return -_lower_envelope(phi, np.asarray(s_values, dtype=float).ravel(), k)
-
-
 def _lower_envelope(f: np.ndarray, x, y: np.ndarray) -> np.ndarray:
     """min_j [f(j) + x(i) y(j)] for every x(i), in row blocks of at most
     _SLICE_ENTRIES entries (bounded memory; a minimum is exact, so no bit
@@ -579,7 +557,8 @@ def _illinois(f, a: np.ndarray, b: np.ndarray, f_a: np.ndarray, f_b: np.ndarray)
 
 def find_crossover(generator: TiltedGenerator, s_grid, workers: int = 1):
     """The first sign change s* and the highest local maximum of Q(s) on
-    the grid, refined by root finding; None for an absent feature.
+    the grid, refined by root finding; None for an absent feature.  The
+    grid needs at least 3 points, one of them interior.
 
     Q and Q' on the grid and at s = 0 come from one batched eigensolve (on
     up to ``workers`` threads for a large stack), theta''' from the same
@@ -594,8 +573,8 @@ def find_crossover(generator: TiltedGenerator, s_grid, workers: int = 1):
     bit: the grid solve and each round are one stacked call for all tasks.
     """
     s = _s_array(s_grid)
-    if s.size < 32:
-        raise ValueError(f"s grid needs at least 32 points, got {s.size}")
+    if s.size < 3:
+        raise ValueError(f"s grid needs at least 3 points, got {s.size}")
     if not np.all(np.isfinite(s)):
         raise ValueError("s grid must be finite")
     s = np.sort(s)

@@ -83,9 +83,9 @@ def _index(value) -> int | None:
 class CountStatistics:
     """Counted-jump estimators over the window [0, t_max).
 
-    ``histogram`` maps the per-trajectory count K to its frequency;
-    frequencies sum to ``n_trajectories``.  Standard errors come from the
-    across-trajectory scatter (jackknife for the Mandel estimator).
+    ``histogram`` maps the per-trajectory count K to its frequency, and
+    ``n_trajectories`` is the sum of the frequencies.  Standard errors come
+    from the across-trajectory scatter (jackknife for the Mandel estimator).
     ``occupation`` holds the fraction of window time spent in each exciton.
     """
 
@@ -94,9 +94,12 @@ class CountStatistics:
     mandel_estimate: float | None
     se_mandel: float | None
     histogram: dict[int, int]
-    n_trajectories: int
     occupation: np.ndarray
-    warning: str | None = None
+
+    @property
+    def n_trajectories(self) -> int:
+        """The number of sampled trajectories."""
+        return sum(self.histogram.values())
 
 
 class _Paths(NamedTuple):
@@ -304,7 +307,8 @@ def simulate(generator: TiltedGenerator, config: TrajectoryConfig) -> CountStati
 
     Every trajectory starts from the stationary populations of
     ``lds.stationary``, so a reducible chain raises its SpectralError.  A
-    UserWarning comes before any sampling when the expected jumps over all
+    UserWarning comes before any sampling when fewer than one counted jump
+    per trajectory is expected, and when the expected jumps over all
     trajectories exceed ``_RUNAWAY_JUMPS``.  A stacked generator (with task
     axes) is refused: the walk reads one N x N rate matrix.
     """
@@ -317,16 +321,15 @@ def simulate(generator: TiltedGenerator, config: TrajectoryConfig) -> CountStati
         raise ValueError("the sampler needs at least two excitons")
     esc = rates.sum(axis=0)
 
-    warning = None
     pi = stationary(generator)
     cum_pi = np.cumsum(pi)
     expected = float((rates * pi[None, :])[generator.counted].sum()) * config.t_max
     if expected < 1.0:
-        warning = (
+        warnings.warn(
             f"expected counted jumps per trajectory is {expected:.3g} < 1; "
-            "estimates will be noisy"
+            "estimates will be noisy",
+            stacklevel=2,
         )
-        warnings.warn(warning, stacklevel=2)
     total_jumps = float(pi @ esc) * config.t_max * config.n_trajectories
     if total_jumps > _RUNAWAY_JUMPS:
         warnings.warn(
@@ -350,10 +353,10 @@ def simulate(generator: TiltedGenerator, config: TrajectoryConfig) -> CountStati
         counts[chunk], occ = _walk(rng, state, esc, table, counted, config.t_max)
         occupation += occ
 
-    return _statistics(counts, occupation, config.t_max, warning)
+    return _statistics(counts, occupation, config.t_max)
 
 
-def _statistics(counts, occupation, window, warning) -> CountStatistics:
+def _statistics(counts, occupation, window) -> CountStatistics:
     n = counts.size
     mean_k = counts.mean()
     mean_rate = mean_k / window
@@ -386,8 +389,6 @@ def _statistics(counts, occupation, window, warning) -> CountStatistics:
         mandel_estimate=mandel,
         se_mandel=se_mandel,
         histogram=histogram,
-        n_trajectories=int(n),
         occupation=occ,
-        warning=warning,
     )
 

@@ -7,8 +7,9 @@ operators are vectorized by column stacking: entry (i, j) sits at index
 i + j*N, so the populations sit at a*(N + 1).
 
 ``counting_distribution`` is the exact finite-time distribution of the
-counted jumps, a deterministic reference for the trajectory sampler, and
-``stationary_eig`` the stationary populations from a full eigensolve.
+counted jumps, a deterministic reference for the trajectory sampler,
+``stationary_eig`` the stationary populations from a full eigensolve, and
+``legendre_reconstruct`` theta(s) rebuilt from a rate function.
 
 ``random_basis`` and ``random_aggregate`` draw seeded site models (the
 latter with the couplings 100 / |m - n|^3 of the benchmark aggregates).
@@ -176,6 +177,14 @@ def stationary_eig(rates):
     i = int(np.argmax(w.real))
     pi = np.abs(v[:, i].real)
     return pi / pi.sum()
+
+
+def legendre_reconstruct(rate, s_values):
+    """theta_hat(s) = -min_k [phi(k) + k s] from the (k, phi) columns of
+    ``lds.rate_function``, one row of the outer sum per s."""
+    k, phi = rate
+    s = np.asarray(s_values, dtype=float).ravel()
+    return -(np.multiply.outer(s, k) + phi).min(axis=1)
 
 
 def counting_distribution(rates, counted, p0, t, k_max):

@@ -20,7 +20,6 @@ from excount.generator import tilted_generator, transport_rates
 from excount.lds import (
     default_s_grid,
     find_crossover,
-    legendre_reconstruct,
     mandel,
     rate_function,
     scan,
@@ -28,7 +27,7 @@ from excount.lds import (
 )
 from excount.model import diagonalize, dominant_exciton, preset
 from excount.trajectories import TrajectoryConfig, simulate
-from reference import ClassicalTwoState, superoperator, top_eigenvalue
+from reference import ClassicalTwoState, legendre_reconstruct, superoperator, top_eigenvalue
 
 TEMPS = (77.0, 150.0, 300.0)
 S_GRID = default_s_grid()  # 281 points on [-2, 12]

@@ -230,7 +230,9 @@ def test_worker_count_does_not_change_output(runner, tmp_path):
 
 def test_threaded_slices_do_not_change_output(runner, tmp_path, monkeypatch):
     # 6 stacked tasks of 3 x 3 blocks: four s points of every task per slice,
-    # and every stack is large enough to run its slices on threads
+    # and every stack is large enough to run its slices on threads, which
+    # are capped at the processors
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
     monkeypatch.setattr(lds, "_SLICE_ENTRIES", 4 * 6 * 9)
     monkeypatch.setattr(lds, "_THREAD_ENTRIES", 6 * 9)
     eigvals = np.linalg.eigvals
@@ -642,8 +644,10 @@ def test_repeated_tasks_rejected(runner, tmp_path, args, message):
         ({**FMO2_RUN, "s_points": 1}, "s grid needs at least 2 points"),
         ({**FMO2_RUN, "s_min": 2.0, "s_max": 2.0}, "need s_min < s_max"),
         ({**FMO2_RUN, "traj": 0}, "need at least one trajectory"),
+        ({**FMO2_RUN, "seed": -1}, "need seed >= 0, got -1"),
     ],
-    ids=["no-model", "no-temps", "no-channels", "one-point", "empty-interval", "no-traj"],
+    ids=["no-model", "no-temps", "no-channels", "one-point", "empty-interval", "no-traj",
+         "negative-seed"],
 )
 def test_run_config_refusals(runner, tmp_path, doc, message):
     cfg_path = tmp_path / "run.json"
@@ -651,6 +655,23 @@ def test_run_config_refusals(runner, tmp_path, doc, message):
     out = tmp_path / "out"
     result = runner.invoke(main, ["oracle-check", "--config", str(cfg_path), "--out", str(out)])
     assert single_error(result) == f"ConfigError: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["theta-scan", "rate-function", "crossover-map",
+                                     "oracle-check"])
+def test_negative_seed_refused_before_any_solve(runner, tmp_path, monkeypatch, command):
+    # every command checks every key, so a seed that only oracle-check
+    # reads is refused by all four, and before the spectral solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the config was checked")
+
+    monkeypatch.setattr(lds, "_spectra", no_solve)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**FMO2_RUN, "temps": [150, 300], "seed": -1}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--config", str(cfg_path), "--out", str(out)])
+    assert single_error(result) == "ConfigError: need seed >= 0, got -1"
     assert not out.exists()
 
 
