@@ -12,8 +12,9 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -21,76 +22,104 @@ import numpy as np
 from . import lds, output
 from .bath import BathSpec
 from .generator import TiltedGenerator, resolve_counted, transport_rates
-from .model import ExcitonBasis, diagonalize, load_model, preset, preset_names
+from .model import diagonalize, load_model, preset, preset_names
 from .trajectories import TrajectoryConfig, simulate
 from .units import time_ps_to_cm
 
 FORMATS = ("csv", "svg")
+_GRID = ("theta-scan", "rate-function", "crossover-map")  # the commands that scan s
+_ALL = (*_GRID, "oracle-check")
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    preset: str | None = None
-    model_file: str | None = None
-    reorg_cm1: float = 35.0
-    cutoff_cm1: float = 150.0
-    temps: tuple[float, ...] = (300.0,)
-    channels: tuple[str, ...] = ()
-    s_min: float = lds.S_MIN_DEFAULT
-    s_max: float = lds.S_MAX_DEFAULT
-    s_points: int = lds.S_POINTS_DEFAULT
-    out: str = "."
-    formats: tuple[str, ...] = ("csv",)
-    seed: int = 0
-    traj: int = 10_000
-    t_max_ps: float | None = None
-    workers: int = 0
+class _Input(NamedTuple):
+    """One input of a run.  ``key`` is its config-file key and its name on
+    the run's config; ``kind`` its JSON type (float takes any number, int an
+    integer, str a string, [t] a list of t; a bool is never a number);
+    ``flag`` and ``help`` its option on the ``commands`` that show it;
+    ``bath`` its key in a bath section; ``repeat`` makes a list flag
+    repeatable, where the others take one comma-separated list."""
 
-    def validate(self) -> "RunConfig":
-        if self.preset and self.model_file:
-            raise ConfigError("--preset and --model are mutually exclusive")
-        if not self.preset and not self.model_file:
-            raise ConfigError("need a model: --preset NAME or --model FILE")
-        if not self.temps:
-            raise ConfigError("temperature list is empty")
-        if not self.formats:
-            raise ConfigError("format list is empty")
-        if not self.channels:
-            raise ConfigError("no channel selectors given (--channel)")
-        bad = set(self.formats) - set(FORMATS)
-        if bad:
-            raise ConfigError(f"unknown formats {sorted(bad)}; allowed: {FORMATS}")
-        if self.s_points < 2:
-            raise ConfigError("s grid needs at least 2 points")
-        if not np.isfinite([self.s_min, self.s_max]).all():
-            raise ConfigError(f"s grid bounds must be finite, got [{self.s_min}, {self.s_max}]")
-        if not self.s_min < self.s_max:
-            raise ConfigError("need s_min < s_max")
-        if self.traj < 1:
-            raise ConfigError("need at least one trajectory")
-        if self.seed < 0:
-            raise ConfigError(f"need seed >= 0, got {self.seed}")
-        if self.t_max_ps is not None and not 0 < self.t_max_ps < np.inf:
-            raise ConfigError(f"--t-max-ps must be positive and finite, got {self.t_max_ps}")
-        if self.workers < 0:
-            raise ConfigError(f"need workers >= 0 (0: all processors), got {self.workers}")
-        return self
+    key: str
+    kind: object
+    default: object
+    flag: str
+    help: str
+    commands: tuple[str, ...] = _ALL
+    bath: str | None = None
+    repeat: bool = False
 
 
-# The JSON type of each config-file value, by key (each names the RunConfig
-# field, but ``model`` names ``model_file``): float takes any number, int an
-# integer, str a string, and [t] a list of t.  A bool is never a number.
-_CONFIG_TYPES = {
-    "preset": str, "model": str, "out": str,
-    "reorg_cm1": float, "cutoff_cm1": float, "s_min": float, "s_max": float,
-    "t_max_ps": float, "s_points": int, "seed": int, "traj": int, "workers": int,
-    "temps": [float], "channels": [str], "formats": [str],
-}
+_INPUTS = (
+    _Input("preset", str, None, "--preset", f"Built-in model: {', '.join(preset_names())}."),
+    _Input("model", str, None, "--model", "Site model JSON file (energies/couplings in cm^-1)."),
+    _Input("reorg_cm1", float, 35.0, "--reorg-cm1", "Bath reorganization energy (cm^-1).",
+           bath="reorg_energy_cm1"),
+    _Input("cutoff_cm1", float, 150.0, "--cutoff-cm1", "Bath cutoff frequency (cm^-1).",
+           bath="cutoff_cm1"),
+    _Input("temps", [float], (300.0,), "--temps",
+           "Comma-separated temperatures in K, e.g. 77,150,300.", bath="temperature_K"),
+    _Input("channels", [str], (), "--channel", 'Counted channel selector, e.g. "down:a2->a1", '
+           '"pair:a1<->a2", "all-down". Repeatable.', repeat=True),
+    _Input("s_min", float, lds.S_MIN_DEFAULT, "--s-min",
+           f"Lowest s of the grid (default {lds.S_MIN_DEFAULT:g}).", _GRID),
+    _Input("s_max", float, lds.S_MAX_DEFAULT, "--s-max",
+           f"Highest s of the grid (default {lds.S_MAX_DEFAULT:g}).", _GRID),
+    _Input("s_points", int, lds.S_POINTS_DEFAULT, "--s-points",
+           f"Number of evenly spaced s points (default {lds.S_POINTS_DEFAULT}; "
+           "at least 2, for crossover-map 3).", _GRID),
+    _Input("formats", [str], ("csv",), "--format",
+           "Comma-separated output formats (csv,svg).", ("theta-scan",)),
+    _Input("seed", int, 0, "--seed", "Base RNG seed.", ("oracle-check",)),
+    _Input("traj", int, 10_000, "--traj", "Number of trajectories.", ("oracle-check",)),
+    _Input("t_max_ps", float, None, "--t-max-ps", "Observation time per trajectory in ps "
+           "(default: expected 200 counted jumps).", ("oracle-check",)),
+    _Input("out", str, ".", "--out", "Output directory."),
+    _Input("workers", int, 0, "--workers", "Threads that share one large stacked solve, "
+           "capped at the processor count (default or 0: number of processors)."),
+)
 _TYPE_NAMES = {float: "number", int: "integer", str: "string"}
+
+
+def _validate(cfg: SimpleNamespace, command: str) -> None:
+    """ConfigError for the first input that no command runs with (each
+    command checks every key, also those it does not read), then for a
+    limit of ``command``."""
+    if cfg.preset and cfg.model:
+        raise ConfigError("--preset and --model are mutually exclusive")
+    if not cfg.preset and not cfg.model:
+        raise ConfigError("need a model: --preset NAME or --model FILE")
+    if not cfg.temps:
+        raise ConfigError("temperature list is empty")
+    if not cfg.formats:
+        raise ConfigError("format list is empty")
+    if not cfg.channels:
+        raise ConfigError("no channel selectors given (--channel)")
+    bad = set(cfg.formats) - set(FORMATS)
+    if bad:
+        raise ConfigError(f"unknown formats {sorted(bad)}; allowed: {FORMATS}")
+    if cfg.s_points < 2:
+        raise ConfigError("s grid needs at least 2 points")
+    if not np.isfinite([cfg.s_min, cfg.s_max]).all():
+        raise ConfigError(f"s grid bounds must be finite, got [{cfg.s_min}, {cfg.s_max}]")
+    if not cfg.s_min < cfg.s_max:
+        raise ConfigError("need s_min < s_max")
+    if cfg.traj < 1:
+        raise ConfigError("need at least one trajectory")
+    if cfg.seed < 0:
+        raise ConfigError(f"need seed >= 0, got {cfg.seed}")
+    if cfg.t_max_ps is not None and not 0 < cfg.t_max_ps < np.inf:
+        raise ConfigError(f"--t-max-ps must be positive and finite, got {cfg.t_max_ps}")
+    if cfg.workers < 0:
+        raise ConfigError(f"need workers >= 0 (0: all processors), got {cfg.workers}")
+    if command == "crossover-map":  # its search needs two temperatures and an interior s
+        if len(cfg.temps) < 2:
+            raise ConfigError("crossover-map needs at least two temperatures")
+        if cfg.s_points < 3:
+            raise ConfigError("crossover-map needs at least 3 s points")
 
 
 def _is(val, kind) -> bool:
@@ -98,38 +127,33 @@ def _is(val, kind) -> bool:
 
 
 def _checked(key: str, val, kind):
-    """``val`` if its JSON type is ``kind`` (a list becomes a tuple), else a
-    ConfigError that names the key and the value."""
+    """``val`` as a flag gives it (a float for a number, a tuple for a list)
+    if its JSON type is ``kind``, else a ConfigError that names the key and
+    the value."""
     if isinstance(kind, list):
         if isinstance(val, list) and all(_is(v, kind[0]) for v in val):
-            return tuple(val)
-        raise ConfigError(
-            f"config key {key!r} takes a list of {_TYPE_NAMES[kind[0]]}s, got {val!r}"
-        )
+            return tuple(map(kind[0], val))
+        raise ConfigError(f"config key {key!r} takes a list of {_TYPE_NAMES[kind[0]]}s, "
+                          f"got {val!r}")
     if _is(val, kind):
-        return val
+        return kind(val)
     raise ConfigError(f"config key {key!r} takes one {_TYPE_NAMES[kind]}, got {val!r}")
 
 
-# The RunConfig field of each bath-section key.
-_BATH_FIELDS = {"reorg_energy_cm1": "reorg_cm1", "cutoff_cm1": "cutoff_cm1",
-                "temperature_K": "temps"}
-
-
 def _bath_values(bathsec) -> dict:
-    """RunConfig values from a JSON bath section (any subset of its keys);
-    a ConfigError names an unknown key."""
+    """Run config values from a JSON bath section (any subset of its keys;
+    each takes one number); a ConfigError names an unknown key."""
     if bathsec is None:
         return {}
     if not isinstance(bathsec, dict):
         raise ConfigError(f"the bath section must be a JSON object, got {bathsec!r}")
+    inputs = {spec.bath: spec for spec in _INPUTS if spec.bath}
     values = {}
     for key, val in bathsec.items():
-        if key not in _BATH_FIELDS:
+        if key not in inputs:
             raise ConfigError(f"unknown config key 'bath.{key}'")
-        values[_BATH_FIELDS[key]] = float(_checked(f"bath.{key}", val, float))
-    if "temps" in values:
-        values["temps"] = (values["temps"],)
+        val = _checked(f"bath.{key}", val, float)
+        values[inputs[key].key] = (val,) if isinstance(inputs[key].kind, list) else val
     return values
 
 
@@ -146,31 +170,33 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     values = _bath_values(doc.pop("bath", None))
+    kinds = {spec.key: spec.kind for spec in _INPUTS}
     for key, val in doc.items():
-        if key not in _CONFIG_TYPES:
+        if key not in kinds:
             raise ConfigError(f"unknown config key {key!r}")
-        values["model_file" if key == "model" else key] = _checked(key, val, _CONFIG_TYPES[key])
+        values[key] = _checked(key, val, kinds[key])
     return values
 
 
-def _assemble_config(config_file: str | None, **flags) -> tuple[RunConfig, str, ExcitonBasis]:
-    """The run's config, its model tag and its exciton basis: the one place
-    that resolves the model, a preset or one read of a model file, whose
-    bath section gives defaults under the config file and the flags."""
+def _assemble_config(command: str, config_file: str | None, flags: dict):
+    """The run's checked config, its model tag and its exciton basis: the
+    one place that resolves the model, a preset or one read of a model
+    file, whose bath section gives defaults under the config file and the
+    flags, which all override the table's defaults."""
     values = _load_config_file(config_file) if config_file else {}
     values.update((key, val) for key, val in flags.items() if val is not None)
-    if values.get("model_file") and not values.get("preset"):
-        model, bathsec = _read("model", values["model_file"], load_model)
+    if values.get("model") and not values.get("preset"):
+        model, bathsec = _read("model", values["model"], load_model)
         values = {**_bath_values(bathsec), **values}
-    cfg = RunConfig(**values).validate()
+    cfg = SimpleNamespace(**{**{spec.key: spec.default for spec in _INPUTS}, **values})
+    _validate(cfg, command)
     if cfg.preset:
         model = preset(cfg.preset)
-    if cfg.workers == 0:
-        cfg = replace(cfg, workers=os.cpu_count() or 1)
-    return cfg, cfg.preset or Path(cfg.model_file).stem, diagonalize(model)
+    cfg.workers = cfg.workers or os.cpu_count() or 1
+    return cfg, cfg.preset or Path(cfg.model).stem, diagonalize(model)
 
 
-def _bath(cfg: RunConfig, temp: float) -> BathSpec:
+def _bath(cfg: SimpleNamespace, temp: float) -> BathSpec:
     return BathSpec(cfg.reorg_cm1, cfg.cutoff_cm1, temp)
 
 
@@ -184,67 +210,53 @@ def _guarded(fn):
         except (click.ClickException, click.exceptions.Exit, SystemExit):
             raise
         except Exception as exc:
-            print(
-                json.dumps({"error": f"{type(exc).__name__}: {exc}"}),
-                file=sys.stderr,
-            )
+            print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
             sys.exit(2)
 
     return wrapper
 
 
-def _parse_temps(_ctx, _param, value):
-    if value is None:
-        return None
-    try:
-        return tuple(float(t) for t in value.split(",") if t.strip())
-    except ValueError:
-        raise click.BadParameter(f"cannot parse temperature list {value!r}")
+def _option(spec: _Input) -> click.Option:
+    """The flag of one input; its value is None when it is absent, and a
+    tuple for a list."""
+    if not isinstance(spec.kind, list):
+        return click.Option([spec.flag, spec.key], type=spec.kind, help=spec.help)
 
+    def to_tuple(_ctx, _param, value):
+        if spec.repeat or value is None:
+            return value or None  # a repeatable flag gives () when absent
+        items = [item.strip() for item in value.split(",") if item.strip()]
+        try:
+            return tuple(map(spec.kind[0], items))
+        except ValueError:  # --temps is the one list of numbers
+            raise click.BadParameter(f"cannot parse temperature list {value!r}")
 
-def _parse_formats(_ctx, _param, value):
-    if value is None:
-        return None
-    return tuple(f.strip() for f in value.split(",") if f.strip())
-
-
-def _parse_channels(_ctx, _param, value):
-    return value or None  # () when absent: None, as for the other flags
-
-
-def _common_options(fn):
-    fn = click.option("--config", "config_file", type=click.Path(), default=None,
-                      help="JSON config file; flags override its values.")(fn)
-    fn = click.option("--preset", "preset_name", default=None,
-                      help=f"Built-in model: {', '.join(preset_names())}.")(fn)
-    fn = click.option("--model", "model_file", type=click.Path(), default=None,
-                      help="Site model JSON file (energies/couplings in cm^-1).")(fn)
-    fn = click.option("--reorg-cm1", type=float, default=None,
-                      help="Bath reorganization energy (cm^-1).")(fn)
-    fn = click.option("--cutoff-cm1", type=float, default=None,
-                      help="Bath cutoff frequency (cm^-1).")(fn)
-    fn = click.option("--temps", callback=_parse_temps, default=None,
-                      help="Comma-separated temperatures in K, e.g. 77,150,300.")(fn)
-    fn = click.option("--channel", "channels", multiple=True, callback=_parse_channels,
-                      help='Counted channel selector, e.g. "down:a2->a1", '
-                           '"pair:a1<->a2", "all-down". Repeatable.')(fn)
-    fn = click.option("--out", default=None, type=click.Path(),
-                      help="Output directory.")(fn)
-    fn = click.option("--workers", type=int, default=None,
-                      help="Worker pool size (default or 0: number of processors).")(fn)
-    return fn
-
-
-def _grid_options(fn):
-    fn = click.option("--s-min", type=float, default=None)(fn)
-    fn = click.option("--s-max", type=float, default=None)(fn)
-    fn = click.option("--s-points", type=int, default=None)(fn)
-    return fn
+    return click.Option([spec.flag, spec.key], multiple=spec.repeat, callback=to_tuple,
+                        help=spec.help)
 
 
 @click.group()
 def main():
     """Counting statistics of jump trajectories in Markovian exciton transport."""
+
+
+def _command(name: str):
+    """Register ``body(cfg, tag, basis)`` as subcommand ``name``: its flags
+    are --config and the inputs that show on it, and it gets the config,
+    model tag and basis of ``_assemble_config``."""
+    params = [click.Option(["--config"], type=click.Path(),
+                           help="JSON config file; flags override its values.")]
+    params += [_option(spec) for spec in _INPUTS if name in spec.commands]
+
+    def register(body):
+        @functools.wraps(body)
+        @_guarded
+        def run(config, **flags):
+            body(*_assemble_config(name, config, flags))
+
+        return main.command(name, params=params)(run)
+
+    return register
 
 
 @main.command("presets")
@@ -259,7 +271,7 @@ def presets_cmd():
             click.echo(f"  J[{i + 1},:]: {', '.join(f'{j:g}' for j in row)}")
 
 
-def _tasks(cfg: RunConfig, basis):
+def _tasks(cfg: SimpleNamespace, basis):
     """The (temperature, channel) tasks, and one generator that stacks
     them on its task axes (temperature, channel), in the same order.
 
@@ -279,7 +291,7 @@ def _tasks(cfg: RunConfig, basis):
     return tasks, TiltedGenerator(*np.broadcast_arrays(rates[:, None], counted[None]))
 
 
-def _scan_tasks(cfg: RunConfig, basis):
+def _scan_tasks(cfg: SimpleNamespace, basis):
     """The tasks and their scan results, from one stacked scan."""
     tasks, gen = _tasks(cfg, basis)
     grid = lds.default_s_grid(cfg.s_min, cfg.s_max, cfg.s_points)
@@ -292,15 +304,9 @@ def _write(path: Path, text: str) -> None:
     click.echo(str(path))
 
 
-@main.command("theta-scan")
-@_common_options
-@_grid_options
-@click.option("--format", "formats", callback=_parse_formats, default=None,
-              help="Comma-separated output formats (csv,svg).")
-@_guarded
-def theta_scan_cmd(config_file, preset_name, **flags):
+@_command("theta-scan")
+def theta_scan_cmd(cfg, tag, basis):
     """Scan theta(s), activity and Mandel Q; one CSV per (temperature, channel)."""
-    cfg, tag, basis = _assemble_config(config_file, preset=preset_name, **flags)
     tasks, results = _scan_tasks(cfg, basis)
     outdir = Path(cfg.out)
     for (temp, ch), result in zip(tasks, results):
@@ -315,33 +321,21 @@ def theta_scan_cmd(config_file, preset_name, **flags):
             _write(outdir / f"{stem}.svg", output.scan_svg(result, meta))
 
 
-@main.command("rate-function")
-@_common_options
-@_grid_options
-@_guarded
-def rate_function_cmd(config_file, preset_name, **flags):
+@_command("rate-function")
+def rate_function_cmd(cfg, tag, basis):
     """Legendre-transform rate function phi(k) from a theta scan."""
-    cfg, tag, basis = _assemble_config(config_file, preset=preset_name, **flags)
     tasks, results = _scan_tasks(cfg, basis)
     outdir = Path(cfg.out)
     for (temp, ch), result in zip(tasks, results):
         k, phi = lds.rate_function(result)
         stem = f"rate_function__{tag}__T{output.format_temperature(temp)}K__{output.channel_slug(ch)}"
-        meta = (
-            f"model={tag} temperature_K={output.format_temperature(temp)} channel={ch}"
-        )
+        meta = f"model={tag} temperature_K={output.format_temperature(temp)} channel={ch}"
         _write(outdir / f"{stem}.csv", output.rate_function_csv(k, phi, meta))
 
 
-@main.command("crossover-map")
-@_common_options
-@_grid_options
-@_guarded
-def crossover_map_cmd(config_file, preset_name, **flags):
+@_command("crossover-map")
+def crossover_map_cmd(cfg, tag, basis):
     """Crossover report (sign change and local maximum of Q) per (T, channel)."""
-    cfg, tag, basis = _assemble_config(config_file, preset=preset_name, **flags)
-    if len(cfg.temps) < 2:
-        raise ConfigError("crossover-map needs at least two temperatures")
     tasks, gen = _tasks(cfg, basis)
     grid = lds.default_s_grid(cfg.s_min, cfg.s_max, cfg.s_points)
     reports = lds.find_crossover(gen, grid, workers=cfg.workers)
@@ -376,18 +370,10 @@ def crossover_map_cmd(config_file, preset_name, **flags):
     _write(Path(cfg.out) / "crossover_map.json", output.dump_json(doc))
 
 
-@main.command("oracle-check")
-@_common_options
-@click.option("--seed", type=int, default=None, help="Base RNG seed.")
-@click.option("--traj", type=int, default=None, help="Number of trajectories.")
-@click.option("--t-max-ps", type=float, default=None,
-              help="Observation time per trajectory in ps "
-                   "(default: expected 200 counted jumps).")
-@_guarded
-def oracle_check_cmd(config_file, preset_name, **flags):
+@_command("oracle-check")
+def oracle_check_cmd(cfg, tag, basis):
     """Cross-validate spectral rate and Q(0) against stochastic trajectories,
     per (temperature, channel); task i samples with seed + i."""
-    cfg, tag, basis = _assemble_config(config_file, preset=preset_name, **flags)
     tasks, gen = _tasks(cfg, basis)
     at_zero = lds.scan(gen, [0.0], workers=cfg.workers).tasks()
     entries = []

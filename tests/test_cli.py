@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import excount
-from excount import lds
+from excount import cli, lds
 from excount.cli import main
 from excount.units import CM1_TO_PS1
 
@@ -673,6 +673,100 @@ def test_negative_seed_refused_before_any_solve(runner, tmp_path, monkeypatch, c
     result = runner.invoke(main, [command, "--config", str(cfg_path), "--out", str(out)])
     assert single_error(result) == "ConfigError: need seed >= 0, got -1"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [({"temps": [300]}, "crossover-map needs at least two temperatures"),
+     ({"s_points": 2}, "crossover-map needs at least 3 s points")],
+    ids=["one-temperature", "two-points"],
+)
+def test_crossover_map_limits_refused_before_any_solve(runner, tmp_path, monkeypatch, doc,
+                                                      message):
+    # the limits of crossover-map are config errors, found before the model
+    # is diagonalized; the other commands take the same config to the model
+    def fails(what):
+        def stub(*args, **kwargs):
+            raise AssertionError(what)
+        return stub
+
+    monkeypatch.setattr(cli, "diagonalize", fails("diagonalized"))
+    monkeypatch.setattr(lds, "_spectra", fails("solved"))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**FMO2_RUN, "temps": [150, 300], **doc}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["crossover-map", "--config", str(cfg_path), "--out", str(out)])
+    assert single_error(result) == f"ConfigError: {message}"
+    for command in ("theta-scan", "rate-function", "oracle-check"):
+        result = runner.invoke(main, [command, "--config", str(cfg_path), "--out", str(out)])
+        assert single_error(result) == "AssertionError: diagonalized"
+    assert not out.exists()
+
+
+COMMON_FLAGS = ["--config", "--preset", "--model", "--reorg-cm1", "--cutoff-cm1", "--temps",
+                "--channel", "--out", "--workers"]
+GRID_FLAGS = ["--s-min", "--s-max", "--s-points"]
+COMMAND_FLAGS = {
+    "theta-scan": [*COMMON_FLAGS, *GRID_FLAGS, "--format"],
+    "rate-function": [*COMMON_FLAGS, *GRID_FLAGS],
+    "crossover-map": [*COMMON_FLAGS, *GRID_FLAGS],
+    "oracle-check": [*COMMON_FLAGS, "--seed", "--traj", "--t-max-ps"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_flags_come_from_the_input_table(command):
+    # each option is --config or a row of the table shown on this command,
+    # named by its config key, and says what it does
+    params = main.commands[command].params
+    rows = [spec for spec in cli._INPUTS if command in spec.commands]
+    assert sorted(opt for param in params for opt in param.opts) == sorted(
+        ["--config", *(spec.flag for spec in rows)]) == sorted(COMMAND_FLAGS[command])
+    assert sorted(param.name for param in params) == sorted(["config", *(s.key for s in rows)])
+    assert all(param.help and param.help.strip() for param in params)
+
+
+def parity_inputs(model_path):
+    """(config key, JSON value, the same value as flags) of every input but
+    --config, --out and --preset, none at its default; the numbers of float
+    keys are JSON integers, which a run must read as the floats of a flag."""
+    return [
+        ("model", str(model_path), ["--model", str(model_path)]),
+        ("reorg_cm1", 30, ["--reorg-cm1", "30"]),
+        ("cutoff_cm1", 160, ["--cutoff-cm1", "160"]),
+        ("temps", [150, 250], ["--temps", "150,250"]),
+        ("channels", ["down:a2->a1", "pair:a1<->a2"],
+         ["--channel", "down:a2->a1", "--channel", "pair:a1<->a2"]),
+        ("workers", 2, ["--workers", "2"]),
+        ("s_min", -1, ["--s-min", "-1"]),
+        ("s_max", 3, ["--s-max", "3"]),
+        ("s_points", 9, ["--s-points", "9"]),
+        ("formats", ["svg", "csv"], ["--format", "svg,csv"]),
+        ("seed", 3, ["--seed", "3"]),
+        ("traj", 200, ["--traj", "200"]),
+        ("t_max_ps", 40, ["--t-max-ps", "40"]),
+    ]
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_config_keys_and_flags_write_the_same_files(runner, tmp_path, command):
+    model_path = tmp_path / "dimer.json"
+    model_path.write_text(json.dumps(FMO2_JSON))
+    inputs = [row for row in parity_inputs(model_path) if row[2][0] in COMMAND_FLAGS[command]]
+    # every flag but --config, --out and --preset (the model is a file)
+    assert len(inputs) == len(COMMAND_FLAGS[command]) - 3
+    cfg_path = tmp_path / "run.json"
+    doc = {key: val for key, val, _ in inputs}
+    cfg_path.write_text(json.dumps({**doc, "out": str(tmp_path / "config")}))
+    from_config = runner.invoke(main, [command, "--config", str(cfg_path)])
+    args = [arg for _, _, flag_args in inputs for arg in flag_args]
+    from_flags = runner.invoke(main, [command, *args, "--out", str(tmp_path / "flags")])
+    assert from_config.exit_code == from_flags.exit_code in (0, 1)  # 1: an oracle check fails
+    config_files = sorted((tmp_path / "config").iterdir())
+    flag_files = sorted((tmp_path / "flags").iterdir())
+    assert config_files and [p.name for p in config_files] == [p.name for p in flag_files]
+    for a, b in zip(config_files, flag_files):
+        assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize("text", [None, "{"], ids=["missing", "malformed"])
