@@ -18,14 +18,14 @@ tie.  A generator may stack tasks (say one per temperature and channel) on
 leading axes: ``scan`` and ``find_crossover`` solve the blocks of all its
 tasks at all s in one stack (one grid, or one s per task), in slices that
 may run on threads (``_spectra``), and each task's result is the one its
-own generator gives, bit for bit.  The top right vector at s = 0 gives the
-stationary populations (``stationary``).  The mean jump rate is
--theta'(0), the variance rate theta''(0), and the Mandel parameter
-Q(s) = -theta''(s)/theta'(s) - 1 flags sub- (Q<0) versus super-Poissonian
-(Q>0) trajectory ensembles.  ``find_crossover`` refines the sign change of
-Q, and its maximum as a root of the analytic Q', with one batched root
-finder for all tasks.  The rate function phi(k) is the Legendre transform
-of theta.
+own generator gives, bit for bit.  ``stationary`` reduces the rates of
+the closed class by GTH.  The mean jump rate is -theta'(0), the variance
+rate theta''(0), and Q(s) = -theta''(s)/theta'(s) - 1 flags sub- (Q<0)
+versus super-Poissonian (Q>0) trajectory ensembles.  ``find_crossover``
+refines the sign change of Q, and its maximum as the root of the analytic
+Q' in the grid cell where Q' turns from positive to non-positive, with one
+batched root finder for all tasks.  The rate function phi(k) is the
+Legendre transform of theta.
 
 Results are numpy columns, never per-point objects: ``scan`` returns one
 ``ScanResult`` (s, theta, activity, and Q with NaN where the activity
@@ -127,7 +127,7 @@ class ScanResult:
 
 @dataclass(frozen=True)
 class CrossoverReport:
-    """Sign change of Q(s) (if any) plus the strongest local maximum of Q."""
+    """Sign change s* of Q(s), Q(0), and the maximum (s, Q) where Q' turns; None if absent."""
 
     s_star: float | None
     q_at_zero: float
@@ -422,18 +422,19 @@ def _mandel_slope(generator: TiltedGenerator, s: np.ndarray, workers: int = 1):
     return q, -(d3 + d2 * (q + 1.0)) / d1  # theta''/theta' = -(Q + 1)
 
 
-@_quiet_overflow
 def stationary(generator: TiltedGenerator) -> np.ndarray:
-    """The stationary exciton populations: the top right vector r of the
-    s = 0 block of the one closed class (no rate out) that carries rates,
-    as r / sum(r), and 0 elsewhere; uniform for a model without rates.
-    Several such classes (no unique stationary state) are a defective
-    SpectralError."""
-    s = np.zeros(1)
-    blocks = _single(generator).population_block(s)
-    w, n = blocks[0], generator.n_excitons
+    """The stationary exciton populations: those of the one closed class
+    (no rate out) that carries rates, by GTH state reduction of its rates
+    (Grassmann, Taksar & Heyman, Oper. Res. 33, 1107 (1985)), and 0
+    elsewhere; uniform for a model without rates.  GTH subtracts nothing,
+    so each population keeps a small relative error, the tiny ones of a low
+    temperature too.  Several such classes (no unique stationary state)
+    are a defective SpectralError."""
+    rates, n = _single(generator).rates, generator.n_excitons
     closed = [
-        c for c in generator.graphs[0][1] if w[c].any() and not np.delete(w[:, c], c, axis=0).any()
+        c
+        for c in generator.graphs[0][1]
+        if rates[c].any() and not np.delete(rates[:, c], c, axis=0).any()
     ]
     if len(closed) > 1:
         raise SpectralError(
@@ -442,9 +443,16 @@ def stationary(generator: TiltedGenerator) -> np.ndarray:
         )
     if not closed:
         return np.full(n, 1.0 / n)
-    r = _top_eigenpairs(_class_block(blocks, closed[0]), s)[2][0]
+    c = closed[0]
+    p = rates[c[:, None], c].T.copy()  # p[i, j]: the rate i -> j
+    for k in range(c.size - 1, 0, -1):  # fold exciton k into the excitons below it
+        p[:k, k] /= p[k, :k].sum()
+        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
+    r = np.ones(c.size)
+    for k in range(1, c.size):
+        r[k] = r[:k] @ p[:k, k]
     pi = np.zeros(n)
-    pi[closed[0]] = r / r.sum()
+    pi[c] = r / r.sum()
     return pi
 
 
@@ -563,11 +571,11 @@ def find_crossover(generator: TiltedGenerator, s_grid, workers: int = 1):
     Q and Q' on the grid and at s = 0 come from one batched eigensolve (on
     up to ``workers`` threads for a large stack), theta''' from the same
     generalized inverse as theta''.  s* is the root of Q in the bracket
-    [s_i, s_i+1] of the first sign change (s_i where Q(s_i) = 0).  The
-    maximum is the root of Q' next to the first highest grid-local maximum
-    s_i, in [s_i, s_i+1] if Q'(s_i) > 0 > Q'(s_i+1) or in [s_i-1, s_i] if
-    Q'(s_i-1) > 0 > Q'(s_i); with no such sign change of Q' it is the grid
-    point (s_i, Q(s_i)).  ``_illinois`` finds both roots to 1e-8 in s.  A
+    [s_i, s_i+1] of the first sign change (s_i where Q(s_i) = 0).  Every
+    cell [s_j, s_j+1] with Q'(s_j) > 0 >= Q'(s_j+1) holds a maximum; the
+    maximum is the root of Q' in the first such cell with the largest grid
+    Q at its ends, and a task with no such cell has none.  ``_illinois``
+    finds both roots to 1e-8 in s, in one call for all tasks.  A
     stacked generator gives one report per task, in the order of
     ``TiltedGenerator.tasks``, each the one its own generator gives, bit for
     bit: the grid solve and each round are one stacked call for all tasks.
@@ -591,11 +599,10 @@ def find_crossover(generator: TiltedGenerator, s_grid, workers: int = 1):
     negative = q < 0
     change = (q[..., :-1] == 0.0) | (negative[..., :-1] != negative[..., 1:])
     i = np.argmax(change, axis=-1)
-    peak = (q[..., 1:-1] > q[..., :-2]) & (q[..., 1:-1] >= q[..., 2:])
-    j = np.argmax(np.where(peak, q[..., 1:-1], -np.inf), axis=-1) + 1  # first of equal maxima
     star = change.any(axis=-1) & (at(q, i) != 0.0)
-    below, mid, above = at(dq, j - 1), at(dq, j), at(dq, j + 1)
-    left, right = (below > 0.0) & (mid < 0.0), (mid > 0.0) & (above < 0.0)
+    turn = (dq[..., :-1] > 0.0) & (dq[..., 1:] <= 0.0)  # a maximum of Q in [s_j, s_j+1]
+    j = np.argmax(np.where(turn, np.maximum(q[..., :-1], q[..., 1:]), -np.inf), axis=-1)
+    peak = turn.any(axis=-1)
     q_max = at(q, j)  # then Q at the maximum points of the latest round
 
     def values(x):  # Q at the s* points (row 0), Q' at the maximum points (row 1)
@@ -606,12 +613,12 @@ def find_crossover(generator: TiltedGenerator, s_grid, workers: int = 1):
 
     x = _illinois(
         values,
-        np.stack([s[i], np.where(left, s[j - 1], s[j])]),
-        np.stack([np.where(star, s[i + 1], s[i]), np.where(right, s[j + 1], s[j])]),
-        np.stack([at(q, i), np.where(left, below, mid)]),
-        np.stack([at(q, i + 1), np.where(right, above, mid)]),
+        np.stack([s[i], s[j]]),
+        np.stack([np.where(star, s[i + 1], s[i]), np.where(peak, s[j + 1], s[j])]),
+        np.stack([at(q, i), at(dq, j)]),
+        np.stack([at(q, i + 1), at(dq, j + 1)]),
     )
-    columns = (change.any(axis=-1), x[0], q_at_zero, peak.any(axis=-1), x[1], q_max)
+    columns = (change.any(axis=-1), x[0], q_at_zero, peak, x[1], q_max)
     reports = [
         CrossoverReport(float(a) if hs else None, float(q0), (float(b), float(qb)) if hm else None)
         for hs, a, q0, hm, b, qb in zip(*map(np.ravel, columns))

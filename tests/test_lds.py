@@ -627,6 +627,24 @@ def test_stationary_of_absorbing_excitons():
     assert lds.stationary(none).tolist() == [1.0 / 3.0] * 3
 
 
+@pytest.mark.parametrize(
+    "basis, temp",
+    [
+        (homogeneous_chain(8, 100.0), 2.0),
+        (diagonalize(preset("fmo4")), 5.0),
+        (diagonalize(preset("fmo4")), 1.5),
+    ],
+)
+def test_stationary_keeps_tiny_populations_at_low_temperature(basis, temp):
+    # a solve for the top right vector gave -5.4e-93 on the chain, 0 for a
+    # population of 8.6e-50 on fmo4 at 5 K, and 2.3e-2 relative off at 1.5 K
+    bath = BathSpec(35.0, 150.0, temp)
+    pi = lds.stationary(tilted_generator(basis, bath, ["all-down"]))
+    boltzmann = np.exp(-bath.beta * (basis.energies - basis.energies[0]))
+    assert np.all(pi >= 0.0)
+    np.testing.assert_allclose(pi, boltzmann / boltzmann.sum(), rtol=1e-12, atol=0.0)
+
+
 @st.composite
 def reducible_chains(draw):
     """(rates, counted, closed, classes) of a reducible chain in a random
@@ -824,6 +842,9 @@ def test_homogeneous_chain_invariants(case, data):
     assert np.abs(pi - boltzmann / boltzmann.sum()).max() <= 1e-12
     # absolute: at 1 K the full eigensolve gives 0 for a population of 1e-41
     assert np.abs(pi - stationary_eig(gen.rates)).max() <= 1e-12
+    assert np.all(pi >= 0.0)
+    live = boltzmann / boltzmann.sum() > 1e-290
+    np.testing.assert_allclose(pi[live], (boltzmann / boltzmann.sum())[live], rtol=1e-12, atol=0.0)
     assert abs(theta_derivatives(gen, 0.0)[0]) <= 1e-12 * scale
     grid = default_s_grid(n_points=41)
     result = scan(gen, grid)
@@ -1054,8 +1075,8 @@ def test_crossover_grid_validation():
 def loop_crossover(s, f, df):
     """find_crossover's grid search as a per-point loop, refined by
     scipy's brentq: the root of Q in the first sign change, and the root of
-    Q' next to every grid-local maximum of Q that beats the best one so far
-    (the grid point itself where Q' has no sign change there)."""
+    Q' in every cell [s_j, s_j+1] with Q'(s_j) > 0 >= Q'(s_j+1) whose
+    larger end Q beats the best cell so far."""
     q, dq = f(s), df(s)
     s_star = None
     for i in range(s.size - 1):
@@ -1066,14 +1087,10 @@ def loop_crossover(s, f, df):
             s_star = scipy.optimize.brentq(f, s[i], s[i + 1], xtol=1e-12)
             break
     local_max, best_q, refinements = None, -np.inf, 0
-    for i in range(1, s.size - 1):
-        if q[i] > q[i - 1] and q[i] >= q[i + 1] and q[i] > best_q:
-            x = s[i]
-            if dq[i - 1] > 0.0 > dq[i]:
-                x = scipy.optimize.brentq(df, s[i - 1], s[i], xtol=1e-12)
-            elif dq[i] > 0.0 > dq[i + 1]:
-                x = scipy.optimize.brentq(df, s[i], s[i + 1], xtol=1e-12)
-            local_max, best_q = (float(x), float(f(x))), q[i]
+    for j in range(s.size - 1):
+        if dq[j] > 0.0 >= dq[j + 1] and max(q[j], q[j + 1]) > best_q:
+            x = scipy.optimize.brentq(df, s[j], s[j + 1], xtol=1e-12)
+            local_max, best_q = (float(x), float(f(x))), max(q[j], q[j + 1])
             refinements += 1
     return s_star, local_max, refinements
 
@@ -1136,13 +1153,73 @@ def test_crossover_grid_search_ties_and_zeros(monkeypatch):
     assert report.s_star is None and report.local_max is None
 
 
-def test_crossover_maximum_without_a_slope_sign_change_is_the_grid_point(monkeypatch):
-    grid = np.linspace(0.0, 39.0, 40)
-    q = -1.0 - np.abs(grid - 10.0)
-    brackets = patch_mandel(monkeypatch, lambda s: np.interp(s, grid, q), lambda s: 0.0 * s)
+@pytest.mark.parametrize("peak, cell", [(0.3, [0.0, 1.0]), (9.7, [9.0, 10.0])])
+def test_crossover_maximum_in_the_first_or_last_cell(monkeypatch, peak, cell):
+    # no grid point lies above both of its neighbours, yet Q' turns in the
+    # end cell, which holds the maximum
+    grid = np.linspace(0.0, 10.0, 11)
+
+    def f(s):
+        return -1.0 - (s - peak) ** 2
+
+    def df(s):
+        return -2.0 * (s - peak)
+
+    brackets = patch_mandel(monkeypatch, f, df)
     report = find_crossover(None, grid)
-    assert brackets == [([0.0, 10.0], [0.0, 10.0])]  # nothing to refine
-    assert report.s_star is None and report.local_max == (10.0, -1.0)
+    assert brackets[0] == ([0.0, cell[0]], [0.0, cell[1]])
+    assert report.s_star is None and report.q_at_zero == f(0.0)
+    assert report.local_max == pytest.approx((peak, -1.0), abs=1e-8)
+    assert report.local_max == pytest.approx(loop_crossover(grid, f, df)[1], abs=1e-8)
+
+
+def test_crossover_plateau_has_no_maximum():
+    # Q -> 1 on a plateau where Q' is rounding noise: no cell where Q' turns
+    # from positive to non-positive, so no maximum (a grid-point test read
+    # a bump at s = 10.2 there)
+    gen = make_generator("fmo2", 20.0, "pair:a1<->a2")
+    report = find_crossover(gen, np.linspace(-2.0, 10.3, 247))
+    assert report.local_max is None
+
+
+PRESET_SELECTORS = {
+    name: ["all-down"]
+    + [f"down:a{hi}->a{lo}" for lo in range(1, n + 1) for hi in range(lo + 1, n + 1)]
+    + [f"pair:a{lo}<->a{hi}" for lo in range(1, n + 1) for hi in range(lo + 1, n + 1)]
+    for name, n in (("fmo2", 2), ("fmo3", 3), ("fmo4", 4))
+}
+GRID_TEMPS = (50.0, 77.0, 150.0, 300.0, 500.0)
+
+
+def preset_stack(name):
+    """One generator with every selector of ``name`` at every GRID_TEMPS
+    temperature, and the (temperature, selector) of each task in order."""
+    keys = [(t, sel) for t in GRID_TEMPS for sel in PRESET_SELECTORS[name]]
+    gen = stacked([make_generator(name, t, sel) for t, sel in keys], (len(keys),))
+    return gen, keys
+
+
+@pytest.mark.parametrize("name", ["fmo2", "fmo3", "fmo4"])
+def test_crossover_reports_do_not_depend_on_the_grid(name):
+    gen, keys = preset_stack(name)
+    coarse, fine = (find_crossover(gen, np.linspace(-2.0, 12.0, n)) for n in (29, 281))
+    for key, a, b in zip(keys, coarse, fine):
+        assert (a.s_star is None) == (b.s_star is None), key
+        assert (a.local_max is None) == (b.local_max is None), key
+        if a.s_star is not None:
+            assert a.s_star == pytest.approx(b.s_star, rel=0.0, abs=1e-6), key
+        if a.local_max is not None:
+            assert a.local_max[0] == pytest.approx(b.local_max[0], rel=0.0, abs=1e-6), key
+
+
+def test_fmo4_maxima_next_to_the_grid_start():
+    # Q'(-2) > 0 > Q'(-1.95): each maximum lies in the first cell of the
+    # default grid, where no grid point can be a grid-local maximum
+    gen, keys = preset_stack("fmo4")
+    reports = dict(zip(keys, find_crossover(gen, default_s_grid())))
+    for temp, selector in ((50, "a1<->a3"), (150, "a1<->a3"), (300, "a2<->a4"), (500, "a2<->a4")):
+        key = (float(temp), f"pair:{selector}")
+        assert -2.0 < reports[key].local_max[0] < -1.95, key
 
 
 def test_crossover_maximum_is_a_root_of_the_slope():
