@@ -145,7 +145,8 @@ class TiltedGenerator:
     Leading axes of ``rates`` (shape (..., N, N)) are task axes: one
     generator then holds a stack of tasks, say one per (temperature,
     channel), whose blocks the spectral kernel solves in one stacked call.
-    Every task needs a zero diagonal (no self-jumps) and a counted jump.
+    Every task needs a zero diagonal in ``rates`` and in ``counted`` (no
+    self-jumps) and a counted jump.
     """
 
     def __init__(self, rates, counted):
@@ -160,6 +161,8 @@ class TiltedGenerator:
             raise ValueError("channel rates must be finite and non-negative")
         if np.diagonal(rates, axis1=-2, axis2=-1).any():
             raise ValueError("no self-jump rates: the diagonal of rates must be 0")
+        if np.diagonal(counted, axis1=-2, axis2=-1).any():
+            raise ValueError("no counted self-jumps: the diagonal of counted must be False")
         if not counted.any(axis=(-2, -1)).all():
             raise SelectorError("tilted generator needs a non-empty counted set")
         self.rates = rates

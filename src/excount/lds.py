@@ -19,7 +19,7 @@ leading axes: ``scan`` and ``find_crossover`` solve the blocks of all its
 tasks at all s in one stack (one grid, or one s per task), in slices that
 may run on threads (``_spectra``), and each task's result is the one its
 own generator gives, bit for bit.  ``stationary`` reduces the rates of
-the closed class by GTH.  The mean jump rate is -theta'(0), the variance
+the ``closed_class`` by GTH.  The mean jump rate is -theta'(0), the variance
 rate theta''(0), and Q(s) = -theta''(s)/theta'(s) - 1 flags sub- (Q<0)
 versus super-Poissonian (Q>0) trajectory ensembles.  ``find_crossover``
 refines the sign change of Q, and its maximum as the root of the analytic
@@ -54,6 +54,7 @@ __all__ = [
     "CrossoverReport",
     "theta_derivatives",
     "mandel",
+    "closed_class",
     "stationary",
     "scan",
     "rate_function",
@@ -422,15 +423,11 @@ def _mandel_slope(generator: TiltedGenerator, s: np.ndarray, workers: int = 1):
     return q, -(d3 + d2 * (q + 1.0)) / d1  # theta''/theta' = -(Q + 1)
 
 
-def stationary(generator: TiltedGenerator) -> np.ndarray:
-    """The stationary exciton populations: those of the one closed class
-    (no rate out) that carries rates, by GTH state reduction of its rates
-    (Grassmann, Taksar & Heyman, Oper. Res. 33, 1107 (1985)), and 0
-    elsewhere; uniform for a model without rates.  GTH subtracts nothing,
-    so each population keeps a small relative error, the tiny ones of a low
-    temperature too.  Several such classes (no unique stationary state)
-    are a defective SpectralError."""
-    rates, n = _single(generator).rates, generator.n_excitons
+def closed_class(generator: TiltedGenerator) -> np.ndarray | None:
+    """The excitons of the one closed class (no rate out) that carries
+    rates, where a stationary trajectory lives; None for a model without
+    rates.  Several such classes are a defective SpectralError."""
+    rates = _single(generator).rates
     closed = [
         c
         for c in generator.graphs[0][1]
@@ -441,9 +438,18 @@ def stationary(generator: TiltedGenerator) -> np.ndarray:
             f"defective top eigenpair at s=0.0: {len(closed)} closed classes carry "
             "rates, so the rate matrix is reducible"
         )
-    if not closed:
+    return closed[0] if closed else None
+
+
+def stationary(generator: TiltedGenerator) -> np.ndarray:
+    """The stationary exciton populations: GTH state reduction (Grassmann,
+    Taksar & Heyman, Oper. Res. 33, 1107 (1985)) of the rates of
+    ``closed_class``, 0 elsewhere, uniform for a model without rates.  GTH
+    subtracts nothing, so tiny populations keep a small relative error."""
+    rates, n = generator.rates, generator.n_excitons
+    c = closed_class(generator)
+    if c is None:
         return np.full(n, 1.0 / n)
-    c = closed[0]
     p = rates[c[:, None], c].T.copy()  # p[i, j]: the rate i -> j
     for k in range(c.size - 1, 0, -1):  # fold exciton k into the excitons below it
         p[:k, k] /= p[k, :k].sum()
@@ -480,7 +486,7 @@ def scan(generator: TiltedGenerator, s_values, workers: int = 1) -> ScanResult:
     s = _s_array(s_values)
     th, d1, d2 = _spectra(generator, s, workers)
     s = np.array(np.broadcast_to(s, th.shape))
-    return ScanResult(s=s, theta=th, activity=-d1, mandel=_mandel(d1, d2))
+    return ScanResult(s=s, theta=th, activity=0.0 - d1, mandel=_mandel(d1, d2))
 
 
 def rate_function(result: ScanResult) -> tuple[np.ndarray, np.ndarray]:
@@ -523,7 +529,7 @@ def rate_function(result: ScanResult) -> tuple[np.ndarray, np.ndarray]:
             NonConvexThetaWarning,
             stacklevel=2,
         )
-    phi = np.where((phi < 0.0) & (phi > -1e-9), 0.0, phi)
+    phi = np.where((phi <= 0.0) & (phi > -1e-9), 0.0, phi)
     order = np.argsort(k)
     return k[order], phi[order]
 

@@ -8,7 +8,9 @@ spectral kernel (``lds.stationary``).  theta(s), the activity and Q(0)
 are properties of the stationary process, so there is no relaxation to
 discard, and the counted-jump statistics at s=0 are sampled exactly by a
 Gillespie walk (Gillespie, J. Phys. Chem. 81, 2340 (1977)) over exciton
-indices; no wavefunction unraveling is needed.
+indices; no wavefunction unraveling is needed.  A stationary trajectory
+never leaves ``lds.closed_class``, so the walk reads the rates of that
+class alone, where every escape rate is above zero.
 
 The jump chain and the holding times are drawn apart.  A path table holds
 every L-jump path without self-jumps from each exciton, so one uniform and
@@ -34,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .generator import TiltedGenerator
-from .lds import stationary
+from .lds import closed_class, stationary
 
 __all__ = ["TrajectoryConfig", "CountStatistics", "simulate"]
 
@@ -42,7 +44,7 @@ _CHUNK = 1024
 # fewest jumps advanced per block of array arithmetic, rounded up to whole paths
 _BLOCK = 16
 # the path table holds n (n - 1)**L entries for n excitons, at most this
-# many unless a single jump, L = 1, needs more
+# many unless a single jump, L = 1, needs more, with L <= _BLOCK
 _PATH_ENTRIES = 4096
 # expected jumps over all trajectories above which simulate warns first
 _RUNAWAY_JUMPS = 1e9
@@ -126,32 +128,24 @@ class _Paths(NamedTuple):
 
 
 def _path_table(rates, esc, counted):
-    """The ``_Paths`` of the jump chain of ``rates`` (escape rates ``esc``).
+    """The ``_Paths`` of the jump chain of ``rates`` (escape rates esc > 0).
 
     A jump from exciton a goes to b != a with probability R[b, a] / esc_a.
     Path digits are in base n - 1, most significant first, and digit d
-    from exciton a means exciton d + (d >= a).  L is the largest length
-    with n (n - 1)**L <= ``_PATH_ENTRIES``, but at least 1; for n = 2 each
-    row has one path, and L is ``_BLOCK``.  An absorbing exciton (esc == 0)
-    holds forever, but gets one fixed destination so that its row stays
-    well-formed.  The number of guide buckets is a power of two, so that
-    x * buckets is exact, and the half row a lookup can reach holds at
-    least two of them per path, so that a lookup rarely finds another key
-    in its bucket.
+    from exciton a means exciton d + (d >= a).  L is the largest length up
+    to ``_BLOCK`` with n (n - 1)**L <= ``_PATH_ENTRIES``, but at least 1,
+    so for n = 2, one path per row, L is ``_BLOCK``.  The number of guide
+    buckets is a power of two, so that x * buckets is exact, and the half
+    row a lookup can reach holds at least two of them per path, so that a
+    lookup rarely finds another key in its bucket.
     """
     n = esc.size
-    if n == 2:
-        length = _BLOCK
-    else:
-        length = 1
-        while n * (n - 1) ** (length + 1) <= _PATH_ENTRIES:
-            length += 1
+    length = 1
+    while length < _BLOCK and n * (n - 1) ** (length + 1) <= _PATH_ENTRIES:
+        length += 1
     # other[a, d]: the exciton that digit d leads to from exciton a
     other = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
-    hop = esc > 0
-    step = np.zeros((n, n - 1))
-    step[hop] = np.take_along_axis(rates.T, other, axis=1)[hop] / esc[hop, None]
-    step[~hop, 0] = 1.0
+    step = np.take_along_axis(rates.T, other, axis=1) / esc[:, None]
     # Extend the path prefixes by one jump at a time, the newest digit
     # varying fastest; levels[k] holds the exciton each k-jump prefix ends
     # in.  ``before`` is the probability of the paths ahead of each one in
@@ -211,10 +205,11 @@ def _lookup(table, a, u):
 def _walk(rng, state, esc, table, counted, t_max):
     """Move one chunk of trajectories a block of jumps at a time.
 
-    ``state`` holds the start excitons.  A block draws its jump chain by
-    one path lookup per L jumps, each with one uniform.  Its time is not
-    drawn jump by jump: the c_a holds in exciton a sum to Gamma(c_a) /
-    esc_a, one draw per trajectory and exciton.  A block that ends before
+    ``state`` holds the start excitons, and every escape rate is above
+    zero.  A block draws its jump chain by one path lookup per L jumps,
+    each with one uniform.  Its time is not drawn jump by jump: the c_a
+    holds in exciton a sum to Gamma(c_a) / esc_a, one draw per trajectory
+    and exciton.  A block that ends before
     t_max adds those sums to the occupation and its path totals to the
     counts.  Only a block that straddles t_max needs its single holds:
     given their sum G_a, the holds in a are G_a times a flat Dirichlet
@@ -226,10 +221,7 @@ def _walk(rng, state, esc, table, counted, t_max):
     stays small against the jumps, and cut to half the jumps the mean live
     trajectory has left, at its pace so far, so that the last block of a
     trajectory overshoots t_max by little.  How many jumps a block takes
-    depends only on the past, so the walk stays exact.
-
-    An absorbing exciton (esc == 0) holds forever, so a block that enters
-    one ends at t = inf; a stationary start can begin in one.  Returns the
+    depends only on the past, so the walk stays exact.  Returns the
     counted jumps per trajectory and the time spent in each exciton inside
     [0, t_max], summed over the chunk.
     """
@@ -237,8 +229,6 @@ def _walk(rng, state, esc, table, counted, t_max):
     length = table.held.shape[1]
     fewest = -(-_BLOCK // length)
     most = -(-4 * max(_BLOCK, n) // length)
-    divisor = np.where(esc > 0, esc, 1.0)  # no 0/0 in absorbing states (esc == 0)
-    absorbing = esc == 0
     counts = np.zeros(state.size, dtype=np.int64)
     occ = np.zeros(n)
     live = np.arange(state.size)
@@ -264,10 +254,8 @@ def _walk(rng, state, esc, table, counted, t_max):
             cell.ravel(), weights=np.take(table.visits, paths, axis=1).ravel(), minlength=m * n
         ).reshape(m, n)
         gamma = rng.standard_gamma(holds)
-        spent = gamma / divisor
+        spent = gamma / esc
         t_end = t + spent.sum(axis=1)
-        if absorbing.any():
-            t_end[holds[:, absorbing].any(axis=1)] = np.inf
         inside = t_end < t_max
         counts[live] += np.where(inside, table.counted[paths].sum(axis=0), 0)
         occ += inside @ spent
@@ -285,8 +273,7 @@ def _walk(rng, state, esc, table, counted, t_max):
             times[0] = t[edge]
             dt = times[1:]
             np.multiply(draws, share[cell], out=dt)
-            dt /= divisor[h]
-            np.copyto(dt, np.inf, where=absorbing[h])
+            dt /= esc[h]
             np.cumsum(times, axis=0, out=times)
             # time held inside the window: the segments clipped to it
             seg = np.diff(np.minimum(times, t_max), axis=0)
@@ -306,23 +293,18 @@ def simulate(generator: TiltedGenerator, config: TrajectoryConfig) -> CountStati
     passive, so the walk itself is independent of which jumps are counted.
 
     Every trajectory starts from the stationary populations of
-    ``lds.stationary``, so a reducible chain raises its SpectralError.  A
-    UserWarning comes before any sampling when fewer than one counted jump
-    per trajectory is expected, and when the expected jumps over all
-    trajectories exceed ``_RUNAWAY_JUMPS``.  A stacked generator (with task
-    axes) is refused: the walk reads one N x N rate matrix.
+    ``lds.stationary``, so a reducible chain raises its SpectralError, and
+    walks the rates of ``lds.closed_class`` alone; in a class of one
+    exciton, or without rates, it holds its start.  A UserWarning comes
+    before any sampling when fewer than one counted jump per trajectory is
+    expected, and when the expected jumps over all trajectories exceed
+    ``_RUNAWAY_JUMPS``.  A stacked generator (with task axes) is refused,
+    by ``lds.stationary``: the walk reads one N x N rate matrix.
     """
     rates, n = generator.rates, generator.n_excitons
-    if rates.ndim != 2:
-        raise ValueError(
-            f"the sampler takes one N x N rate matrix, got rates of shape {rates.shape}"
-        )
-    if n < 2:
-        raise ValueError("the sampler needs at least two excitons")
     esc = rates.sum(axis=0)
 
     pi = stationary(generator)
-    cum_pi = np.cumsum(pi)
     expected = float((rates * pi[None, :])[generator.counted].sum()) * config.t_max
     if expected < 1.0:
         warnings.warn(
@@ -338,8 +320,14 @@ def simulate(generator: TiltedGenerator, config: TrajectoryConfig) -> CountStati
             stacklevel=2,
         )
 
-    counted = generator.counted.T  # counted[a, b] flags the jump a -> b
-    table = _path_table(rates, esc, counted)
+    closed = closed_class(generator)  # None: no rates, every exciton holds still
+    closed = np.arange(n) if closed is None else closed
+    cell = (closed[:, None], closed)
+    esc, counted = esc[closed], generator.counted.T[cell]  # counted[a, b]: a -> b
+    cum_pi = np.cumsum(pi[closed])
+    top = np.flatnonzero(pi[closed])[-1]  # the last start of positive weight
+    # no exciton can leave a class of one, or a model without rates
+    table = _path_table(rates[cell], esc, counted) if esc.any() else None
 
     n_traj = config.n_trajectories
     counts = np.zeros(n_traj, dtype=np.int64)
@@ -349,9 +337,12 @@ def simulate(generator: TiltedGenerator, config: TrajectoryConfig) -> CountStati
         rng = np.random.default_rng(stream)
         chunk = slice(c * _CHUNK, min((c + 1) * _CHUNK, n_traj))
         size = chunk.stop - chunk.start
-        state = np.minimum(np.searchsorted(cum_pi, rng.random(size), side="right"), n - 1)
-        counts[chunk], occ = _walk(rng, state, esc, table, counted, config.t_max)
-        occupation += occ
+        state = np.minimum(np.searchsorted(cum_pi, rng.random(size), side="right"), top)
+        if table is None:  # every trajectory holds its start
+            occ = np.bincount(state, minlength=esc.size) * config.t_max
+        else:
+            counts[chunk], occ = _walk(rng, state, esc, table, counted, config.t_max)
+        occupation[closed] += occ
 
     return _statistics(counts, occupation, config.t_max)
 

@@ -438,12 +438,14 @@ def test_oracle_check_zero_coupling_trivial_pass(runner, tmp_path):
          "--traj", "64", "--out", str(tmp_path)],
     )
     assert result.exit_code == 0
-    doc = json.loads((tmp_path / "oracle_check.json").read_text())
+    text = (tmp_path / "oracle_check.json").read_text()
+    doc = json.loads(text)
     assert doc["pass"] is True
     entry = doc["results"][0]
     assert entry["spectral"]["activity_cm1"] == 0.0
     assert entry["trajectories"]["mean_rate"] == 0.0
     assert entry["spectral"]["mandel"] is None
+    assert '"activity_cm1": 0.0,' in text and "-0.0" not in text  # no negative zero
 
 
 def test_oracle_check_explicit_window(runner, tmp_path):
@@ -970,6 +972,22 @@ def test_zero_coupling_scan_omits_undefined_mandel(runner, tmp_path):
     text = next(tmp_path.glob("theta_scan__flat*.csv")).read_text()
     assert "omitted_rows_undefined_mandel=41" in text
     assert "nan" not in text.lower()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_coupling_rate_function_writes_no_negative_zero(runner, tmp_path):
+    model_path = tmp_path / "flat.json"
+    model_path.write_text(
+        json.dumps({"energies": [0.0, 200.0], "couplings": [[0.0, 0.0], [0.0, 0.0]]})
+    )
+    result = invoke(
+        runner,
+        ["rate-function", "--model", str(model_path), "--temps", "300",
+         "--channel", "down:a2->a1", "--out", str(tmp_path), "--s-points", "5"],
+    )
+    assert result.exit_code == 0
+    text = next(tmp_path.glob("rate_function__flat*.csv")).read_text()
+    assert text.splitlines()[1:] == ["k_cm1,k_ps1,phi_cm1"] + ["0,0,0"] * 5
 
 
 def test_cli_import_loads_no_scipy():

@@ -58,6 +58,21 @@ def test_config_validation():
     assert simulate(gen, cfg).n_trajectories == 3
 
 
+def absorbing_start_generator():
+    # exciton 1 feeds exciton 0, which has no escape: the stationary state
+    # sits in exciton 0
+    return TiltedGenerator([[0.0, 5.0], [0.0, 0.0]], [[False, True], [False, False]])
+
+
+def isolated_exciton_generator():
+    # sites at 0, 150 and 400 cm^-1 with only J12 = 60 cm^-1: the exciton on
+    # site 3 has no rate in or out
+    j = np.zeros((3, 3))
+    j[0, 1] = j[1, 0] = 60.0
+    basis = diagonalize(SiteModel(energies=[0.0, 150.0, 400.0], couplings=j))
+    return tilted_generator(basis, BathSpec(35.0, 150.0, 300.0), ["down:a2->a1"])
+
+
 def test_zero_rates_stationary_start():
     gen = zero_rate_generator()
     with pytest.warns(UserWarning, match="expected counted jumps"):
@@ -68,9 +83,8 @@ def test_zero_rates_stationary_start():
 
 
 def test_stationary_start_in_an_absorbing_exciton():
-    # exciton 1 feeds exciton 0, which has no escape: the stationary state
-    # sits in exciton 0, so every trajectory holds there and counts nothing
-    gen = TiltedGenerator([[0.0, 5.0], [0.0, 0.0]], [[False, True], [False, False]])
+    # every trajectory holds in exciton 0 and counts nothing
+    gen = absorbing_start_generator()
     assert np.array_equal(lds.stationary(gen), [1.0, 0.0])
     with pytest.warns(UserWarning, match="expected counted jumps"):
         stats = simulate(gen, TrajectoryConfig(t_max=2.0, n_trajectories=64, seed=1))
@@ -108,12 +122,7 @@ def test_stationary_start_on_reducible_chain_is_an_error():
 
 
 def test_isolated_exciton_gets_no_stationary_weight():
-    # sites at 0, 150 and 400 cm^-1 with only J12 = 60 cm^-1: the exciton on
-    # site 3 has no rate in or out
-    j = np.zeros((3, 3))
-    j[0, 1] = j[1, 0] = 60.0
-    basis = diagonalize(SiteModel(energies=[0.0, 150.0, 400.0], couplings=j))
-    gen = tilted_generator(basis, BathSpec(35.0, 150.0, 300.0), ["down:a2->a1"])
+    gen = isolated_exciton_generator()
     np.testing.assert_allclose(lds.stationary(gen), [0.7153, 0.2847, 0.0], rtol=0.0, atol=1e-4)
     activity = -theta_derivatives(gen, 0.0)[1]
     assert activity == pytest.approx(6.267, abs=1e-3)
@@ -121,6 +130,101 @@ def test_isolated_exciton_gets_no_stationary_weight():
     stats = simulate(gen, cfg)
     assert abs(stats.mean_rate - activity) < 3.0 * stats.se_mean
     assert stats.occupation[2] == 0.0
+
+
+def test_isolated_exciton_walks_a_two_exciton_table(monkeypatch):
+    # the walk reads the closed class {a1, a2} alone, where every exciton
+    # has an escape rate
+    tables = []
+
+    def recording(rates, esc, counted):
+        tables.append((rates.shape, counted.shape, esc))
+        return path_table(rates, esc, counted)
+
+    path_table = trajectories._path_table
+    monkeypatch.setattr(trajectories, "_path_table", recording)
+    simulate(isolated_exciton_generator(), TrajectoryConfig(t_max=5.0, n_trajectories=8))
+    [(rates_shape, counted_shape, esc)] = tables
+    assert rates_shape == counted_shape == (2, 2)
+    assert esc.size == 2 and np.all(esc > 0.0)
+
+
+def test_isolated_exciton_histogram_matches_exact_counting_distribution():
+    gen = isolated_exciton_generator()
+    t_max = 200.0 / -theta_derivatives(gen, 0.0)[1]
+    n_traj = 4000
+    stats = simulate(gen, TrajectoryConfig(t_max=t_max, n_trajectories=n_traj, seed=33))
+    k_max = 2 * max(stats.histogram) + 10
+    probs = counting_distribution(gen.rates, gen.counted, lds.stationary(gen), t_max, k_max)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+    assert chi_square_p(stats.histogram, probs, n_traj) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "make, occupation",
+    [(zero_rate_generator, None), (absorbing_start_generator, [1.0, 0.0])],
+    ids=["zero-rates", "absorbing-start"],
+)
+def test_frozen_chain_holds_its_start_without_a_walk(make, occupation, monkeypatch):
+    def fails(*args):
+        raise AssertionError("walked a chain that cannot move")
+
+    monkeypatch.setattr(trajectories, "_path_table", fails)
+    monkeypatch.setattr(trajectories, "_walk", fails)
+    n_traj = _CHUNK + 476
+    with pytest.warns(UserWarning, match="expected counted jumps"):
+        stats = simulate(make(), TrajectoryConfig(t_max=2.0, n_trajectories=n_traj, seed=4))
+    assert stats.histogram == {0: n_traj}
+    assert stats.mean_rate == 0.0 and stats.mandel_estimate is None
+    assert stats.occupation.sum() == pytest.approx(1.0, abs=1e-12)
+    if occupation is None:  # uniform starts over both excitons
+        assert np.all(np.abs(stats.occupation - 0.5) < 4.0 * math.sqrt(0.25 / n_traj))
+    else:
+        assert np.array_equal(stats.occupation, occupation)
+
+
+class TopUniformFirst:
+    """A random generator whose first ``random`` call, the start draw of a
+    chunk, returns the largest double below 1 everywhere."""
+
+    def __init__(self, rng):
+        self.rng, self.first = rng, True
+
+    def random(self, size=None):
+        if self.first:
+            self.first = False
+            return np.full(size, 1.0 - 2.0**-53)
+        return self.rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_top_uniform_starts_in_the_support(monkeypatch):
+    # exciton 3 is isolated, and the stationary populations of the others
+    # sum to just below 1, so the top uniform lies above their total
+    rates = np.zeros((4, 4))
+    rates[:3, :3] = random_rates(3, seed=2)
+    counted = np.zeros((4, 4), dtype=bool)
+    counted[0, 2] = True
+    gen = TiltedGenerator(rates, counted)
+    pi = lds.stationary(gen)
+    assert pi[3] == 0.0 and np.cumsum(pi)[-1] < 1.0
+    starts = []
+
+    def recording(rng, state, *args):
+        starts.append(state.copy())
+        return walk(rng, state, *args)
+
+    walk = trajectories._walk
+    monkeypatch.setattr(trajectories, "_walk", recording)
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: TopUniformFirst(default_rng(seed)))
+    stats = simulate(gen, TrajectoryConfig(t_max=50.0, n_trajectories=8, seed=1))
+    # the class is {0, 1, 2}, so class index 2 is exciton 2, the last
+    # exciton of positive weight
+    assert np.array_equal(np.concatenate(starts), np.full(8, 2))
+    assert pi[2] > 0.0 and stats.occupation[3] == 0.0
 
 
 def test_fmo2_agrees_with_spectral_pipeline():
@@ -198,34 +302,29 @@ def test_standard_error_scaling():
     assert 1.25 <= np.mean(ratios) <= 1.6
 
 
-def random_rates(n, seed, absorbing=()):
+def random_rates(n, seed):
     rng = np.random.default_rng(seed)
     rates = rng.exponential(size=(n, n))
     np.fill_diagonal(rates, 0.0)
-    rates[:, list(absorbing)] = 0.0
     return rates
 
 
 def destination_cum(rates, esc):
     """Cumulative probabilities of the destinations b != a from each exciton
-    a, in ascending b, as the reference for single-jump lookups; an
-    absorbing exciton goes to its first other exciton."""
+    a, in ascending b, as the reference for single-jump lookups."""
     n = esc.size
     cum = np.ones((n, n - 1))
     for a in range(n):
-        if esc[a] > 0:
-            cum[a] = np.minimum(np.cumsum(np.delete(rates[:, a], a) / esc[a]), 1.0)
-            cum[a, -1] = 1.0
+        cum[a] = np.minimum(np.cumsum(np.delete(rates[:, a], a) / esc[a]), 1.0)
+        cum[a, -1] = 1.0
     return cum
 
 
 @pytest.mark.parametrize(
-    "n, absorbing, length",
-    [(2, (), 16), (3, (), 10), (17, (), 1), (20, (), 1), (3, (1,), 10), (4, (0, 3), 6)],
-    ids=["n2", "n3", "n17", "n20", "n3-absorbing", "n4-two-absorbing"],
+    "n, length", [(2, 16), (3, 10), (17, 1), (20, 1)], ids=["n2", "n3", "n17", "n20"]
 )
-def test_path_table_holds_path_probabilities(n, absorbing, length):
-    rates = random_rates(n, seed=n, absorbing=absorbing)
+def test_path_table_holds_path_probabilities(n, length):
+    rates = random_rates(n, seed=n)
     esc = rates.sum(axis=0)
     counted = np.random.default_rng(n).random((n, n)) < 0.5  # counted[a, b]: a -> b
     table = _path_table(rates, esc, counted)
@@ -257,7 +356,7 @@ def test_path_table_holds_path_probabilities(n, absorbing, length):
             prob, here, seq, k_count = 1.0, a, [a], 0
             for d in digits:
                 b = d + (d >= here)
-                prob *= rates[b, here] / esc[here] if esc[here] > 0 else float(d == 0)
+                prob *= rates[b, here] / esc[here]
                 k_count += counted[here, b]
                 here = b
                 seq.append(b)
@@ -272,9 +371,9 @@ def test_path_table_holds_path_probabilities(n, absorbing, length):
             assert np.array_equal(holds, np.bincount(seq[:-1], minlength=n))
 
 
-@pytest.mark.parametrize("n, absorbing", [(17, ()), (20, (3,))], ids=["n17", "n20-absorbing"])
-def test_single_jump_lookup_matches_cumulative_search(n, absorbing):
-    rates = random_rates(n, seed=100 + n, absorbing=absorbing)
+@pytest.mark.parametrize("n", [17], ids=["n17"])
+def test_single_jump_lookup_matches_cumulative_search(n):
+    rates = random_rates(n, seed=100 + n)
     esc = rates.sum(axis=0)
     table = _path_table(rates, esc, np.zeros((n, n), dtype=bool))
     assert table.held.shape[1] == 1
@@ -338,7 +437,7 @@ def chi_square_p(histogram, probs, n_traj):
 
 
 # (preset, temperature, counted channel, seed); t_max = 200 / activity, so
-# Lambda t is about 754 for fmo2 and 2000 for fmo3 (L = 6 there: paths
+# Lambda t is about 754 for fmo2 and 2000 for fmo3 (L = 10 there: paths
 # span block boundaries)
 EXACT_CASES = {
     "fmo2-300K": ("fmo2", 300.0, "down:a2->a1", 31),
@@ -391,15 +490,16 @@ def test_self_jump_rates_rejected():
 
 def test_stacked_generator_rejected():
     rates = np.array([[0.0, 2.0], [3.0, 0.0]])
-    gen = TiltedGenerator([rates, 2.0 * rates], np.ones((2, 2, 2), dtype=bool))
-    with pytest.raises(ValueError, match=r"rates of shape \(2, 2, 2\)"):
+    gen = TiltedGenerator([rates, 2.0 * rates], np.broadcast_to(rates > 0, (2, 2, 2)))
+    with pytest.raises(ValueError, match=r"^needs a single-task generator, got task axes \(2,\)"):
         simulate(gen, TrajectoryConfig(t_max=5.0, n_trajectories=8))
 
 
 def test_one_exciton_rejected():
-    gen = TiltedGenerator([[0.0]], [[True]])
-    with pytest.raises(ValueError, match="^the sampler needs at least two excitons$"):
-        simulate(gen, TrajectoryConfig(t_max=5.0, n_trajectories=8))
+    # its only counted jump would be a self-jump, so no generator of one
+    # exciton reaches the sampler
+    with pytest.raises(ValueError, match="^no counted self-jumps"):
+        TiltedGenerator([[0.0]], [[True]])
 
 
 def occupation_se(rates, pi, window, n_traj):
